@@ -3,16 +3,31 @@
 Implements the signature scheme used by Regina (Burton's canonical
 encoding for generalised triangulations), so that signatures computed here
 agree character-for-character with published ones.  A signature encodes,
-for the lexicographically smallest candidate labelling over all choices of
-starting tetrahedron and starting vertex relabelling:
+for the smallest candidate labelling over all choices of starting
+tetrahedron and starting vertex relabelling:
 
 * the number of tetrahedra,
 * a facet-action sequence (0 = boundary, 1 = glued to a new tetrahedron,
   2 = glued to an already-seen tetrahedron), packed three 2-bit values per
-  character,
+  character with the first action in the low bits,
 * the destination tetrahedron for each action-2 facet,
 * the gluing permutation for each action-2 facet, encoded as an index into
   the lexicographic ordering of the 24 vertex permutations.
+
+"Smallest" is Python string order, i.e. by the code points of the emitted
+characters (``+ - 0-9 A-Z a-z`` ascending), not by their index in
+ALPHABET.  All candidates of one triangulation have the same length, so
+they can be compared character by character.
+
+The search runs one breadth-first labelling per (start tetrahedron, start
+permutation), 24n in all, but streams each candidate: every action
+character is compared with the running best as soon as its three actions
+are known.  A candidate is abandoned at its first larger character, and
+comparison stops once one character is smaller; only candidates that tie
+through the whole action sequence go on to compare destinations and
+permutations (Burton, arXiv:1110.6080).  Vertex maps and gluings are
+handled as indices into the 24 permutations, through composition and
+inverse tables built once at import.
 
 Equality of signatures is equivalent to combinatorial isomorphism.
 """
@@ -26,86 +41,120 @@ from .triangulation import Perm, Triangulation, compose, invert
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 
+# The code point of each value's character: the order in which signature
+# strings compare.
+_RANK = tuple(ord(c) for c in ALPHABET)
+
 
 # Gluing permutations are encoded by their index in the lexicographic
 # ordering of all 24 vertex permutations.
 ORDERED_S4: tuple[Perm, ...] = tuple(sorted(permutations(range(4))))
 ORDERED_S4_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(ORDERED_S4)}
 
-_ALL_PERMS: tuple[Perm, ...] = ORDERED_S4
+# S4 arithmetic on ORDERED_S4 indices: _COMPOSE[i][j] applies j first,
+# then i; _INVERSE[i] is the inverse of i.
+_COMPOSE = tuple(
+    tuple(ORDERED_S4_INDEX[compose(p, q)] for q in ORDERED_S4) for p in ORDERED_S4
+)
+_INVERSE = tuple(ORDERED_S4_INDEX[invert(p)] for p in ORDERED_S4)
+# Old facets in new-label order under vertex map i: new facet k is old
+# facet i^-1(k).
+_FACET_ORDER = tuple(invert(p) for p in ORDERED_S4)
 
 
-def _candidate(tri: Triangulation, start: int, start_perm: Perm) -> str:
-    """Signature string for one choice of starting tetrahedron/labelling."""
-    n = tri.tet_count
+def _smaller_candidate(
+    gluings: list[list[tuple[int, int, int] | None]],
+    start: int,
+    start_perm: int,
+    best: list[int] | None,
+) -> list[int] | None:
+    """Code points of one candidate if it is smaller than `best`, else None.
+
+    `gluings[t][f]` is (adjacent tet, 4 * adjacent tet + adjacent facet,
+    permutation index) or None for a boundary facet.  The candidate labels
+    `start` as 0 with vertex relabelling `start_perm` and grows the
+    labelling breadth first.
+    """
+    n = len(gluings)
     image = [-1] * n
-    vertex_map: list[Perm | None] = [None] * n
+    vertex_map = [0] * n
     image[start] = 0
     vertex_map[start] = start_perm
     preimage = [start]
-    facet_done = [[False] * 4 for _ in range(n)]
+    facet_done = [False] * (4 * n)
 
-    type_seq: list[int] = []
-    dest_seq: list[int] = []
-    perm_seq: list[int] = []
-
-    lab = 0
-    while lab < len(preimage):
-        t = preimage[lab]
+    out: list[int] = []  # code points of the action characters
+    dests: list[int] = []
+    perms: list[int] = []
+    tied = best is not None
+    packed = shift = 0
+    for t in preimage:  # grows while it is walked
         vm = vertex_map[t]
-        for f_new in range(4):
-            f_old = vm.index(f_new)
-            if facet_done[t][f_old]:
+        row = gluings[t]
+        base = 4 * t
+        for f_old in _FACET_ORDER[vm]:
+            if facet_done[base + f_old]:
                 continue
-            g = tri.gluing(t, f_old)
-            facet_done[t][f_old] = True
-            if g is None:
-                type_seq.append(0)
-                continue
-            adj, perm = g
-            facet_done[adj][perm[f_old]] = True
-            if image[adj] == -1:
-                type_seq.append(1)
-                image[adj] = len(preimage)
-                # Choose the new labelling so the gluing becomes the identity.
-                vertex_map[adj] = compose(vm, invert(perm))
-                preimage.append(adj)
-            else:
-                type_seq.append(2)
-                dest_seq.append(image[adj])
-                perm_seq.append(ORDERED_S4_INDEX[compose(vertex_map[adj], compose(perm, invert(vm)))])
-        lab += 1
+            facet_done[base + f_old] = True
+            g = row[f_old]
+            if g is not None:
+                adj, adj_slot, perm = g
+                facet_done[adj_slot] = True
+                if image[adj] == -1:
+                    packed |= 1 << shift
+                    image[adj] = len(preimage)
+                    # Choose the new labelling so the gluing becomes the identity.
+                    vertex_map[adj] = _COMPOSE[vm][_INVERSE[perm]]
+                    preimage.append(adj)
+                else:
+                    packed |= 2 << shift
+                    dests.append(_RANK[image[adj]])
+                    perms.append(_RANK[_COMPOSE[vertex_map[adj]][_COMPOSE[perm][_INVERSE[vm]]]])
+            shift += 2
+            if shift == 6:
+                rank = _RANK[packed]
+                if tied:
+                    other = best[len(out)]
+                    if rank > other:
+                        return None
+                    tied = rank == other
+                out.append(rank)
+                packed = shift = 0
 
-    if len(preimage) != n:
-        raise ValueError("triangulation is disconnected")
-
-    chars = [ALPHABET[n]]
-    for i in range(0, len(type_seq), 3):
-        block = type_seq[i : i + 3]
-        value = sum(v << (2 * k) for k, v in enumerate(block))
-        chars.append(ALPHABET[value])
-    for d in dest_seq:
-        chars.append(ALPHABET[d])
-    for p in perm_seq:
-        chars.append(ALPHABET[p])
-    return "".join(chars)
+    # A tie so far is settled by the rest: the final partial action
+    # character, then destinations, then permutations.
+    if shift:
+        out.append(_RANK[packed])
+    out += dests
+    out += perms
+    if tied and out >= best:
+        return None
+    return out
 
 
 def encode_isosig(tri: Triangulation) -> str:
-    """Canonical signature: lexicographic minimum over all starts."""
-    if tri.tet_count == 0:
+    """Canonical signature: the smallest candidate over all starts."""
+    n = tri.tet_count
+    if n == 0:
         raise ValueError("cannot encode an empty triangulation")
-    if tri.tet_count >= 63:
+    if n >= 63:
         raise ValueError("signatures for >= 63 tetrahedra are not supported")
     if not tri.is_connected():
         raise ValueError("triangulation is disconnected")
-    best: str | None = None
-    for start in range(tri.tet_count):
-        for perm in _ALL_PERMS:
-            cand = _candidate(tri, start, perm)
-            if best is None or cand < best:
+    gluings = []
+    for t in range(n):
+        row = []
+        for f in range(4):
+            g = tri.gluing(t, f)
+            row.append(None if g is None else (g[0], 4 * g[0] + g[1][f], ORDERED_S4_INDEX[g[1]]))
+        gluings.append(row)
+    best = None
+    for start in range(n):
+        for start_perm in range(24):
+            cand = _smaller_candidate(gluings, start, start_perm, best)
+            if cand is not None:
                 best = cand
-    return best
+    return ALPHABET[n] + "".join(map(chr, best))
 
 
 def decode_isosig(sig: str) -> Triangulation:

@@ -16,6 +16,7 @@ import json
 
 from .triangulation import (
     EDGE_VERTS,
+    EdgeClassTable,
     Perm,
     Triangulation,
     compose,
@@ -154,7 +155,11 @@ def _edge_fan(tri: Triangulation, embeddings) -> list[tuple[int, Perm]]:
 
 def pachner_32(tri: Triangulation, edge_class: int) -> Triangulation:
     """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
-    table = edge_classes(tri)
+    return _pachner_32(tri, edge_classes(tri), edge_class)
+
+
+def _pachner_32(tri: Triangulation, table: EdgeClassTable, edge_class: int) -> Triangulation:
+    """pachner_32 given the edge-class table of `tri`."""
     cls = table.classes[edge_class]
     if cls.degree != 3:
         raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 3")
@@ -184,9 +189,15 @@ def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
     the canonical walk starting at the smallest edge embedding); axis 0
     uses the new diagonal E0-E2 and axis 1 uses E1-E3.
     """
+    return _move_44(tri, edge_classes(tri), edge_class, axis)
+
+
+def _move_44(
+    tri: Triangulation, table: EdgeClassTable, edge_class: int, axis: int
+) -> Triangulation:
+    """move_44 given the edge-class table of `tri`."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    table = edge_classes(tri)
     cls = table.classes[edge_class]
     if cls.degree != 4:
         raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 4")
@@ -251,9 +262,9 @@ class SimplificationTrace:
         )
 
 
-def _applicable_32(tri: Triangulation) -> int | None:
+def _applicable_32(table: EdgeClassTable) -> int | None:
     """Smallest edge class admitting a 3-2 move, if any."""
-    for cls in edge_classes(tri).classes:
+    for cls in table.classes:
         if cls.degree == 3 and len({t for t, _ in cls.embeddings}) == 3:
             return cls.index
     return None
@@ -266,26 +277,30 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
     every degree-4 edge with four distinct tetrahedra is tried with both
     axes; the first 4-4 move whose result admits a 3-2 move is kept.  The
     trace ends when neither kind of step applies; the tetrahedron count
-    never increases.
+    never increases.  Edge classes are computed once per triangulation
+    visited, trial 4-4 results included.
     """
     moves: list[MoveRecord] = []
     current = tri
+    table = edge_classes(current)
     initial = tri.tet_count
     while True:
-        target = _applicable_32(current)
+        target = _applicable_32(table)
         if target is not None:
-            current = pachner_32(current, target)
+            current = _pachner_32(current, table, target)
+            table = edge_classes(current)
             moves.append(MoveRecord("3-2", target, None, current.tet_count))
             continue
         stepped = False
-        for cls in edge_classes(current).classes:
+        for cls in table.classes:
             if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
                 continue
             for axis in (0, 1):
-                candidate = move_44(current, cls.index, axis)
-                if _applicable_32(candidate) is not None:
+                candidate = _move_44(current, table, cls.index, axis)
+                candidate_table = edge_classes(candidate)
+                if _applicable_32(candidate_table) is not None:
                     moves.append(MoveRecord("4-4", cls.index, axis, candidate.tet_count))
-                    current = candidate
+                    current, table = candidate, candidate_table
                     stepped = True
                     break
             if stepped:

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import twobridge
 from twobridge.cli import main
 from twobridge.word import enumerate_words
 
@@ -110,10 +113,15 @@ def encode_of_r2lr():
 
 
 def test_installed_entry_point():
+    # The child imports the same package as this session, installed or not.
+    env = dict(os.environ)
+    root = str(Path(twobridge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "twobridge.cli", "simplify", "RL^3R", "--isosig"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "hLLMPkbcdfggfgmvfafwkf"

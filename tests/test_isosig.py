@@ -4,9 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.isosig import are_isomorphic, decode_isosig, encode_isosig
+from conftest import all_normalized_words
+from twobridge.isosig import (
+    ALPHABET,
+    ORDERED_S4,
+    ORDERED_S4_INDEX,
+    are_isomorphic,
+    decode_isosig,
+    encode_isosig,
+)
+from twobridge.moves import simplify
 from twobridge.triangulation import Triangulation, build_sakuma_weeks, compose, invert
-from twobridge.word import parse_word
+from twobridge.word import Word, enumerate_words, normalize, parse_word
 
 GOLDEN = [
     "cPcbbbiht",
@@ -106,3 +115,102 @@ def test_encode_rejects_disconnected():
                     tri.glue(base + t, f, base + t2, perm)
     with pytest.raises(ValueError):
         encode_isosig(tri)
+
+
+def brute_force_isosig(tri):
+    """Reference encoder: build every candidate string in full, take min()."""
+    n = tri.tet_count
+    gluings = [[tri.gluing(t, f) for f in range(4)] for t in range(n)]
+    inverse = {p: invert(p) for p in ORDERED_S4}
+    candidates = []
+    for start in range(n):
+        for start_perm in ORDERED_S4:
+            image, vertex_map, preimage = [-1] * n, [None] * n, [start]
+            image[start], vertex_map[start] = 0, start_perm
+            done = [False] * (4 * n)
+            actions, dests, perms = [], [], []
+            for t in preimage:
+                vm = vertex_map[t]
+                for f_old in inverse[vm]:  # new facet order
+                    if done[4 * t + f_old]:
+                        continue
+                    done[4 * t + f_old] = True
+                    g = gluings[t][f_old]
+                    if g is None:
+                        actions.append(0)
+                        continue
+                    adj, perm = g
+                    done[4 * adj + perm[f_old]] = True
+                    if image[adj] < 0:
+                        actions.append(1)
+                        image[adj] = len(preimage)
+                        vertex_map[adj] = compose(vm, inverse[perm])
+                        preimage.append(adj)
+                    else:
+                        actions.append(2)
+                        dests.append(image[adj])
+                        glued = compose(vertex_map[adj], compose(perm, inverse[vm]))
+                        perms.append(ORDERED_S4_INDEX[glued])
+            actions += [0] * (-len(actions) % 3)
+            packed = [a | b << 2 | c << 4 for a, b, c in zip(*[iter(actions)] * 3)]
+            candidates.append("".join(map(ALPHABET.__getitem__, [n, *packed, *dests, *perms])))
+    return min(candidates)
+
+
+def test_oracle_agrees_on_small_words_and_simplified():
+    rng = random.Random(7)
+    for w in all_normalized_words(7):
+        tri = build_sakuma_weeks(w)
+        final = simplify(tri).final
+        for t in (tri,) if final is tri else (tri, final):
+            # Relabelling permutes the candidate set, so one oracle call
+            # covers the relabelled copies too.
+            expected = brute_force_isosig(t)
+            assert encode_isosig(t) == expected, str(w)
+            for _ in range(3):
+                assert encode_isosig(relabel(t, rng)) == expected, str(w)
+
+
+def reverse(w):
+    return normalize(Word(tuple(reversed(w.syllables))))
+
+
+def test_reversed_words_give_equal_signatures():
+    for w in enumerate_words(4, (1, 2, 3)):
+        tri, rev = build_sakuma_weeks(w), build_sakuma_weeks(reverse(w))
+        assert encode_isosig(tri) == encode_isosig(rev), str(w)
+
+
+def open_copy(tri, rng):
+    """A connected copy of tri with two face gluings removed."""
+    pairs = [
+        (t, f) for t in range(tri.tet_count) for f in range(4) if (t, f) < _partner(tri, t, f)
+    ]
+    while True:
+        dropped = set()
+        for t, f in rng.sample(pairs, 2):
+            dropped |= {(t, f), _partner(tri, t, f)}
+        out = Triangulation(tri.tet_count)
+        for t, f in pairs:
+            if (t, f) not in dropped:
+                t2, perm = tri.gluing(t, f)
+                out.glue(t, f, t2, perm)
+        if out.is_connected():
+            return out
+
+
+def _partner(tri, t, f):
+    t2, perm = tri.gluing(t, f)
+    return t2, perm[f]
+
+
+def test_open_triangulations_relabelling_invariant():
+    rng = random.Random(11)
+    for w in all_normalized_words(7):
+        tri = open_copy(build_sakuma_weeks(w), rng)
+        assert not tri.is_closed()
+        sig = encode_isosig(tri)
+        assert sig == brute_force_isosig(tri), str(w)
+        assert encode_isosig(decode_isosig(sig)) == sig
+        for _ in range(3):
+            assert encode_isosig(relabel(tri, rng)) == sig, str(w)

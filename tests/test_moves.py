@@ -162,3 +162,38 @@ def test_simplify_never_increases(words_ell8):
         trace = simplify(build_sakuma_weeks(w))
         counts = [2 * (w.ell - 1)] + [m.tets_after for m in trace.moves]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_simplify_replays_through_public_moves(words_ell8):
+    # Every recorded move is the one the greedy rule picks: the smallest
+    # 3-2 class, else the first (class, axis) in scan order whose 4-4
+    # result admits a 3-2 move.
+    def first_useful_44(tri):
+        return next(
+            (
+                (cls, axis)
+                for cls in degree4_classes(tri)
+                for axis in (0, 1)
+                if applicable_32_classes(move_44(tri, cls, axis))
+            ),
+            None,
+        )
+
+    for w in words_ell8:
+        if w.ell > 7:
+            continue
+        tri = build_sakuma_weeks(w)
+        trace = simplify(tri)
+        current = tri
+        for m in trace.moves:
+            ready = applicable_32_classes(current)
+            if m.kind == "3-2":
+                assert ready and m.target == ready[0], str(w)
+                current = pachner_32(current, m.target)
+            else:
+                assert not ready, str(w)
+                assert (m.target, m.axis) == first_useful_44(current), str(w)
+                current = move_44(current, m.target, m.axis)
+            assert current.tet_count == m.tets_after, str(w)
+        assert current == trace.final, str(w)
+        assert not applicable_32_classes(current) and first_useful_44(current) is None, str(w)

@@ -39,7 +39,6 @@ from .volume import (
     tet_volume,
     theorem_ratio_table,
     v3,
-    volume_functional,
 )
 from .word import Word, enumerate_words, inner_word, is_hyperbolic, normalize, parse_word, render
 
@@ -84,5 +83,4 @@ __all__ = [
     "v3",
     "validate",
     "verify_angle_structure",
-    "volume_functional",
 ]

@@ -280,6 +280,32 @@ def edge_classes(tri: Triangulation) -> EdgeClassTable:
     return EdgeClassTable(classes, class_of)
 
 
+def vertex_classes(tri: Triangulation) -> list[int]:
+    """Vertex class of each tetrahedron vertex, indexed 4t + v.
+
+    Vertices are identified across glued faces; each class (a cusp of a
+    closed ideal triangulation) is found by a search over the gluings and
+    the classes are numbered in order of their smallest member.
+    """
+    label = [-1] * (4 * tri.tet_count)
+    count = 0
+    for start in range(len(label)):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            t, v = divmod(stack.pop(), 4)
+            for f, g in enumerate(tri._glue[t]):
+                if f != v and g is not None:
+                    other = 4 * g[0] + g[1][v]
+                    if label[other] < 0:
+                        label[other] = count
+                        stack.append(other)
+        count += 1
+    return label
+
+
 @dataclass
 class ValidationReport:
     """Checks that a closed ideal triangulation with torus cusps must pass."""
@@ -331,7 +357,6 @@ def validate(tri: Triangulation) -> ValidationReport:
         # (tetrahedron, vertex) incidence; its corners correspond to the
         # in-tetrahedron edges at that vertex.  Euler characteristic is
         # V - E + F = corners - F/2 since every link edge is shared by two.
-        vert_uf = _UnionFind(4 * tri.tet_count)
         corner_ids: dict[tuple[int, int, int], int] = {}
         for t in range(tri.tet_count):
             for v in range(4):
@@ -348,7 +373,6 @@ def validate(tri: Triangulation) -> ValidationReport:
                 for v in range(4):
                     if v == f:
                         continue
-                    vert_uf.union(4 * t + v, 4 * t2 + perm[v])
                     for w_ in range(4):
                         if w_ == f or w_ == v:
                             continue
@@ -358,10 +382,9 @@ def validate(tri: Triangulation) -> ValidationReport:
                             corner_ids[(t, v, e1)], corner_ids[(t2, perm[v], e2)]
                         )
         vertex_groups: dict[int, list[int]] = {}
-        for x in range(4 * tri.tet_count):
-            vertex_groups.setdefault(vert_uf.find(x), []).append(x)
-        for root in sorted(vertex_groups):
-            members = vertex_groups[root]
+        for x, cls in enumerate(vertex_classes(tri)):
+            vertex_groups.setdefault(cls, []).append(x)
+        for members in vertex_groups.values():
             f_count = len(members)
             corner_roots = set()
             for x in members:

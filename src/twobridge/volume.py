@@ -1,5 +1,5 @@
-"""Hyperbolic volume: the Lobachevsky function, the volume functional,
-its maximisation over the angle polytope, and complexity bounds.
+"""Hyperbolic volume: the Lobachevsky function, the maximisation of the
+volume functional over the angle polytope, and complexity bounds.
 
 Vol(Delta(a, b, c)) = L(a) + L(b) + L(c) where L is the Lobachevsky
 function L(t) = -integral_0^t log|2 sin u| du.  L is odd, pi-periodic,
@@ -10,7 +10,9 @@ The volume functional V(theta) = sum of L over all angles is concave on
 the polytope cut out by the per-tetrahedron (sum pi) and per-edge-class
 (sum 2 pi) equations; its interior critical point, when it exists, gives
 the hyperbolic volume of the manifold.  maximize_volume runs a damped
-Newton ascent in a null-space parametrisation of those equations.
+Newton ascent whose steps solve the sparse KKT system of those equations
+(the Hessian of V is the diagonal -cot theta), after dropping the one
+dependent edge equation per cusp.
 """
 
 from __future__ import annotations
@@ -20,16 +22,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import zeta as _zeta
 
 from .angles import AngleAssignment, SHAPES, Shape, assign_angles, theorem_family
-from .triangulation import Triangulation, edge_classes
+from .triangulation import (
+    EDGE_VERTS,
+    EdgeClassTable,
+    Triangulation,
+    VerificationError,
+    edge_classes,
+    vertex_classes,
+)
 from .word import Word, inner_word
 
 # zeta(2m) for the power series of L; the tail beyond m = 40 is below
 # double precision for |t| <= pi/2.
 _ZETA_EVEN = [float(_zeta(2 * _m)) for _m in range(1, 41)]
+# The same series as coefficients of (t/pi)^(2m), for whole arrays.
+_SERIES = np.array([z / (m * (2 * m + 1)) for m, z in enumerate(_ZETA_EVEN, start=1)])
 
 
 def lobachevsky(theta: float) -> float:
@@ -56,6 +66,18 @@ def lobachevsky(theta: float) -> float:
     return sign * (t - t * math.log(2.0 * t) + t * series)
 
 
+def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
+    """lobachevsky of every entry of a 1-d array, by the same series."""
+    t = theta - math.pi * np.round(theta / math.pi)
+    a = np.abs(t)
+    nonzero = a > 0.0
+    a_safe = np.where(nonzero, a, 1.0)
+    ratio = (a_safe / math.pi) ** 2
+    powers = np.cumprod(np.repeat(ratio[:, None], len(_SERIES), axis=1), axis=1)
+    value = a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * (powers @ _SERIES)
+    return np.where(nonzero, np.copysign(value, t), 0.0)
+
+
 def v3() -> float:
     """Volume of the regular ideal tetrahedron, 3 L(pi/3)."""
     return 3.0 * lobachevsky(math.pi / 3.0)
@@ -71,50 +93,78 @@ def tet_volume(shape: Shape | tuple) -> float:
     return sum(lobachevsky(_angle_value(a)) for a in angles)
 
 
-def volume_functional(angle_map: dict[tuple[int, int], Fraction | float]) -> float:
-    """Total volume of a per-(tetrahedron, edge) angle map.
-
-    Each tetrahedron contributes the Lobachevsky sum over one edge of each
-    of its three opposite pairs.
-    """
-    tets = {t for t, _ in angle_map}
-    total = 0.0
-    for t in sorted(tets):
-        total += sum(lobachevsky(_angle_value(angle_map[(t, e)])) for e in (0, 1, 2))
-    return total
-
-
 def assignment_volume(assignment: AngleAssignment) -> float:
     """Volume of a per-layer assignment (two tetrahedra per layer)."""
     return 2.0 * sum(tet_volume(la.triple) for la in assignment.layers)
 
 
-def _constraint_system(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """Equations A x = b for angle structures; x has 3 entries per tet.
+# Opposite-edge pair (0, 1 or 2) of each in-tetrahedron edge 0..5.
+_PAIR = np.array([0, 1, 2, 2, 1, 0])
+
+
+def _constraint_system(tri: Triangulation, table: EdgeClassTable):
+    """Sparse equations A x = b for angle structures; x has 3 entries per tet.
 
     Variable 3t + p is the angle on the opposite-edge pair p of
-    tetrahedron t (pairs are edges (0,5), (1,4), (2,3)).
+    tetrahedron t (pairs are edges (0,5), (1,4), (2,3)).  Rows 0..n-1 are
+    the tetrahedra (sum pi), then one row per edge class (sum 2 pi).  A is
+    a CSR matrix; both edges of a pair in one class give the entry 2.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = tri.tet_count
+    edge_row = np.fromiter(
+        (table.class_of[(t, e)] for t in range(n) for e in range(6)), np.int64, 6 * n
+    )
+    rows = np.concatenate([np.repeat(np.arange(n), 3), n + edge_row])
+    cols = np.concatenate([np.arange(3 * n), np.repeat(3 * np.arange(n), 6) + np.tile(_PAIR, n)])
+    # Sorted distinct (row, column) places and their multiplicities are
+    # the CSR arrays.
+    places, counts = np.unique(rows * (3 * n) + cols, return_counts=True)
+    indptr = np.searchsorted(places, np.arange(n + len(table) + 1) * (3 * n))
+    A = csr_matrix(
+        (counts.astype(float), places % (3 * n), indptr), shape=(n + len(table), 3 * n)
+    )
+    b = np.concatenate([np.full(n, math.pi), np.full(len(table), 2.0 * math.pi)])
+    return A, b
+
+
+def _independent_rows(tri: Triangulation, table: EdgeClassTable) -> np.ndarray:
+    """Mask of the rows of _constraint_system kept when one edge row per
+    cusp is dropped.
+
+    Each cusp v gives the identity sum_e m_v(e) row(e) = sum_t k_v(t) row(t),
+    where m_v(e) counts the ends of edge class e at v and k_v(t) the
+    vertices of tetrahedron t at v.  The dropped edge rows are the pivot
+    columns of elimination on the cusps-by-edges matrix m; on a valid
+    triangulation with c cusps the remaining 2n - c rows are independent.
     """
     n = tri.tet_count
-    rows = []
-    rhs = []
-    for t in range(n):
-        row = np.zeros(3 * n)
-        row[3 * t : 3 * t + 3] = 1.0
-        rows.append(row)
-        rhs.append(math.pi)
-    for cls in edge_classes(tri).classes:
-        row = np.zeros(3 * n)
-        for t, e in cls.embeddings:
-            pair = e if e < 3 else 5 - e
-            row[3 * t + pair] += 1.0
-        rows.append(row)
-        rhs.append(2.0 * math.pi)
-    return np.array(rows), np.array(rhs)
+    cusp = np.array(vertex_classes(tri), dtype=np.int64)
+    # Both ends of the first embedding of each edge class.
+    t, e = np.array([cls.embeddings[0] for cls in table.classes], dtype=np.int64).reshape(-1, 2).T
+    ends = cusp[4 * t[:, None] + np.array(EDGE_VERTS)[e]]
+    m = np.zeros((cusp.max(initial=-1) + 1, len(table)))
+    np.add.at(m, (ends, np.arange(len(table))[:, None]), 1.0)
+    keep = np.ones(n + len(table), dtype=bool)
+    r = 0
+    for col in range(len(table)):
+        if r == len(m):
+            break
+        p = r + int(np.argmax(np.abs(m[r:, col])))
+        if abs(m[p, col]) < 1e-9:
+            continue
+        m[[r, p]] = m[[p, r]]
+        m[r + 1 :] -= np.outer(m[r + 1 :, col] / m[r, col], m[r])
+        keep[n + col] = False
+        r += 1
+    return keep
 
 
 def _interior_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """A strictly positive solution of A x = b via slack maximisation."""
+    from scipy.optimize import linprog
+
     n = A.shape[1]
     # maximise t subject to A x = b, t <= x_i <= pi - t
     c = np.zeros(n + 1)
@@ -163,6 +213,21 @@ class MaximizeResult:
         return bool(self.angles.min() < 1e-6 or self.angles.max() > math.pi - 1e-6)
 
 
+# Step control of maximize_volume.  A step covers at most this share of
+# the distance to the positivity walls (fraction to the boundary).
+_TO_BOUNDARY = 0.7
+# Newton steps are taken on V + mu * sum(log x), a barrier that keeps the
+# iterates off the walls, where the curvature -cot x is unbounded and
+# plain Newton steps jam.  mu is _BARRIER * min(1, |Pg|)^2, with Pg the
+# projected gradient of V, and falls at least by _BARRIER_FALL per
+# iteration; near the maximum it vanishes quadratically, so the last
+# steps are plain Newton steps on V.
+_BARRIER = 0.02
+_BARRIER_FALL = 0.5
+# The KKT matrix is symmetric: order it on A + A^T and prefer diagonal pivots.
+_KKT_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
 def maximize_volume(
     tri: Triangulation,
     seed: AngleAssignment | None = None,
@@ -173,9 +238,21 @@ def maximize_volume(
 
     Concavity makes the interior critical point unique; on a geometric
     triangulation it computes the hyperbolic volume.  Raises ValueError if
-    the constraint system admits no strictly positive solution.
+    the constraint system admits no strictly positive solution, and
+    VerificationError if the equations keep a dependent row after the
+    cusp relations are dropped.
     """
-    A, b = _constraint_system(tri)
+    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse.linalg import splu
+
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if tri.tet_count == 0:
+        raise ValueError("triangulation has no tetrahedra")
+    table = edge_classes(tri)
+    A, b = _constraint_system(tri, table)
     n = 3 * tri.tet_count
 
     if seed is not None:
@@ -189,69 +266,99 @@ def maximize_volume(
                 for q in (la.h, la.v, la.d)
             ]
         )
-        if np.max(np.abs(A @ x - b)) > 1e-9:
-            raise ValueError("seed assignment does not satisfy the angle equations")
+        if x.shape != (n,) or np.max(np.abs(A @ x - b)) > 1e-9 or x.min() <= 0:
+            raise ValueError("seed assignment is not a strict angle structure")
     else:
-        x = _interior_point(A, b)
+        x = _interior_point(A.toarray(), b)
         if x is None:
             raise ValueError("no strict angle structure: constraint system infeasible")
 
-    # Orthonormal basis of the null space of A.
-    u, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > s[0] * 1e-12))
-    N = vt[rank:].T  # n x k
-    if N.shape[1] == 0:
-        vol = sum(lobachevsky(v) for v in x)
-        return MaximizeResult(x.reshape(-1, 3), vol, 0.0, 0, True)
+    # Drop the dependent rows straight from the CSR arrays.
+    keep = _independent_rows(tri, table)
+    lengths = np.diff(A.indptr)[keep]
+    entries = np.repeat(keep, np.diff(A.indptr))
+    A = csr_matrix(
+        (A.data[entries], A.indices[entries], np.concatenate([[0], np.cumsum(lengths)])),
+        shape=(len(lengths), n),
+    )
+    b, Ac = b[keep], A.tocsc()
+    k = len(b)
+    # The KKT matrix [[H, A^T], [A, 0]] in CSC, built once: the first
+    # stored entry of each of the first n columns is the diagonal of H.
+    kkt = csc_matrix(
+        (
+            np.concatenate([np.insert(Ac.data, Ac.indptr[:-1], -1.0), A.data]),
+            np.concatenate([np.insert(Ac.indices + n, Ac.indptr[:-1], np.arange(n)), A.indices]),
+            np.concatenate([Ac.indptr + np.arange(n + 1), Ac.indptr[-1] + n + A.indptr[1:]]),
+        ),
+        shape=(n + k, n + k),
+    )
+    diagonal = kkt.indptr[:n]
+    # With H = -I it is factorised once for both projections: the solution
+    # u of [[-I, A^T], [A, 0]] [u; y] = [-v; r] is u = P v + A^T (A A^T)^-1 r,
+    # with P the orthogonal projection onto the null space of A.
+    try:
+        projector = splu(kkt, **_KKT_SPLU)
+        pivots = np.abs(projector.U.diagonal())
+        independent = pivots.min() > 1e-12 * pivots.max()
+    except RuntimeError:  # exactly singular
+        independent = False
+    if not independent:
+        raise VerificationError(
+            f"angle equations have rank below {k} after dropping the cusp relations"
+        )
 
-    def value(x):
-        return sum(lobachevsky(v) for v in x)
+    def project(v):  # onto the null space of A
+        return projector.solve(np.concatenate([-v, np.zeros(k)]))[:n]
 
-    def grad(x):
-        return -np.log(np.abs(2.0 * np.sin(x)))
+    def feasible(v):  # onto the plane A x = b
+        return v - projector.solve(np.concatenate([np.zeros(n), A @ v - b]))[:n]
 
+    def value(v):
+        return float(np.sum(_lobachevsky_array(v)))
+
+    def grad(v):
+        return -np.log(np.abs(2.0 * np.sin(v)))
+
+    x = feasible(x)
     fx = value(x)
-    converged = False
+    g = grad(x)
+    gnorm = float(np.linalg.norm(project(g)))
+    mu = _BARRIER / _BARRIER_FALL
+    rhs = np.zeros(n + k)
     it = 0
     for it in range(1, max_iters + 1):
-        g = grad(x)
-        gy = N.T @ g
-        gnorm = float(np.linalg.norm(gy))
         if gnorm <= tolerance:
-            converged = True
             break
-        # Reduced Newton step with Levenberg damping; second derivative of
-        # the Lobachevsky function is -cot.
-        H = (N.T * (-1.0 / np.tan(x))) @ N
-        lam = 1e-12
-        while True:
-            try:
-                step = np.linalg.solve(-(H - lam * np.eye(H.shape[0])), gy)
-                break
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10, 1e-8)
-        direction = N @ step
-        if float(direction @ g) <= 0:
-            direction = N @ gy  # fall back to projected gradient ascent
+        mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
+        # Newton step on V + mu sum(log x); the second derivative of L is -cot.
+        ascent = g + mu / x
+        kkt.data[diagonal] = -1.0 / np.tan(x) - mu / (x * x)
+        rhs[:n] = -ascent
+        try:
+            direction = splu(kkt, **_KKT_SPLU).solve(rhs)[:n]
+        except RuntimeError:  # exactly singular
+            direction = None
+        if direction is None or not direction @ ascent > 0:
+            direction = project(ascent)
+        shrinking = direction < 0
         alpha = 1.0
-        margin = 1e-12
-        accepted = False
-        noise = 1e-12 * max(1.0, abs(fx))  # V is flat to rounding at the top
+        if shrinking.any():
+            alpha = min(1.0, _TO_BOUNDARY * float(np.min(x[shrinking] / -direction[shrinking])))
+        f0 = fx + mu * float(np.sum(np.log(x)))
+        noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
         for _ in range(60):
             x_new = x + alpha * direction
-            if np.all(x_new > margin) and np.all(x_new < math.pi - margin):
-                f_new = value(x_new)
-                if f_new > fx - noise:
-                    x, fx = x_new, f_new
-                    accepted = True
-                    break
+            f_new = value(x_new)
+            if f_new + mu * float(np.sum(np.log(x_new))) > f0 - noise:
+                break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
-    g = grad(x)
-    gnorm = float(np.linalg.norm(N.T @ g))
-    converged = gnorm <= tolerance or converged
-    return MaximizeResult(x.reshape(-1, 3), value(x), gnorm, it, converged)
+        x, fx = feasible(x_new), f_new
+        g = grad(x)
+        gnorm = float(np.linalg.norm(project(g)))
+    return MaximizeResult(x.reshape(-1, 3), value(x), gnorm, it, gnorm <= tolerance)
 
 
 @dataclass

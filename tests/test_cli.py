@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twobridge
 from twobridge.cli import main
 from twobridge.word import enumerate_words
@@ -79,6 +81,17 @@ def test_volume_json(capsys):
     doc = json.loads(out)
     assert abs(doc["maximized_volume"] - 2.029883) < 1e-5
     assert doc["explicit_volume"] is None
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "0"), ("--tolerance", "-1"), ("--max-iters", "-1")],
+)
+def test_volume_rejects_bad_stopping_options(capsys, option, value):
+    code, out, err = run_cli(["volume", "RL", option, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert option.lstrip("-").replace("-", "_") in err
 
 
 def test_survey_row_count(capsys):

@@ -1,13 +1,19 @@
 import math
 import random
-from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import all_normalized_words
 from twobridge.angles import SHAPES, assign_angles
-from twobridge.triangulation import Triangulation, build_sakuma_weeks
+from twobridge.isosig import encode_isosig
+from twobridge.moves import simplify
+from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, vertex_classes
 from twobridge.volume import (
+    _constraint_system,
+    _independent_rows,
+    _lobachevsky_array,
     assignment_volume,
     bounds_report,
     lobachevsky,
@@ -15,9 +21,8 @@ from twobridge.volume import (
     tet_volume,
     theorem_ratio_table,
     v3,
-    volume_functional,
 )
-from twobridge.word import enumerate_words, parse_word
+from twobridge.word import Word, enumerate_words, normalize, parse_word
 
 
 def lobachevsky_quadrature(t):
@@ -84,9 +89,12 @@ def test_shape_volume_table():
         assert abs(tet_volume(SHAPES[name]) / V3 - ratio) < 5e-4, name
 
 
-def test_volume_functional_single_tet():
-    amap = {(0, e): F(1, 3) for e in range(6)}
-    assert abs(volume_functional(amap) - v3()) < 1e-14
+def test_lobachevsky_array_matches_scalar():
+    # the maximiser's objective: a regular tetrahedron has volume v3
+    assert abs(float(np.sum(_lobachevsky_array(np.full(3, math.pi / 3)))) - v3()) <= 1e-15
+    grid = np.linspace(-7.0, 7.0, 4001)[1:-1]
+    scalar = np.array([lobachevsky(t) for t in grid])
+    assert np.max(np.abs(_lobachevsky_array(grid) - scalar)) <= 1e-15
 
 
 def test_all_ones_volume_formula():
@@ -177,6 +185,113 @@ def test_maximize_rejects_bad_seed():
     other = parse_word("RL^2R")
     with pytest.raises(ValueError):
         maximize_volume(build_sakuma_weeks(other), seed=assign_angles(w))
+
+
+def angle_residual(tri, res):
+    """max |A x - b| over every angle equation, dropped rows included."""
+    A, b = _constraint_system(tri, edge_classes(tri))
+    return float(np.max(np.abs(A @ res.angles.ravel() - b)))
+
+
+def test_maximize_converges_from_lp_start():
+    # Guéritaud-Futer: builder triangulations are geometric, so the maximum
+    # is an interior critical point.  R^5L^4 and R^5L^3R used to stall on
+    # the positivity walls with volumes 5.6398 and 7.7321.
+    for w in all_normalized_words(8) + [parse_word("R^5L^4"), parse_word("R^5L^3R")]:
+        tri = build_sakuma_weeks(w)
+        res = maximize_volume(tri)
+        assert res.converged and not res.on_boundary, str(w)
+        assert res.gradient_norm <= 1e-10, str(w)
+        # Projecting back onto A x = b after every step keeps the residual
+        # at rounding level; without it, it drifts to about 8e-14 here.
+        assert angle_residual(tri, res) <= 3e-14, str(w)
+
+
+def reverse(w):
+    return normalize(Word(tuple(reversed(w.syllables))))
+
+
+@pytest.mark.parametrize(
+    "text, volume",
+    [
+        ("R^5L^4", 6.1028031649747),
+        ("R^5L^3R", 8.5620421364530),
+        ("RL^2RLR^6", 11.109934377028),
+    ],
+)
+def test_reversed_words_give_equal_volumes(text, volume):
+    w = parse_word(text)
+    tri, rev = build_sakuma_weeks(w), build_sakuma_weeks(reverse(w))
+    assert encode_isosig(tri) == encode_isosig(rev)
+    a, b = maximize_volume(tri), maximize_volume(rev)
+    assert a.converged and b.converged
+    assert abs(a.volume - b.volume) <= 1e-9
+    assert abs(a.volume - volume) <= 1e-12
+    assert angle_residual(tri, a) <= 1e-12 and angle_residual(rev, b) <= 1e-12
+
+
+# Seeded maximum volumes of enumerate_words(4, {1, 2}) from an independent
+# solver (Newton in an SVD basis of the null space of the angle equations).
+FAMILY_VOLUMES = {
+    "RLR": 3.6638623767088765,
+    "RL^2R": 5.333489566898121,
+    "RLRL": 5.693021091281302,
+    "RLR^2L": 7.08492595351083,
+    "RL^2RL": 7.08492595351083,
+    "RL^2R^2L": 8.93585692748669,
+    "RLRLR": 7.643375172359958,
+    "RLRL^2R": 9.21780031602193,
+    "RLR^2LR": 8.83066495490773,
+    "RLR^2L^2R": 10.7590466407903,
+    "RL^2RLR": 9.217800316021929,
+    "RL^2RL^2R": 10.611348294052513,
+    "RL^2R^2LR": 10.7590466407903,
+    "RL^2R^2L^2R": 12.580605368056585,
+    "RLRLRL": 9.672807730794686,
+    "RLRLR^2L": 11.188477802451693,
+    "RLRL^2RL": 10.999980958287122,
+    "RLRL^2R^2L": 12.88874033027649,
+    "RLR^2LRL": 10.999980958287114,
+    "RLR^2LR^2L": 12.376615498635042,
+    "RLR^2L^2RL": 12.602596114262077,
+    "RLR^2L^2R^2L": 14.408873050322358,
+    "RL^2RLRL": 11.1884778024517,
+    "RL^2RLR^2L": 12.800390354861703,
+    "RL^2RL^2RL": 12.37661549863504,
+    "RL^2RL^2R^2L": 14.312645234676994,
+    "RL^2R^2LRL": 12.888740330276482,
+    "RL^2R^2LR^2L": 14.312645234676989,
+    "RL^2R^2L^2RL": 14.408873050322363,
+    "RL^2R^2L^2R^2L": 16.241112562797255,
+}
+
+
+def test_family_volumes_golden():
+    words = list(enumerate_words(4, {1, 2}))
+    assert [str(w) for w in words] == list(FAMILY_VOLUMES)
+    for w in words:
+        tri = build_sakuma_weeks(w)
+        res = maximize_volume(tri, seed=assign_angles(w))
+        assert res.converged
+        assert abs(res.volume - FAMILY_VOLUMES[str(w)]) <= 1e-12, str(w)
+        assert angle_residual(tri, res) <= 1e-12, str(w)
+
+
+def test_cusp_relations_leave_independent_rows():
+    # the angle equations have rank 2n - c; dropping one edge row per cusp
+    # leaves exactly that many rows, all independent
+    for w in all_normalized_words(8):
+        tri = build_sakuma_weeks(w)
+        final = simplify(tri).final
+        for t in (tri,) if final is tri else (tri, final):
+            table = edge_classes(t)
+            A, _ = _constraint_system(t, table)
+            dense = A.toarray()
+            keep = _independent_rows(t, table)
+            expected = 2 * t.tet_count - len(set(vertex_classes(t)))
+            assert keep.sum() == expected, str(w)
+            assert np.linalg.matrix_rank(dense) == expected, str(w)
+            assert np.linalg.matrix_rank(dense[keep]) == expected, str(w)
 
 
 def test_bounds_report_corollary_example():

@@ -1,19 +1,38 @@
 """Explicit angle structures on layered 2-bridge triangulations.
 
-Angles are stored exactly, as Fractions in units of pi.  Every layer's two
-tetrahedra share one triple (v, h, d): the angle on the vertical pair, the
-horizontal pair and the diagonal pair of opposite edges (volume is
-maximised with the two tetrahedra of a layer agreeing, so nothing is lost).
+Every layer's two tetrahedra share one triple (v, h, d): the angle on the
+vertical pair, the horizontal pair and the diagonal pair of opposite edges
+(volume is maximised with the two tetrahedra of a layer agreeing, so
+nothing is lost).  Internally angles are integers in units of pi/24 (every
+catalogue angle is a multiple of pi/24); Shape, LayerAngles and
+DeficitTriple carry them as Fractions in units of pi.
 
 The assignment is built in two steps.  First the block decomposition of
 the inner word fixes the hyperbolic shape of every layer: B1 blocks are
 regular ideal, B2/B3 blocks use a small catalogue of shapes, and the first
 and last layers get substitute shapes that absorb the folds at the two
 ends.  Second, each shape triple is oriented onto (v, h, d) so that the
-angle sums around the edge classes hold; around the layered construction
-those sums are chains that an R letter starts and stops on vertical pairs
-and an L letter on horizontal pairs, so the orientation is recovered by a
-deterministic layer-by-layer recurrence over the letter pattern.
+angle sums around the edge classes hold.
+
+Those sums come from one chain model of the layered complex (_chains).
+For a word with letters 0..N and layers 0..N-1, each edge class is a chain
+of (layer, slot, weight) terms, read from the letters alone:
+
+* a horizontal chain opens at the outer fold with (0, d, 1), the layer's
+  bottom diagonal; a vertical chain opens empty;
+* each layer k adds (k, h, 2) to the open horizontal chain and (k, v, 2)
+  to the open vertical one;
+* an interior L at position k closes the horizontal chain with (k, d, 1),
+  the bottom diagonal of layer k, and opens a new one with (k-1, d, 1),
+  the top diagonal of layer k-1; an interior R does the same for vertical
+  chains;
+* an R end closes the horizontal chain with (N-1, d, 1), the top diagonal
+  of the last layer, as a fold chain, and closes the vertical chain as it
+  is; an L end is the mirror.
+
+A chain that touches a fold (opened at the outer fold or closed by the end
+fold) is one edge class with doubled multiplicities, so its terms sum to
+pi; every other chain is two edge classes and sums to 2 pi.
 
 verify_angle_structure checks the result against the triangulation itself
 (exact rational sums over union-find edge classes) and is kept independent
@@ -25,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .blocks import ALL_B2, B1, B2_END, B2_START, B3, UNFINISHED_B3, Block, BlockDecomposition, decompose
 from .triangulation import (
@@ -48,19 +68,28 @@ class Shape:
     angles: tuple[Fraction, Fraction, Fraction]
 
 
-_CATALOG: tuple[Shape, ...] = (
-    Shape("0", (F(1, 3), F(1, 3), F(1, 3))),
-    Shape("I", (F(1, 3), F(3, 8), F(7, 24))),
-    Shape("II", (F(1, 3), F(1, 4), F(5, 12))),
-    Shape("III", (F(1, 4), F(1, 4), F(1, 2))),
-    Shape("IV", (F(5, 24), F(7, 24), F(1, 2))),
-    Shape("V", (F(1, 6), F(1, 2), F(1, 3))),
-    Shape("VI", (F(1, 6), F(1, 4), F(7, 12))),
-    Shape("VII", (F(1, 8), F(3, 8), F(1, 2))),
-    Shape("VIII", (F(1, 8), F(1, 4), F(5, 8))),
-    Shape("IX", (F(1, 12), F(7, 12), F(1, 3))),
-    Shape("X2", (F(2, 3), F(1, 6), F(1, 6))),
+# Catalogue angles in units of pi/24.
+_UNITS: dict[str, tuple[int, int, int]] = {
+    "0": (8, 8, 8),
+    "I": (8, 9, 7),
+    "II": (8, 6, 10),
+    "III": (6, 6, 12),
+    "IV": (5, 7, 12),
+    "V": (4, 12, 8),
+    "VI": (4, 6, 14),
+    "VII": (3, 9, 12),
+    "VIII": (3, 6, 15),
+    "IX": (2, 14, 8),
+    "X2": (16, 4, 4),
+}
+
+_CATALOG: tuple[Shape, ...] = tuple(
+    Shape(name, tuple(F(x, 24) for x in units)) for name, units in _UNITS.items()
 )
+
+# The distinct (v, h, d) arrangements of each shape, in permutations order.
+_ARRANGEMENTS = {name: tuple(dict.fromkeys(permutations(units))) for name, units in _UNITS.items()}
+_SLOT = {"v": 0, "h": 1, "d": 2}
 
 SHAPES: dict[str, Shape] = {s.name: s for s in _CATALOG}
 
@@ -124,8 +153,11 @@ class DeficitTriple:
 
 
 def theorem_family(w: Word) -> bool:
-    """True iff w is normalised, hyperbolic, and has inner exponents in {1,2}."""
+    """True iff w is normalised and hyperbolic, with end exponents 1 and
+    inner exponents in {1, 2}: the words assign_angles accepts."""
     if not is_hyperbolic(w) or w.syllables[0][0] != "R" or w.ell < 3:
+        return False
+    if w.exponents[0] != 1 or w.exponents[-1] != 1:
         return False
     return all(e in (1, 2) for e in inner_word(w).exponents)
 
@@ -190,75 +222,66 @@ def _shape_sequence(
     return [delta1] + seq
 
 
+def _chains(letters: str) -> list[tuple[tuple[tuple[int, str, int], ...], int]]:
+    """Every edge class of the layered complex as a chain of terms.
+
+    Returns (terms, target) pairs: terms are (layer, slot, weight) with slot
+    one of "v", "h", "d", in order up the layers, and target is the sum the
+    weighted angles must reach, in units of pi/24.  The rules are in the
+    module docstring.
+    """
+    n = len(letters) - 1
+    chains = []
+    open_terms = {"h": [(0, "d", 1)], "v": []}
+    fold = {"h": True, "v": False}
+    for k in range(n):
+        if k:
+            slot = "h" if letters[k] == "L" else "v"
+            chains.append((open_terms[slot] + [(k, "d", 1)], fold[slot]))
+            open_terms[slot], fold[slot] = [(k - 1, "d", 1)], False
+        open_terms["h"].append((k, "h", 2))
+        open_terms["v"].append((k, "v", 2))
+    slot = "h" if letters[-1] == "R" else "v"
+    open_terms[slot].append((n - 1, "d", 1))
+    fold[slot] = True
+    chains += [(open_terms["h"], fold["h"]), (open_terms["v"], fold["v"])]
+    return [(tuple(terms), 24 if is_fold else 48) for terms, is_fold in chains]
+
+
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[Fraction, ...]] | None:
     """Distribute each layer's shape angles onto (v, h, d) via chain sums.
 
-    Every edge class of the layered complex is a chain: an R letter ends
-    the running vertical chain with the layer's diagonal angle and starts a
-    new one, an L letter does the same for horizontal chains, and the two
-    end folds close the remaining chains (the fold at an R end absorbs the
-    final diagonal into the horizontal chain, an L end into the vertical
-    chain; the outer fold always feeds diagonal and horizontal of layer 0
-    into one chain of half weight).  Returns the first consistent
-    orientation in a fixed search order, or None.
+    A depth-first search, on an explicit stack, over each layer's distinct
+    arrangements: a candidate for layer k is accepted iff every chain whose
+    last term lies in layer k sums to its target.  Returns the first
+    consistent orientation as Fraction triples, or None.
     """
-    two_pi = F(2)
-    pi = F(1)
-    n_layers = len(shapes)
-
-    def arrangements(name: str):
-        angles = SHAPES[name].angles
-        seen = []
-        for i in range(3):
-            for j in range(3):
-                if j == i:
-                    continue
-                k = 3 - i - j
-                t = (angles[i], angles[j], angles[k])
-                if t not in seen:
-                    seen.append(t)
-        return seen
-
-    end_letter = letters[-1]
-
-    def search(j, sh, sv, acc):
-        if j == n_layers:
-            d_last = acc[-1][2]
-            if end_letter == "R":
-                return acc if (sh + d_last == pi and sv == two_pi) else None
-            return acc if (sv + d_last == pi and sh == two_pi) else None
-        if j == 0:
-            for v, h, d in arrangements(shapes[0]):
-                result = search(1, d + 2 * h, 2 * v, [(v, h, d)])
-                if result is not None:
-                    return result
-            return None
-        letter = letters[j]
-        prev_d = acc[-1][2]
-        multiset = list(SHAPES[shapes[j]].angles)
-        target = pi if j == 1 and letter == "L" else two_pi
-        # The chain the letter closes has target 2*pi except for the chain
-        # born at the outer fold (half weight): that is the horizontal
-        # chain, closed by the first L letter.
-        need = (target - sh) if letter == "L" else (target - sv)
-        if need not in multiset or not (0 < need < pi):
-            return None
-        rest = list(multiset)
-        rest.remove(need)
-        options = [(rest[0], rest[1])]
-        if rest[0] != rest[1]:
-            options.append((rest[1], rest[0]))
-        for v, h in sorted(set(options)):
-            if letter == "L":
-                nsh, nsv = prev_d + 2 * h, sv + 2 * v
-            else:
-                nsh, nsv = sh + 2 * h, prev_d + 2 * v
-            result = search(j + 1, nsh, nsv, acc + [(v, h, need)])
-            if result is not None:
-                return result
-        return None
-
-    return search(0, F(0), F(0), [])
+    closing: list[list] = [[] for _ in shapes]
+    for terms, target in _chains(letters):
+        indexed = [(layer, _SLOT[slot], weight) for layer, slot, weight in terms]
+        closing[terms[-1][0]].append((indexed, target))
+    chosen: list[tuple[int, int, int]] = []
+    resume: list[int] = []  # per chosen layer, the index of its next candidate
+    start = 0
+    while len(chosen) < len(shapes):
+        k = len(chosen)
+        options = _ARRANGEMENTS[shapes[k]]
+        for i in range(start, len(options)):
+            chosen.append(options[i])
+            if all(
+                sum(weight * chosen[layer][slot] for layer, slot, weight in terms) == target
+                for terms, target in closing[k]
+            ):
+                resume.append(i + 1)
+                start = 0
+                break
+            chosen.pop()
+        else:
+            if not chosen:
+                return None
+            chosen.pop()
+            start = resume.pop()
+    return [tuple(F(x, 24) for x in triple) for triple in chosen]
 
 
 def assign_angles(
@@ -267,19 +290,18 @@ def assign_angles(
     *,
     k1_override: bool = True,
 ) -> AngleAssignment:
-    """The explicit angle structure for a word with inner exponents in {1,2}.
+    """The explicit angle structure for a word in the theorem family.
 
     With k1_override (default) the single-squared-syllable word gets the
     higher-volume three-layer assignment through the obtuse shape X2
     instead of the generic squared-run pattern.
     """
-    if not is_hyperbolic(w) or w.syllables[0][0] != "R":
-        raise ValueError(f"{w} must be normalised and hyperbolic")
-    if w.ell < 3:
-        raise ValueError(f"{w} has no inner word")
+    if not theorem_family(w):
+        raise ValueError(
+            f"{w} is outside the family: it must be normalised and hyperbolic, "
+            "with end exponents 1 and inner exponents in {1, 2}"
+        )
     inner = inner_word(w)
-    if any(e not in (1, 2) for e in inner.exponents):
-        raise ValueError(f"inner exponents of {w} must lie in {{1, 2}}")
     if dec is None:
         dec = decompose(inner)
     elif dec.inner != inner:
@@ -381,74 +403,28 @@ def verify_angle_structure(
     )
 
 
-def _letter_span(dec_inner: Word, block: Block) -> tuple[int, int]:
-    exps = dec_inner.exponents
-    lo = sum(exps[: block.start])
-    hi = sum(exps[: block.end])
-    return lo, hi
-
-
 def boundary_deficits(
     block: Block, assignment: AngleAssignment
 ) -> tuple[DeficitTriple, DeficitTriple]:
     """Angle deficits on the three boundary classes at each end of a block.
 
     Deficits are what the rest of the complex must contribute for the edge
-    sums through the block boundary to reach 2*pi; they are computed from
-    the chain structure (horizontal chains run between consecutive L
-    letters, vertical chains between consecutive R letters, and the end
-    folds absorb the final diagonals).  Ordered (horizontal, vertical,
-    diagonal).
+    sums through the block boundary to reach 2*pi.  At the block's first
+    layer the horizontal and vertical deficits are the sums of the chains
+    through that layer's h and v terms up to those terms; at its last layer
+    they are the sums after them.  Ordered (horizontal, vertical, diagonal).
     """
-    w = assignment.word
-    letters = w.letters
-    triples = assignment.layers
-    inner = inner_word(w)
-    lo, hi = _letter_span(inner, block)
-    s, e = lo + 1, hi  # first and last layer of the block (0-based layers)
-    n_layers = len(triples)
-    two_pi = F(2)
-
-    def chain_below(kind: str, start_layer: int) -> Fraction:
-        target = "L" if kind == "h" else "R"
-        c = start_layer
-        while letters[c] != target:
-            c -= 1
-        total = sum(
-            2 * (triples[j].h if kind == "h" else triples[j].v)
-            for j in range(c, start_layer)
-        )
-        if c >= 1:
-            total += triples[c - 1].d
-        return total
-
-    def chain_above(kind: str, end_layer: int) -> Fraction:
-        target = "L" if kind == "h" else "R"
-        c = end_layer + 1
-        while c <= n_layers - 1 and letters[c] != target:
-            c += 1
-        stop = min(c, n_layers)
-        total = sum(
-            2 * (triples[j].h if kind == "h" else triples[j].v)
-            for j in range(end_layer + 1, stop)
-        )
-        if c <= n_layers - 1:
-            total += triples[c].d
-        elif letters[-1] != target:
-            # The end fold absorbs the top diagonal into the chain of the
-            # other kind: an R end feeds horizontal chains, an L end
-            # vertical ones.
-            total += triples[n_layers - 1].d
-        return total
-
-    delta = DeficitTriple(
-        horizontal=chain_below("h", s),
-        vertical=chain_below("v", s),
-        diagonal=two_pi - triples[s].d,
-    )
-    epsilon = DeficitTriple(
-        horizontal=chain_above("h", e),
-        vertical=chain_above("v", e),
-        diagonal=two_pi - triples[e].d,
-    )
-    return delta, epsilon
+    exps = inner_word(assignment.word).exponents
+    first = 1 + sum(exps[: block.start])  # first and last layer of the block
+    last = sum(exps[: block.end])
+    units = [tuple(int(x * 24) for x in la.triple) for la in assignment.layers]
+    before, after = {}, {}
+    for terms, _ in _chains(assignment.word.letters):
+        values = [weight * units[layer][_SLOT[slot]] for layer, slot, weight in terms]
+        for i, (layer, slot, _) in enumerate(terms):
+            if slot != "d" and layer in (first, last):
+                before[layer, slot] = sum(values[:i])
+                after[layer, slot] = sum(values[i + 1 :])
+    delta = (before[first, "h"], before[first, "v"], 48 - units[first][2])
+    epsilon = (after[last, "h"], after[last, "v"], 48 - units[last][2])
+    return DeficitTriple(*(F(x, 24) for x in delta)), DeficitTriple(*(F(x, 24) for x in epsilon))

@@ -50,10 +50,6 @@ class Block:
     k: int
     b2_lengths: tuple[int, ...] = ()
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:

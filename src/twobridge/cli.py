@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
@@ -192,20 +190,22 @@ def _cmd_bounds(args, out) -> int:
 
 
 def _cmd_survey(args, out) -> int:
-    words = list(enumerate_words(args.max_n, set(args.exponents), args.C))
-    threads = int(os.environ.get("TWOBRIDGE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(bounds_report, words))
-    else:
-        reports = [bounds_report(w) for w in words]
+    reports = [bounds_report(w) for w in enumerate_words(args.max_n, set(args.exponents), args.C)]
     for line in _bounds_lines(reports, args.json, not args.json):
         print(line, file=out)
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with exit status 1, the status for bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twobridge",
         description="Layered triangulations of 2-bridge link complements: "
         "construction, simplification and volume-based complexity bounds.",

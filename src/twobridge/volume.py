@@ -199,9 +199,6 @@ class MaximizeResult:
     iterations: int
     converged: bool
 
-    def triple(self, tet: int) -> tuple[float, float, float]:
-        return tuple(self.angles[tet])
-
     @property
     def on_boundary(self) -> bool:
         """True when the iterate sits against the positivity walls.

@@ -88,11 +88,6 @@ def parse_word(text: str) -> Word:
     return Word(tuple(runs))
 
 
-def from_letters(letters: str) -> Word:
-    """Build a word from an explicit letter string such as ``RLLR``."""
-    return parse_word(letters)
-
-
 def render(w: Word) -> str:
     """Inverse of parse_word; exponents are written only when >= 2."""
     return "".join(
@@ -125,13 +120,19 @@ def is_hyperbolic(w: Word) -> bool:
 def inner_word(w: Word) -> Word:
     """The subword obtained by deleting the first and last letter.
 
-    Requires at least three letters.  A stripped letter may shorten its
-    syllable by one, so the result is re-formed into maximal syllables.
+    Requires at least three letters.  A stripped letter shortens its
+    syllable by one and removes it when that leaves nothing.
     """
-    letters = w.letters
-    if len(letters) < 3:
+    if w.ell < 3:
         raise ValueError("word must have at least 3 letters to take its inner word")
-    return from_letters(letters[1:-1])
+    syllables = list(w.syllables)
+    for end in (0, -1):
+        letter, exp = syllables[end]
+        if exp == 1:
+            del syllables[end]
+        else:
+            syllables[end] = (letter, exp - 1)
+    return Word(tuple(syllables))
 
 
 def enumerate_words(
@@ -158,8 +159,6 @@ def enumerate_words(
         for combo in product(exps, repeat=n):
             if fixed_C is not None and sum(combo) != n + fixed_C:
                 continue
-            inner = "".join(
-                ("L" if i % 2 == 0 else "R") * e for i, e in enumerate(combo)
-            )
-            terminal = "R" if inner[-1] == "L" else "L"
-            yield from_letters("R" + inner + terminal)
+            inner = tuple(("L" if i % 2 == 0 else "R", e) for i, e in enumerate(combo))
+            terminal = "R" if inner[-1][0] == "L" else "L"
+            yield Word((("R", 1),) + inner + ((terminal, 1),))

@@ -23,3 +23,8 @@ def all_normalized_words(max_ell):
 @pytest.fixture(scope="session")
 def words_ell8():
     return all_normalized_words(8)
+
+
+@pytest.fixture(scope="session")
+def words_ell10():
+    return all_normalized_words(10)

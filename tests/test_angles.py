@@ -1,9 +1,12 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from twobridge.angles import (
     SHAPES,
+    _chains,
     assign_angles,
     boundary_deficits,
     expand_to_tetrahedra,
@@ -12,8 +15,16 @@ from twobridge.angles import (
     verify_angle_structure,
 )
 from twobridge.blocks import decompose
-from twobridge.triangulation import build_sakuma_weeks, edge_classes
-from twobridge.word import enumerate_words, inner_word, parse_word
+from twobridge.triangulation import (
+    BOTTOM_DIAGONAL_EVEN,
+    BOTTOM_DIAGONAL_ODD,
+    HORIZONTAL_EDGES,
+    VERTICAL_EDGES,
+    build_sakuma_weeks,
+    edge_classes,
+)
+from twobridge.volume import bounds_report
+from twobridge.word import Word, enumerate_words, inner_word, parse_word
 
 
 def family(max_n):
@@ -316,3 +327,91 @@ def test_theorem_family_predicate():
     assert not theorem_family(parse_word("RL^3R"))
     assert not theorem_family(parse_word("RL"))
     assert not theorem_family(parse_word("R^3"))
+    assert not theorem_family(parse_word("R^2LR"))  # first exponent 2
+    assert not theorem_family(parse_word("RL^2"))  # last exponent 2
+
+
+def test_assign_angles_succeeds_exactly_on_the_family(words_ell10):
+    for w in words_ell10:
+        if theorem_family(w):
+            assert len(assign_angles(w).layers) == w.ell - 1
+        else:
+            with pytest.raises(ValueError):
+                assign_angles(w)
+
+
+def union_find_classes(w):
+    """Edge classes of the builder output as multisets of ((layer, role), multiplicity)."""
+    tri = build_sakuma_weeks(w)
+    out = Counter()
+    for cls in edge_classes(tri).classes:
+        counts = Counter()
+        for t, e in cls.embeddings:
+            if e in VERTICAL_EDGES:
+                role = "v"
+            elif e in HORIZONTAL_EDGES:
+                role = "h"
+            else:
+                bottom = BOTTOM_DIAGONAL_EVEN if t % 2 == 0 else BOTTOM_DIAGONAL_ODD
+                role = "bottom d" if e == bottom else "top d"
+            counts[t // 2, role] += 1
+        out[frozenset(counts.items())] += 1
+    return out
+
+
+def chain_classes(w):
+    """The same multiset read off _chains: a fold chain (target pi) is one class
+    with doubled multiplicities, any other chain (target 2 pi) two classes."""
+    out = Counter()
+    for terms, target in _chains(w.letters):
+        assert target in (24, 48)
+        counts = Counter()
+        for i, (layer, slot, weight) in enumerate(terms):
+            role = slot
+            if slot == "d":
+                # Up a layer a chain meets the bottom diagonal, then h or v,
+                # then the top diagonal, so the neighbouring term tells which.
+                if i == 0:
+                    bottom = terms[1][0] == layer
+                else:
+                    bottom = terms[i - 1][0] < layer
+                role = "bottom d" if bottom else "top d"
+            counts[layer, role] += weight
+        fold = target == 24
+        out[frozenset((key, 2 * c if fold else c) for key, c in counts.items())] += 1 if fold else 2
+    return out
+
+
+def test_chains_match_union_find(words_ell10):
+    assert len(words_ell10) == 1013
+    for w in words_ell10:
+        assert chain_classes(w) == union_find_classes(w), str(w)
+
+
+def test_orientation_and_deficits_unchanged_n9():
+    # Digests recorded from the recursive Fraction search and the letter-scan
+    # deficits that the chain model replaced.
+    triples, deficits = [], []
+    for w in family(9):
+        a = assign_angles(w)
+        triples.append(f"{w}:" + ";".join(f"{la.shape},{la.v},{la.h},{la.d}" for la in a.layers))
+        for b in decompose(inner_word(w)).blocks:
+            delta, eps = boundary_deficits(b, a)
+            deficits.append(f"{w} {b.kind} {b.start} {b.end}: {tuple(map(str, delta))} {tuple(map(str, eps))}")
+    assert len(triples) == 1022 and len(deficits) == 2783
+    digest = hashlib.sha256("\n".join(triples).encode()).hexdigest()
+    assert digest == "64cbf02a617b283a382e2f736d1df3fced1aea7e432f1f3d6869ee2ec9f420a8"
+    digest = hashlib.sha256("\n".join(deficits).encode()).hexdigest()
+    assert digest == "3e662c901214e2a36345f5aa9848c7ff45f2809bd630ec0619bb63909b0fc701"
+
+
+def test_long_family_word():
+    # 5002 letters: far past the depth at which a recursive search overflows.
+    inner = tuple(("LR"[i % 2], 2 if i % 3 == 1 else 1) for i in range(3750))
+    w = Word((("R", 1),) + inner + (("R" if inner[-1][0] == "L" else "L", 1),))
+    assert w.ell == 5002 and theorem_family(w)
+    a = assign_angles(w)
+    assert len(a.layers) == w.ell - 1
+    assert all(sum(la.triple) == 1 for la in a.layers)
+    report = bounds_report(w)
+    assert report.explicit_volume is not None and report.tet_count == 2 * (w.ell - 1)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from twobridge.blocks import decompose
-from twobridge.word import from_letters, inner_word, parse_word
+from twobridge.word import inner_word, parse_word
 
 
 def kinds(text):
@@ -73,7 +73,7 @@ def test_partition_property_exhaustive():
             letters = "".join(
                 ("L" if i % 2 == 0 else "R") * e for i, e in enumerate(combo)
             )
-            w = from_letters(letters)
+            w = parse_word(letters)
             dec = decompose(w)
             spans = [(b.start, b.end) for b in dec.blocks]
             assert spans[0][0] == 0 and spans[-1][1] == w.n
@@ -100,7 +100,7 @@ def test_exponent_two_only_in_squared_blocks():
             letters = "".join(
                 ("L" if i % 2 == 0 else "R") * e for i, e in enumerate(combo)
             )
-            w = from_letters(letters)
+            w = parse_word(letters)
             for b in decompose(w).blocks:
                 if any(e == 2 for e in w.exponents[b.start : b.end]):
                     assert b.kind in ("B2_start", "B2_end", "B3", "UnfinishedB3", "AllB2")

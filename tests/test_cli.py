@@ -76,6 +76,44 @@ def test_angles_rejects_outside_family(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["bounds", "R^2L"], 0),
+        (["angles", "RL^2"], 1),
+        (["volume", "R^2L"], 0),
+    ],
+)
+def test_end_exponent_above_one_is_outside_family(capsys, args, code):
+    assert run_cli(args, capsys)[0] == code
+
+
+def test_bounds_outside_family_reports_generic_bounds(capsys):
+    code, out, _ = run_cli(["bounds", "R^2LR", "--json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["explicit_volume"] is None and doc["tet_count"] == 6
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["volume", "RL", "--bogus"], ["volume", "RL", "--tolerance", "-1e-10"], ["frobnicate", "RL"]],
+)
+def test_usage_errors_exit_1(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert err.startswith("usage: twobridge") and "error:" in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["volume", "--help"]])
+def test_help_and_version_exit_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_volume_json(capsys):
     code, out, _ = run_cli(["volume", "RL", "--json"], capsys)
     doc = json.loads(out)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from twobridge.word import (
     Word,
     enumerate_words,
-    from_letters,
     inner_word,
     is_hyperbolic,
     normalize,
@@ -64,8 +65,17 @@ def test_inner_word():
     assert inner_word(parse_word("RL^2R")) == parse_word("L^2")
     assert inner_word(parse_word("RLR^2L")) == parse_word("LR^2")
     assert inner_word(parse_word("RLR")) == parse_word("L")
+    assert inner_word(parse_word("R^3")) == parse_word("R")
     with pytest.raises(ValueError):
         inner_word(parse_word("RL"))
+
+
+def test_inner_word_strips_the_letter_string():
+    # Against the letter string with its ends cut off, on every word of 3 to 10 letters.
+    for ell in range(3, 11):
+        for letters in itertools.product("RL", repeat=ell):
+            text = "".join(letters)
+            assert inner_word(parse_word(text)) == parse_word(text[1:-1]), text
 
 
 def test_render():
@@ -124,7 +134,3 @@ def test_enumerate_errors():
         list(enumerate_words(0, {1}))
     with pytest.raises(ValueError):
         list(enumerate_words(2, {0, 1}))
-
-
-def test_from_letters():
-    assert from_letters("RLLR") == parse_word("RL^2R")

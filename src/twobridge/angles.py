@@ -35,8 +35,8 @@ fold) is one edge class with doubled multiplicities, so its terms sum to
 pi; every other chain is two edge classes and sums to 2 pi.
 
 verify_angle_structure checks the result against the triangulation itself
-(exact rational sums over union-find edge classes) and is kept independent
-of the synthesis above.
+(exact rational sums over edge classes found by a search over the gluings)
+and is kept independent of the synthesis above.
 """
 
 from __future__ import annotations

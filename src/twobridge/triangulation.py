@@ -14,12 +14,17 @@ letter transition, with the outermost and innermost four faces folded up
 in pairs.  In builder output every tetrahedron carries the same edge-role
 pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 03/12 the diagonal pair (03 faces the previous layer, 12 the next).
+
+Edge classes, vertex classes (cusps) and the corners of the vertex links
+are all found by one search over the gluings (_closure).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .word import Word, is_hyperbolic
 
@@ -33,8 +38,7 @@ for _i, (_a, _b) in enumerate(EDGE_VERTS):
     EDGE_INDEX[(_a, _b)] = _i
     EDGE_INDEX[(_b, _a)] = _i
 
-# Role of each in-tetrahedron edge in builder output.
-ROLE_OF_EDGE = ("horizontal", "vertical", "diagonal", "diagonal", "vertical", "horizontal")
+# Roles of the in-tetrahedron edges in builder output.
 VERTICAL_EDGES = (1, 4)
 HORIZONTAL_EDGES = (0, 5)
 DIAGONAL_EDGES = (2, 3)
@@ -203,24 +207,52 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
     return tri
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _cells(cells, key=tuple):
+    """(cells per tetrahedron, facets holding each cell, image of each cell
+    under each permutation) for cells given by their tuples of vertices.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    A cell lies in facet f iff f is none of its vertices, and a gluing
+    permutation maps it to the cell on the permuted vertices.
+    """
+    index = {key(c): i for i, c in enumerate(cells)}
+    faces = tuple(tuple(f for f in range(4) if f not in c) for c in cells)
+    image = {p: tuple(index[key(p[v] for v in c)] for c in cells) for p in permutations(range(4))}
+    return len(cells), faces, image
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+
+_VERTEX_CELLS = _cells([(v,) for v in range(4)])
+_EDGE_CELLS = _cells(EDGE_VERTS, key=lambda vs: tuple(sorted(vs)))
+# Link corners: corner 3v + j is the end at vertex v of the j-th edge from
+# v, so the corners of vertex v are 3v, 3v + 1 and 3v + 2.
+_CORNER_CELLS = _cells([(v, w) for v in range(4) for w in range(4) if w != v])
+
+
+def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
+    """Classes of cells identified across glued faces, as (label, count).
+
+    Cell c of tetrahedron t gets label[size*t + c]; a depth-first search
+    over the gluings numbers the classes in order of their smallest member.
+    """
+    size, faces, image = cells
+    glue = tri._glue
+    label = [-1] * (size * tri.tet_count)
+    count = 0
+    for start in range(len(label)):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            t, c = divmod(stack.pop(), size)
+            for f in faces[c]:
+                g = glue[t][f]
+                if g is not None:
+                    other = size * g[0] + image[g[1]][c]
+                    if label[other] < 0:
+                        label[other] = count
+                        stack.append(other)
+        count += 1
+    return label, count
 
 
 @dataclass(frozen=True)
@@ -229,7 +261,6 @@ class EdgeClass:
 
     index: int
     embeddings: tuple[tuple[int, int], ...]  # (tetrahedron, edge 0..5)
-    roles: tuple[str, ...] | None = None     # per embedding, builder output only
 
     @property
     def degree(self) -> int:
@@ -249,61 +280,22 @@ class EdgeClassTable:
 
 
 def edge_classes(tri: Triangulation) -> EdgeClassTable:
-    """Edge classes computed by closing edge identifications under gluings."""
-    uf = _UnionFind(6 * tri.tet_count)
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is None:
-                continue
-            t2, perm = g
-            verts = [v for v in range(4) if v != f]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    a, b = verts[i], verts[j]
-                    e1 = EDGE_INDEX[(a, b)]
-                    e2 = EDGE_INDEX[(perm[a], perm[b])]
-                    uf.union(6 * t + e1, 6 * t2 + e2)
-    groups: dict[int, list[int]] = {}
-    for x in range(6 * tri.tet_count):
-        groups.setdefault(uf.find(x), []).append(x)
-    classes = []
-    class_of = {}
-    for idx, root in enumerate(sorted(groups)):
-        members = tuple((x // 6, x % 6) for x in sorted(groups[root]))
-        roles = None
-        if tri.layer_of is not None:
-            roles = tuple(ROLE_OF_EDGE[e] for _, e in members)
-        classes.append(EdgeClass(idx, members, roles))
-        for emb in members:
-            class_of[emb] = idx
-    return EdgeClassTable(classes, class_of)
+    """Edge classes: in-tetrahedron edges identified across glued faces."""
+    label, count = _closure(tri, _EDGE_CELLS)
+    members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for x, c in enumerate(label):
+        members[c].append(divmod(x, 6))
+    classes = [EdgeClass(i, tuple(m)) for i, m in enumerate(members)]
+    return EdgeClassTable(classes, {emb: c.index for c in classes for emb in c.embeddings})
 
 
 def vertex_classes(tri: Triangulation) -> list[int]:
     """Vertex class of each tetrahedron vertex, indexed 4t + v.
 
     Vertices are identified across glued faces; each class (a cusp of a
-    closed ideal triangulation) is found by a search over the gluings and
-    the classes are numbered in order of their smallest member.
+    closed ideal triangulation) is numbered in order of its smallest member.
     """
-    label = [-1] * (4 * tri.tet_count)
-    count = 0
-    for start in range(len(label)):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            t, v = divmod(stack.pop(), 4)
-            for f, g in enumerate(tri._glue[t]):
-                if f != v and g is not None:
-                    other = 4 * g[0] + g[1][v]
-                    if label[other] < 0:
-                        label[other] = count
-                        stack.append(other)
-        count += 1
-    return label
+    return _closure(tri, _VERTEX_CELLS)[0]
 
 
 @dataclass
@@ -343,57 +335,27 @@ def validate(tri: Triangulation) -> ValidationReport:
     if not all_glued:
         failures.append("not all faces are glued")
 
-    table = edge_classes(tri)
-    edge_count_ok = len(table) == tri.tet_count
+    edge_count = _closure(tri, _EDGE_CELLS)[1]
+    edge_count_ok = edge_count == tri.tet_count
     if not edge_count_ok:
         failures.append(
-            f"edge class count {len(table)} differs from tetrahedron count {tri.tet_count}"
+            f"edge class count {edge_count} differs from tetrahedron count {tri.tet_count}"
         )
 
     eulers: list[int] = []
     links_ok = True
     if all_glued and tri.tet_count:
         # The link of an ideal vertex is glued from one triangle per
-        # (tetrahedron, vertex) incidence; its corners correspond to the
-        # in-tetrahedron edges at that vertex.  Euler characteristic is
-        # V - E + F = corners - F/2 since every link edge is shared by two.
-        corner_ids: dict[tuple[int, int, int], int] = {}
-        for t in range(tri.tet_count):
-            for v in range(4):
-                for e in range(6):
-                    if v in EDGE_VERTS[e]:
-                        corner_ids[(t, v, e)] = len(corner_ids)
-        corner_uf = _UnionFind(len(corner_ids))
-        for t in range(tri.tet_count):
-            for f in range(4):
-                g = tri.gluing(t, f)
-                if g is None:
-                    continue
-                t2, perm = g
-                for v in range(4):
-                    if v == f:
-                        continue
-                    for w_ in range(4):
-                        if w_ == f or w_ == v:
-                            continue
-                        e1 = EDGE_INDEX[(v, w_)]
-                        e2 = EDGE_INDEX[(perm[v], perm[w_])]
-                        corner_uf.union(
-                            corner_ids[(t, v, e1)], corner_ids[(t2, perm[v], e2)]
-                        )
-        vertex_groups: dict[int, list[int]] = {}
-        for x, cls in enumerate(vertex_classes(tri)):
-            vertex_groups.setdefault(cls, []).append(x)
-        for members in vertex_groups.values():
-            f_count = len(members)
-            corner_roots = set()
-            for x in members:
-                t, v = x // 4, x % 4
-                for e in range(6):
-                    if v in EDGE_VERTS[e]:
-                        corner_roots.add(corner_uf.find(corner_ids[(t, v, e)]))
-            euler = len(corner_roots) - (3 * f_count) // 2 + f_count
-            eulers.append(euler)
+        # (tetrahedron, vertex) incidence, with one corner per edge at
+        # that vertex.  Each link edge is shared by two triangles, so the
+        # Euler characteristic V - E + F is corners - F/2.
+        vertex, count = _closure(tri, _VERTEX_CELLS)
+        corner, _ = _closure(tri, _CORNER_CELLS)
+        # Corner 12t + 3v + j lies at vertex 4t + v.
+        at_vertex = {c: vertex[x // 3] for x, c in enumerate(corner)}
+        corners = Counter(at_vertex.values())
+        faces = Counter(vertex)
+        eulers = [corners[v] - faces[v] // 2 for v in range(count)]
         links_ok = all(x == 0 for x in eulers)
         if not links_ok:
             failures.append(f"vertex links have Euler characteristics {eulers}, expected all 0")
@@ -406,7 +368,7 @@ def validate(tri: Triangulation) -> ValidationReport:
         all_faces_glued=all_glued,
         edge_count_ok=edge_count_ok,
         vertex_links_ok=links_ok,
-        edge_class_count=len(table),
+        edge_class_count=edge_count,
         vertex_link_eulers=eulers,
         failures=failures,
     )

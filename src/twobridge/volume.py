@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import zeta as _zeta
@@ -83,19 +82,22 @@ def v3() -> float:
     return 3.0 * lobachevsky(math.pi / 3.0)
 
 
-def _angle_value(x: Fraction | float) -> float:
-    return float(x) * math.pi if isinstance(x, Fraction) else float(x)
+def tet_volume(shape: Shape) -> float:
+    """Volume of the ideal tetrahedron with the given shape."""
+    return sum(lobachevsky(float(a) * math.pi) for a in shape.angles)
 
 
-def tet_volume(shape: Shape | tuple) -> float:
-    """Volume of the ideal tetrahedron with the given angle triple."""
-    angles = shape.angles if isinstance(shape, Shape) else shape
-    return sum(lobachevsky(_angle_value(a)) for a in angles)
+# lobachevsky(k pi/24) for k = 0..24: every catalogue angle is a multiple
+# of pi/24.
+_LOBACHEVSKY_24 = tuple(lobachevsky(k / 24 * math.pi) for k in range(25))
 
 
 def assignment_volume(assignment: AngleAssignment) -> float:
     """Volume of a per-layer assignment (two tetrahedra per layer)."""
-    return 2.0 * sum(tet_volume(la.triple) for la in assignment.layers)
+    return 2.0 * sum(
+        sum(_LOBACHEVSKY_24[24 * a.numerator // a.denominator] for a in la.triple)
+        for la in assignment.layers
+    )
 
 
 # Opposite-edge pair (0, 1 or 2) of each in-tetrahedron edge 0..5.
@@ -161,34 +163,24 @@ def _independent_rows(tri: Triangulation, table: EdgeClassTable) -> np.ndarray:
     return keep
 
 
-def _interior_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A strictly positive solution of A x = b via slack maximisation."""
+def _interior_point(A, b: np.ndarray) -> np.ndarray | None:
+    """A strictly positive solution of A x = b via slack maximisation.
+
+    With x = s + t 1 and s >= 0 the linear program maximises t subject to
+    [A | A 1] [s; t] = b.  The bounds x <= pi - t need no rows: the
+    tetrahedron equations (sum pi over three positive angles) imply them.
+    """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix, hstack
 
     n = A.shape[1]
-    # maximise t subject to A x = b, t <= x_i <= pi - t
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    A_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-    A_ub = np.vstack(
-        [
-            np.hstack([-np.eye(n), np.ones((n, 1))]),
-            np.hstack([np.eye(n), np.ones((n, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(n), np.full(n, math.pi)])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b,
-        bounds=[(None, None)] * n + [(None, math.pi / 2)],
-        method="highs",
-    )
+    A_eq = hstack([A, csr_matrix((A @ np.ones(n))[:, None])], format="csr")
+    res = linprog(c, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * n + [(None, None)], method="highs")
     if not res.success or res.x[-1] <= 1e-9:
         return None
-    return res.x[:-1]
+    return res.x[:-1] + res.x[-1]
 
 
 @dataclass
@@ -266,7 +258,7 @@ def maximize_volume(
         if x.shape != (n,) or np.max(np.abs(A @ x - b)) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
-        x = _interior_point(A.toarray(), b)
+        x = _interior_point(A, b)
         if x is None:
             raise ValueError("no strict angle structure: constraint system infeasible")
 

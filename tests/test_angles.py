@@ -340,7 +340,7 @@ def test_assign_angles_succeeds_exactly_on_the_family(words_ell10):
                 assign_angles(w)
 
 
-def union_find_classes(w):
+def gluing_classes(w):
     """Edge classes of the builder output as multisets of ((layer, role), multiplicity)."""
     tri = build_sakuma_weeks(w)
     out = Counter()
@@ -385,7 +385,7 @@ def chain_classes(w):
 def test_chains_match_union_find(words_ell10):
     assert len(words_ell10) == 1013
     for w in words_ell10:
-        assert chain_classes(w) == union_find_classes(w), str(w)
+        assert chain_classes(w) == gluing_classes(w), str(w)
 
 
 def test_orientation_and_deficits_unchanged_n9():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,18 @@ def test_survey_deterministic(capsys):
     _, out1, _ = run_cli(["survey", "--max-n", "2"], capsys)
     _, out2, _ = run_cli(["survey", "--max-n", "2"], capsys)
     assert out1 == out2
+
+
+def test_survey_csv_bytes_pinned(capsys):
+    # The bytes depend on float summation order: explicit volumes must sum
+    # each layer's angles in (v, h, d) order.
+    code, out, _ = run_cli(["survey", "--max-n", "8"], capsys)
+    assert code == 0
+    assert out.count("\n") == 511
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "bfef647417aa7e790cb2665fdcf090306d6caec515b46fc6ef4d94935b6ecdb1"
+    )
 
 
 def test_words_file(tmp_path, capsys):

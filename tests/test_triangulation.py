@@ -1,8 +1,14 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from test_isosig import open_copy
 from twobridge.isosig import are_isomorphic, encode_isosig
+from twobridge.moves import pachner_23, simplify, triangle_pairs
 from twobridge.triangulation import (
-    ROLE_OF_EDGE,
+    EDGE_INDEX,
+    IDENTITY,
     Triangulation,
     VerificationError,
     build_sakuma_weeks,
@@ -10,6 +16,7 @@ from twobridge.triangulation import (
     edge_classes,
     gluing_table,
     validate,
+    vertex_classes,
 )
 from twobridge.word import parse_word
 
@@ -114,18 +121,165 @@ def test_edge_classes_r2lr():
     assert sorted(table.degrees()).count(3) == 2
 
 
-def test_edge_roles_recorded():
-    tri = build_sakuma_weeks(parse_word("RL"))
-    table = edge_classes(tri)
-    for cls in table.classes:
-        assert cls.roles == tuple(ROLE_OF_EDGE[e] for _, e in cls.embeddings)
-
-
 def test_validate_builder_output(words_ell8):
     for w in words_ell8[:30]:
         report = validate(build_sakuma_weeks(w))
         assert report.passed, (str(w), report.failures)
         assert report.vertex_link_eulers and all(x == 0 for x in report.vertex_link_eulers)
+
+
+class UnionFind:
+    """Plain union-find; the root of each set is its smallest member."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        a, b = self.find(a), self.find(b)
+        self.parent[max(a, b)] = min(a, b)
+
+
+def union_find_labels(tri, size, cell_pairs):
+    """Class label of every cell size*t + c, numbered by smallest member.
+
+    cell_pairs(f, perm) lists the (cell, image) pairs that a gluing of
+    facet f by perm identifies.
+    """
+    uf = UnionFind(size * tri.tet_count)
+    for t in range(tri.tet_count):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is not None:
+                for a, b in cell_pairs(f, g[1]):
+                    uf.union(size * t + a, size * g[0] + b)
+    number = {}
+    return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))], uf
+
+
+def oracle_edge_labels(tri):
+    def pairs(f, perm):
+        for a, b in combinations([v for v in range(4) if v != f], 2):
+            yield EDGE_INDEX[(a, b)], EDGE_INDEX[(perm[a], perm[b])]
+
+    return union_find_labels(tri, 6, pairs)[0]
+
+
+def oracle_vertex_labels(tri):
+    return union_find_labels(tri, 4, lambda f, perm: [(v, perm[v]) for v in range(4) if v != f])[0]
+
+
+def oracle_link_eulers(tri):
+    """Euler characteristic of each vertex link, from its triangles and corners.
+
+    Corner 4v + w is the end at vertex v of edge vw; a gluing of facet f
+    identifies the corners whose edges lie in the facet.
+    """
+
+    def pairs(f, perm):
+        for v in range(4):
+            for w in range(4):
+                if f not in (v, w) and v != w:
+                    yield 4 * v + w, 4 * perm[v] + perm[w]
+
+    _, corners = union_find_labels(tri, 16, pairs)
+    vertex = oracle_vertex_labels(tri)
+    eulers = []
+    for cls in range(max(vertex, default=-1) + 1):
+        triangles = [x for x, c in enumerate(vertex) if c == cls]
+        roots = {
+            corners.find(16 * (x // 4) + 4 * (x % 4) + w)
+            for x in triangles
+            for w in range(4)
+            if w != x % 4
+        }
+        # V - E + F with E = 3F/2: every link edge is shared by two triangles.
+        eulers.append(len(roots) - 3 * len(triangles) // 2 + len(triangles))
+    return eulers
+
+
+def assert_matches_union_find(tri):
+    edge = oracle_edge_labels(tri)
+    expected = [[] for _ in range(max(edge, default=-1) + 1)]
+    for x, c in enumerate(edge):
+        expected[c].append(divmod(x, 6))
+    table = edge_classes(tri)
+    assert [(c.index, list(c.embeddings)) for c in table.classes] == list(enumerate(expected))
+    assert table.class_of == {divmod(x, 6): c for x, c in enumerate(edge)}
+    assert vertex_classes(tri) == oracle_vertex_labels(tri)
+    report = validate(tri)
+    assert report.edge_class_count == len(expected)
+    assert report.vertex_link_eulers == (oracle_link_eulers(tri) if tri.is_closed() else [])
+
+
+def test_classes_match_union_find_on_words_and_simplified(words_ell8):
+    for w in words_ell8:
+        tri = build_sakuma_weeks(w)
+        assert_matches_union_find(tri)
+        assert_matches_union_find(simplify(tri).final)
+
+
+def test_classes_match_union_find_after_pachner_23(words_ell8):
+    for w in words_ell8:
+        tri = build_sakuma_weeks(w)
+        for face, _ in triangle_pairs(tri)[::11]:
+            assert_matches_union_find(pachner_23(tri, face))
+
+
+def test_classes_match_union_find_with_gluings_removed(words_ell8):
+    rng = random.Random(5)
+    for w in words_ell8:
+        tri = open_copy(build_sakuma_weeks(w), rng)
+        assert not tri.is_closed()
+        assert_matches_union_find(tri)
+
+
+def random_closed(n, rng):
+    """n tetrahedra with their 4n facets paired at random by random permutations."""
+    facets = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(facets)
+    tri = Triangulation(n)
+    for (t, f), (t2, f2) in zip(facets[::2], facets[1::2]):
+        rest = [v for v in range(4) if v != f2]
+        rng.shuffle(rest)
+        perm = [0] * 4
+        perm[f] = f2
+        for v in range(4):
+            if v != f:
+                perm[v] = rest.pop()
+        tri.glue(t, f, t2, tuple(perm))
+    return tri
+
+
+def test_classes_match_union_find_on_random_closed_gluings():
+    rng = random.Random(11)
+    mixed_links = 0
+    for _ in range(300):
+        tri = random_closed(rng.randint(1, 4), rng)
+        assert_matches_union_find(tri)
+        mixed_links += len(set(validate(tri).vertex_link_eulers)) > 1
+    assert mixed_links  # links that tell the vertex classes apart
+
+
+def test_validate_rejects_doubled_tetrahedron():
+    # Two tetrahedra glued by the identity on all four faces: a closed
+    # complex whose four vertex links are spheres, and whose every edge of
+    # tetrahedron 0 meets only the same edge of tetrahedron 1, giving 6 edge
+    # classes for 2 tetrahedra.
+    tri = Triangulation(2)
+    for f in range(4):
+        tri.glue(0, f, 1, IDENTITY)
+    assert tri.is_closed()
+    report = validate(tri)
+    assert report.involution_ok and report.all_faces_glued
+    assert report.edge_class_count == 6 and not report.edge_count_ok
+    assert report.vertex_link_eulers == [2, 2, 2, 2] and not report.vertex_links_ok
+    assert not report.passed
+    assert_matches_union_find(tri)
 
 
 def test_validate_detects_missing_gluing():

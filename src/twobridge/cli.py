@@ -167,11 +167,9 @@ def _bounds_lines(reports, as_json, as_csv):
             lines.append(json.dumps(r.to_dict()))
     elif as_csv:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n", extrasaction="ignore")
         writer.writeheader()
-        for r in reports:
-            row = {k: r.to_dict()[k] for k in CSV_COLUMNS}
-            writer.writerow(row)
+        writer.writerows(r.to_dict() for r in reports)
         lines.append(buf.getvalue().rstrip("\n"))
     else:
         for r in reports:

@@ -42,8 +42,8 @@ for _i, (_a, _b) in enumerate(EDGE_VERTS):
 VERTICAL_EDGES = (1, 4)
 HORIZONTAL_EDGES = (0, 5)
 DIAGONAL_EDGES = (2, 3)
-BOTTOM_DIAGONAL_EVEN, TOP_DIAGONAL_EVEN = 2, 3   # edges 03 / 12 of even tets
-BOTTOM_DIAGONAL_ODD, TOP_DIAGONAL_ODD = 3, 2     # reversed for odd tets
+BOTTOM_DIAGONAL_EVEN = 2   # edge 03 of even tets
+BOTTOM_DIAGONAL_ODD = 3    # edge 12 of odd tets
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -104,11 +104,6 @@ class Triangulation:
                     seen.add(g[0])
                     stack.append(g[0])
         return len(seen) == self.tet_count
-
-    def copy(self) -> "Triangulation":
-        out = Triangulation(self.tet_count, self.layer_of)
-        out._glue = [list(row) for row in self._glue]
-        return out
 
     def __eq__(self, other) -> bool:
         return (

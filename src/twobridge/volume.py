@@ -9,10 +9,11 @@ v3 = 3 L(pi/3) = 1.0149416...
 The volume functional V(theta) = sum of L over all angles is concave on
 the polytope cut out by the per-tetrahedron (sum pi) and per-edge-class
 (sum 2 pi) equations; its interior critical point, when it exists, gives
-the hyperbolic volume of the manifold.  maximize_volume runs a damped
-Newton ascent whose steps solve the sparse KKT system of those equations
-(the Hessian of V is the diagonal -cot theta), after dropping the one
-dependent edge equation per cusp.
+the hyperbolic volume of the manifold.  maximize_volume runs one damped
+Newton loop, from a seed or from pi/3 off the edge equations, whose steps
+solve the sparse KKT system of those equations (the Hessian of V is the
+diagonal -cot theta), after dropping the one dependent edge equation per
+cusp.  A linear program decides only input where the loop fails.
 """
 
 from __future__ import annotations
@@ -120,13 +121,8 @@ def _constraint_system(tri: Triangulation, table: EdgeClassTable):
     )
     rows = np.concatenate([np.repeat(np.arange(n), 3), n + edge_row])
     cols = np.concatenate([np.arange(3 * n), np.repeat(3 * np.arange(n), 6) + np.tile(_PAIR, n)])
-    # Sorted distinct (row, column) places and their multiplicities are
-    # the CSR arrays.
-    places, counts = np.unique(rows * (3 * n) + cols, return_counts=True)
-    indptr = np.searchsorted(places, np.arange(n + len(table) + 1) * (3 * n))
-    A = csr_matrix(
-        (counts.astype(float), places % (3 * n), indptr), shape=(n + len(table), 3 * n)
-    )
+    # Repeated (row, column) places are summed.
+    A = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + len(table), 3 * n))
     b = np.concatenate([np.full(n, math.pi), np.full(len(table), 2.0 * math.pi)])
     return A, b
 
@@ -164,7 +160,8 @@ def _independent_rows(tri: Triangulation, table: EdgeClassTable) -> np.ndarray:
 
 
 def _interior_point(A, b: np.ndarray) -> np.ndarray | None:
-    """A strictly positive solution of A x = b via slack maximisation.
+    """A strictly positive solution of A x = b via slack maximisation, or
+    None: maximize_volume's verdict when its Newton loop does not converge.
 
     With x = s + t 1 and s >= 0 the linear program maximises t subject to
     [A | A 1] [s; t] = b.  The bounds x <= pi - t need no rows: the
@@ -199,7 +196,7 @@ class MaximizeResult:
         on the boundary of the closed polytope (no interior critical
         point); callers should not treat the value as a hyperbolic volume.
         """
-        return bool(self.angles.min() < 1e-6 or self.angles.max() > math.pi - 1e-6)
+        return bool(self.angles.min() < _WALL or self.angles.max() > math.pi - _WALL)
 
 
 # Step control of maximize_volume.  A step covers at most this share of
@@ -207,12 +204,19 @@ class MaximizeResult:
 _TO_BOUNDARY = 0.7
 # Newton steps are taken on V + mu * sum(log x), a barrier that keeps the
 # iterates off the walls, where the curvature -cot x is unbounded and
-# plain Newton steps jam.  mu is _BARRIER * min(1, |Pg|)^2, with Pg the
-# projected gradient of V, and falls at least by _BARRIER_FALL per
-# iteration; near the maximum it vanishes quadratically, so the last
-# steps are plain Newton steps on V.
+# plain Newton steps jam.  On the plane A x = b, mu is
+# _BARRIER * min(1, |Pg|)^2, with Pg the projected gradient of V, and
+# falls at least by _BARRIER_FALL per iteration; near the maximum it
+# vanishes quadratically, so the last steps are plain Newton steps on V.
 _BARRIER = 0.02
 _BARRIER_FALL = 0.5
+# The iterate is on the plane when no equation is off by more than this:
+# rounding level, whatever the tolerance on |Pg|.  The dropped equations
+# count too: where a vertex link is not a torus they contradict the rest.
+_ON_PLANE = 1e-12
+# An angle within this of 0 or pi is on the positivity walls; a run that
+# reaches them off the plane stops, and the LP decides.
+_WALL = 1e-6
 # The KKT matrix is symmetric: order it on A + A^T and prefer diagonal pivots.
 _KKT_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
@@ -226,12 +230,17 @@ def maximize_volume(
     """Maximise the volume functional over the angle polytope.
 
     Concavity makes the interior critical point unique; on a geometric
-    triangulation it computes the hyperbolic volume.  Raises ValueError if
-    the constraint system admits no strictly positive solution, and
+    triangulation it computes the hyperbolic volume.  One damped Newton
+    loop runs from the seed, else from x = pi/3, which satisfies every
+    tetrahedron equation.  Each step also corrects the residual of A x = b
+    (infeasible-start Newton, Boyd-Vandenberghe, Convex Optimization
+    10.3): a step of length alpha shrinks it by the factor 1 - alpha.
+    Unless the loop ends at a converged interior point, a linear program
+    decides: ValueError if no strictly positive solution exists.  Raises
     VerificationError if the equations keep a dependent row after the
     cusp relations are dropped.
     """
-    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse import bmat, identity
     from scipy.sparse.linalg import splu
 
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -258,34 +267,19 @@ def maximize_volume(
         if x.shape != (n,) or np.max(np.abs(A @ x - b)) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
-        x = _interior_point(A, b)
-        if x is None:
-            raise ValueError("no strict angle structure: constraint system infeasible")
+        x = np.full(n, math.pi / 3)
 
-    # Drop the dependent rows straight from the CSR arrays.
     keep = _independent_rows(tri, table)
-    lengths = np.diff(A.indptr)[keep]
-    entries = np.repeat(keep, np.diff(A.indptr))
-    A = csr_matrix(
-        (A.data[entries], A.indices[entries], np.concatenate([[0], np.cumsum(lengths)])),
-        shape=(len(lengths), n),
-    )
-    b, Ac = b[keep], A.tocsc()
-    k = len(b)
-    # The KKT matrix [[H, A^T], [A, 0]] in CSC, built once: the first
+    A_kept = A[keep]
+    k = A_kept.shape[0]
+    # The KKT matrix [[H, A_kept^T], [A_kept, 0]], built once: the first
     # stored entry of each of the first n columns is the diagonal of H.
-    kkt = csc_matrix(
-        (
-            np.concatenate([np.insert(Ac.data, Ac.indptr[:-1], -1.0), A.data]),
-            np.concatenate([np.insert(Ac.indices + n, Ac.indptr[:-1], np.arange(n)), A.indices]),
-            np.concatenate([Ac.indptr + np.arange(n + 1), Ac.indptr[-1] + n + A.indptr[1:]]),
-        ),
-        shape=(n + k, n + k),
-    )
+    kkt = bmat([[-identity(n), A_kept.T], [A_kept, None]], format="csc")
+    kkt.sort_indices()
     diagonal = kkt.indptr[:n]
-    # With H = -I it is factorised once for both projections: the solution
-    # u of [[-I, A^T], [A, 0]] [u; y] = [-v; r] is u = P v + A^T (A A^T)^-1 r,
-    # with P the orthogonal projection onto the null space of A.
+    # With H = -I it is factorised once: the solution u of
+    # [[-I, A_kept^T], [A_kept, 0]] [u; y] = [-v; 0] is the projection P v
+    # onto the null space of A_kept.
     try:
         projector = splu(kkt, **_KKT_SPLU)
         pivots = np.abs(projector.U.diagonal())
@@ -297,11 +291,8 @@ def maximize_volume(
             f"angle equations have rank below {k} after dropping the cusp relations"
         )
 
-    def project(v):  # onto the null space of A
+    def project(v):  # onto the null space of A_kept
         return projector.solve(np.concatenate([-v, np.zeros(k)]))[:n]
-
-    def feasible(v):  # onto the plane A x = b
-        return v - projector.solve(np.concatenate([np.zeros(n), A @ v - b]))[:n]
 
     def value(v):
         return float(np.sum(_lobachevsky_array(v)))
@@ -309,27 +300,32 @@ def maximize_volume(
     def grad(v):
         return -np.log(np.abs(2.0 * np.sin(v)))
 
-    x = feasible(x)
     fx = value(x)
     g = grad(x)
     gnorm = float(np.linalg.norm(project(g)))
+    residual = A @ x - b
     mu = _BARRIER / _BARRIER_FALL
     rhs = np.zeros(n + k)
     it = 0
     for it in range(1, max_iters + 1):
-        if gnorm <= tolerance:
+        # Off the plane Pg says nothing about the maximum (at x = pi/3 it
+        # is 0), so the barrier and the stopping test wait for the plane.
+        on_plane = float(np.max(np.abs(residual))) <= _ON_PLANE
+        if on_plane:
+            if gnorm <= tolerance:
+                break
+            mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
+        elif x.min() < _WALL:
             break
-        mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
         # Newton step on V + mu sum(log x); the second derivative of L is -cot.
         ascent = g + mu / x
         kkt.data[diagonal] = -1.0 / np.tan(x) - mu / (x * x)
         rhs[:n] = -ascent
+        rhs[n:] = -residual[keep]
         try:
             direction = splu(kkt, **_KKT_SPLU).solve(rhs)[:n]
-        except RuntimeError:  # exactly singular
-            direction = None
-        if direction is None or not direction @ ascent > 0:
-            direction = project(ascent)
+        except RuntimeError:  # exactly singular: the step with H = -I
+            direction = projector.solve(rhs)[:n]
         shrinking = direction < 0
         alpha = 1.0
         if shrinking.any():
@@ -339,15 +335,21 @@ def maximize_volume(
         for _ in range(60):
             x_new = x + alpha * direction
             f_new = value(x_new)
-            if f_new + mu * float(np.sum(np.log(x_new))) > f0 - noise:
+            # Off the plane a step is progress on the residual, not on V.
+            if not on_plane or f_new + mu * float(np.sum(np.log(x_new))) > f0 - noise:
                 break
             alpha *= 0.5
         else:
             break
-        x, fx = feasible(x_new), f_new
+        x, fx = x_new, f_new
         g = grad(x)
         gnorm = float(np.linalg.norm(project(g)))
-    return MaximizeResult(x.reshape(-1, 3), value(x), gnorm, it, gnorm <= tolerance)
+        residual = A @ x - b
+    converged = gnorm <= tolerance and float(np.max(np.abs(residual))) <= _ON_PLANE
+    result = MaximizeResult(x.reshape(-1, 3), fx, gnorm, it, converged)
+    if (not converged or result.on_boundary) and _interior_point(A, b) is None:
+        raise ValueError("no strict angle structure: constraint system infeasible")
+    return result
 
 
 @dataclass
@@ -455,11 +457,6 @@ def bounds_report(w: Word) -> BoundsReport:
     )
 
 
-def _ratio(shape_names: list[str], extra: float = 0.0) -> float:
-    """sum of catalogue shape volumes (plus extra), per tetrahedron pair."""
-    return sum(tet_volume(SHAPES[s]) for s in shape_names) + extra
-
-
 def theorem_ratio_table() -> list[tuple[str, float]]:
     """The eleven block-family volume ratios from the 0.8 lower bound.
 
@@ -469,7 +466,7 @@ def theorem_ratio_table() -> list[tuple[str, float]]:
     V3 = v3()
 
     def over(shapes, layers):
-        return 2 * _ratio(shapes) / (2 * layers * V3)
+        return sum(tet_volume(SHAPES[s]) for s in shapes) / (layers * V3)
 
     entries = [
         ("start B2, k=1", over(["VII", "I", "VI"], 3)),

@@ -1,16 +1,23 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import twobridge
 from conftest import all_normalized_words
-from twobridge.angles import SHAPES, assign_angles
+from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
-from twobridge.moves import simplify
-from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, vertex_classes
+from twobridge.moves import pachner_23, simplify, triangle_pairs
+from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, validate, vertex_classes
 from twobridge.volume import (
+    _LOBACHEVSKY_24,
     _constraint_system,
     _independent_rows,
     _lobachevsky_array,
@@ -44,6 +51,14 @@ def test_lobachevsky_zero_and_maximum():
     peak = lobachevsky(math.pi / 6)
     grid = [lobachevsky(x) for x in [k * 0.001 for k in range(1, 3142)]]
     assert max(grid) <= peak and peak - max(grid) < 1e-5
+
+
+def test_lobachevsky_table_against_mpmath():
+    # L(theta) = Cl_2(2 theta) / 2; the table's worst error is 2.25e-16
+    with mpmath.workdps(50):
+        for k, value in enumerate(_LOBACHEVSKY_24):
+            exact = mpmath.clsin(2, 2 * mpmath.pi * k / 24) / 2
+            assert abs(mpmath.mpf(value) - exact) <= 3e-16, k
 
 
 def test_v3_value():
@@ -180,6 +195,60 @@ def test_maximize_rejects_infeasible():
         maximize_volume(tri)
 
 
+def test_maximize_rejects_links_that_are_not_tori():
+    # Two tetrahedra with one edge class and one vertex, whose link has
+    # Euler characteristic -2.  The edge equation (2 pi) contradicts the
+    # tetrahedron equations (4 pi over the same twelve angles), yet it is
+    # the equation dropped for the one cusp, and pi/3 solves the rest.
+    tri = Triangulation(2)
+    for f, perm in enumerate([(3, 1, 2, 0), (2, 0, 1, 3), (3, 2, 1, 0), (0, 1, 3, 2)]):
+        tri.glue(0, f, 1, perm)
+    assert validate(tri).vertex_link_eulers == [-2]
+    with pytest.raises(ValueError):
+        maximize_volume(tri)
+
+
+def test_maximize_rejects_infeasible_pachner_copies():
+    # six of the eight 2-3 moves on RL^2 leave no strict angle structure
+    tri = build_sakuma_weeks(parse_word("RL^2"))
+    rejected = 0
+    for face, _ in triangle_pairs(tri):
+        try:
+            res = maximize_volume(pachner_23(tri, face))
+        except ValueError:
+            rejected += 1
+        else:
+            assert res.converged and not res.on_boundary
+            assert abs(res.volume - 2.828122088330783) <= 1e-12
+    assert rejected == 6
+
+
+@pytest.mark.parametrize("max_iters", [0, 1])
+def test_maximize_stops_unconverged_without_raising(max_iters):
+    # a feasible system cut short: the verdict finds a strict solution
+    res = maximize_volume(build_sakuma_weeks(parse_word("R^5L^4")), max_iters=max_iters)
+    assert not res.converged
+    assert res.iterations == max_iters
+
+
+def test_unseeded_builder_words_skip_the_lp():
+    # the Newton loop decides builder words alone; only the verdict on
+    # infeasible input imports scipy.optimize
+    env = dict(os.environ)
+    root = str(Path(twobridge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from twobridge import build_sakuma_weeks, maximize_volume, parse_word\n"
+        "for text in ('RL^3R', 'R^5L^4'):\n"
+        "    assert maximize_volume(build_sakuma_weeks(parse_word(text))).converged\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_maximize_rejects_bad_seed():
     w = parse_word("RLR")
     other = parse_word("RL^2R")
@@ -202,9 +271,33 @@ def test_maximize_converges_from_lp_start():
         res = maximize_volume(tri)
         assert res.converged and not res.on_boundary, str(w)
         assert res.gradient_norm <= 1e-10, str(w)
-        # Projecting back onto A x = b after every step keeps the residual
-        # at rounding level; without it, it drifts to about 8e-14 here.
+        # Each Newton step also corrects the residual of A x = b, which
+        # keeps it at rounding level; without that, it drifts to about
+        # 8e-14 here.
         assert angle_residual(tri, res) <= 3e-14, str(w)
+
+
+def test_maximize_on_theorem_family(words_ell10):
+    # Casson-Rivin: the maximum of V over the angle polytope is the
+    # hyperbolic volume, so it bounds the explicit structure from above;
+    # the seeded and the unseeded runs find the same point
+    family = [w for w in words_ell10 if theorem_family(w)]
+    assert len(family) == 87
+    for w in family:
+        tri = build_sakuma_weeks(w)
+        seed = assign_angles(w)
+        seeded, unseeded = maximize_volume(tri, seed=seed), maximize_volume(tri)
+        for res in (seeded, unseeded):
+            assert res.converged and not res.on_boundary, str(w)
+        assert abs(seeded.volume - unseeded.volume) <= 1e-12, str(w)
+        assert assignment_volume(seed) <= seeded.volume + 1e-12, str(w)
+        # edges e and 5 - e carry the pair angle min(e, 5 - e)
+        angle_map = {
+            (t, e): float(unseeded.angles[t, min(e, 5 - e)])
+            for t in range(tri.tet_count)
+            for e in range(6)
+        }
+        assert verify_angle_structure(tri, angle_map).passed, str(w)
 
 
 def reverse(w):

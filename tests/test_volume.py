@@ -12,15 +12,14 @@ from scipy.integrate import quad
 
 import twobridge
 from conftest import all_normalized_words
+from twobridge._solver import _constraint_system, _independent_rows, _lobachevsky_array
 from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
 from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, validate, vertex_classes
 from twobridge.volume import (
     _LOBACHEVSKY_24,
-    _constraint_system,
-    _independent_rows,
-    _lobachevsky_array,
+    _ZETA_EVEN,
     assignment_volume,
     bounds_report,
     lobachevsky,
@@ -59,6 +58,15 @@ def test_lobachevsky_table_against_mpmath():
         for k, value in enumerate(_LOBACHEVSKY_24):
             exact = mpmath.clsin(2, 2 * mpmath.pi * k / 24) / 2
             assert abs(mpmath.mpf(value) - exact) <= 3e-16, k
+
+
+def test_zeta_even_against_mpmath():
+    # the literal table is zeta(2m) correctly rounded, so the series of L
+    # and every volume built on it do not depend on where it came from
+    assert len(_ZETA_EVEN) == 40
+    with mpmath.workdps(50):
+        for m, value in enumerate(_ZETA_EVEN, start=1):
+            assert value == float(mpmath.zeta(2 * m)), m
 
 
 def test_v3_value():
@@ -195,7 +203,7 @@ def test_maximize_rejects_infeasible():
         maximize_volume(tri)
 
 
-def test_maximize_rejects_links_that_are_not_tori():
+def test_maximize_rejects_links_that_are_not_tori(monkeypatch):
     # Two tetrahedra with one edge class and one vertex, whose link has
     # Euler characteristic -2.  The edge equation (2 pi) contradicts the
     # tetrahedron equations (4 pi over the same twelve angles), yet it is
@@ -204,8 +212,17 @@ def test_maximize_rejects_links_that_are_not_tori():
     for f, perm in enumerate([(3, 1, 2, 0), (2, 0, 1, 3), (3, 2, 1, 0), (0, 1, 3, 2)]):
         tri.glue(0, f, 1, perm)
     assert validate(tri).vertex_link_eulers == [-2]
+    calls = []
+
+    def counted(theta):
+        calls.append(len(theta))
+        return _lobachevsky_array(theta)
+
+    monkeypatch.setattr("twobridge._solver._lobachevsky_array", counted)
     with pytest.raises(ValueError):
         maximize_volume(tri)
+    # no Newton step moves the dropped row, so the loop stops at once
+    assert len(calls) <= 5
 
 
 def test_maximize_rejects_infeasible_pachner_copies():
@@ -223,6 +240,16 @@ def test_maximize_rejects_infeasible_pachner_copies():
     assert rejected == 6
 
 
+def test_maximum_on_the_walls_is_not_converged():
+    # the 2-3 move across RLR's first triangle leaves a polytope whose
+    # supremum of V is on the walls: a strict structure exists, but the
+    # value is no hyperbolic volume
+    tri = build_sakuma_weeks(parse_word("RLR"))
+    res = maximize_volume(pachner_23(tri, triangle_pairs(tri)[0][0]))
+    assert res.on_boundary
+    assert not res.converged
+
+
 @pytest.mark.parametrize("max_iters", [0, 1])
 def test_maximize_stops_unconverged_without_raising(max_iters):
     # a feasible system cut short: the verdict finds a strict solution
@@ -231,12 +258,19 @@ def test_maximize_stops_unconverged_without_raising(max_iters):
     assert res.iterations == max_iters
 
 
-def test_unseeded_builder_words_skip_the_lp():
-    # the Newton loop decides builder words alone; only the verdict on
-    # infeasible input imports scipy.optimize
+def run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports this twobridge."""
     env = dict(os.environ)
     root = str(Path(twobridge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_unseeded_builder_words_skip_the_lp():
+    # the Newton loop decides builder words alone; only the verdict on
+    # infeasible input imports scipy.optimize
     code = (
         "import sys\n"
         "from twobridge import build_sakuma_weeks, maximize_volume, parse_word\n"
@@ -244,9 +278,24 @@ def test_unseeded_builder_words_skip_the_lp():
         "    assert maximize_volume(build_sakuma_weeks(parse_word(text))).converged\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_fresh(code) == "False"
+
+
+def test_import_uses_the_stdlib_only():
+    # numpy and scipy load with the solver, on the first maximize_volume call
+    code = "import sys, twobridge\nprint('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    assert run_fresh(code) == "False False"
+
+
+def test_survey_and_bounds_use_the_stdlib_only():
+    code = (
+        "import contextlib, io, sys\n"
+        "from twobridge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['survey', '--max-n', '4']), cli.main(['bounds', 'R^2LR'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(code) == "[0, 0] False"
 
 
 def test_maximize_rejects_bad_seed():
@@ -302,6 +351,36 @@ def test_maximize_on_theorem_family(words_ell10):
 
 def reverse(w):
     return normalize(Word(tuple(reversed(w.syllables))))
+
+
+def test_reversal_keeps_the_maximum(words_ell8):
+    # w and its reverse name the same link, so the unseeded maxima agree
+    maxima = {}
+
+    def maximum(w):
+        if str(w) not in maxima:
+            res = maximize_volume(build_sakuma_weeks(w))
+            assert res.converged, str(w)
+            maxima[str(w)] = res.volume
+        return maxima[str(w)]
+
+    for w in words_ell8:
+        assert abs(maximum(w) - maximum(reverse(w))) <= 1e-12, str(w)
+
+
+def test_simplify_keeps_the_maximum(words_ell8):
+    # 3-2 and 4-4 moves retriangulate the same manifold
+    smaller = 0
+    for w in (w for w in words_ell8 if w.ell <= 7):
+        tri = build_sakuma_weeks(w)
+        final = simplify(tri).final
+        if final.tet_count == tri.tet_count:
+            continue
+        smaller += 1
+        a, b = maximize_volume(tri), maximize_volume(final)
+        assert a.converged and b.converged, str(w)
+        assert abs(a.volume - b.volume) <= 1e-12, str(w)
+    assert smaller > 0
 
 
 @pytest.mark.parametrize(

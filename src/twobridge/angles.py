@@ -34,15 +34,22 @@ A chain that touches a fold (opened at the outer fold or closed by the end
 fold) is one edge class with doubled multiplicities, so its terms sum to
 pi; every other chain is two edge classes and sums to 2 pi.
 
+_orient_layers searches the layers in order, keeping one running integer
+sum per chain, and forward-checks every chain a candidate touches: what
+the chain still needs must lie within what its later terms can add
+(Haralick and Elliott, Artificial Intelligence 14, 1980).  That prunes
+dead branches only, so it finds the first orientation in catalogue order.
+
 verify_angle_structure checks the result against the triangulation itself
-(exact rational sums over edge classes found by a search over the gluings)
-and is kept independent of the synthesis above.
+(exact sums, in integer units of pi/24 where the denominators allow, over
+edge classes found by a search over the gluings) and is kept independent
+of the synthesis above.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -55,7 +62,7 @@ from .triangulation import (
     VerificationError,
     edge_classes,
 )
-from .word import Word, inner_word, is_hyperbolic
+from .word import Word, inner_word
 
 F = Fraction
 
@@ -83,13 +90,17 @@ _UNITS: dict[str, tuple[int, int, int]] = {
     "X2": (16, 4, 4),
 }
 
+# Fraction(k, 24) for k = 0..24, shared by every angle the synthesis returns.
+_PI_24 = tuple(F(k, 24) for k in range(25))
+
 _CATALOG: tuple[Shape, ...] = tuple(
-    Shape(name, tuple(F(x, 24) for x in units)) for name, units in _UNITS.items()
+    Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
 )
 
 # The distinct (v, h, d) arrangements of each shape, in permutations order.
 _ARRANGEMENTS = {name: tuple(dict.fromkeys(permutations(units))) for name, units in _UNITS.items()}
 _SLOT = {"v": 0, "h": 1, "d": 2}
+_RANGE = {name: (min(units), max(units)) for name, units in _UNITS.items()}
 
 SHAPES: dict[str, Shape] = {s.name: s for s in _CATALOG}
 
@@ -107,6 +118,7 @@ def angle_str(q: Fraction) -> str:
 class LayerAngles:
     shape: str
     triple: tuple[Fraction, Fraction, Fraction]  # (vertical, horizontal, diagonal)
+    units: tuple[int, int, int] = field(compare=False, repr=False)  # triple in pi/24
 
     @property
     def v(self) -> Fraction:
@@ -119,6 +131,14 @@ class LayerAngles:
     @property
     def d(self) -> Fraction:
         return self.triple[2]
+
+
+# One shared (frozen) LayerAngles per shape and arrangement.
+_LAYERS = {
+    (name, units): LayerAngles(name, tuple(_PI_24[x] for x in units), units)
+    for name, options in _ARRANGEMENTS.items()
+    for units in options
+}
 
 
 @dataclass(frozen=True)
@@ -155,19 +175,17 @@ class DeficitTriple:
 def theorem_family(w: Word) -> bool:
     """True iff w is normalised and hyperbolic, with end exponents 1 and
     inner exponents in {1, 2}: the words assign_angles accepts."""
-    if not is_hyperbolic(w) or w.syllables[0][0] != "R" or w.ell < 3:
+    exps = w.exponents  # with end exponents 1, exps[1:-1] are the inner word's
+    if w.n < 3 or w.syllables[0][0] != "R" or exps[0] != 1 or exps[-1] != 1:
         return False
-    if w.exponents[0] != 1 or w.exponents[-1] != 1:
-        return False
-    return all(e in (1, 2) for e in inner_word(w).exponents)
+    return all(e in (1, 2) for e in exps[1:-1])
 
 
 def _shape_sequence(
     w: Word, dec: BlockDecomposition, k1_override: bool
 ) -> list[str]:
     """Shape name per layer (layer 0 under the outer fold, one per inner letter)."""
-    inner = dec.inner
-    exps = inner.exponents
+    exps = dec.inner.exponents
 
     def unit(lengths):
         # Shapes for the squared runs of a B3-like body: each non-final run
@@ -192,18 +210,12 @@ def _shape_sequence(
         elif b.kind == B3:
             body = ["I", "VI"] + unit(b.b2_lengths)
             body += ["III", "VIII"] if at_end else ["IV", "II"]
-        elif b.kind == UNFINISHED_B3:
-            body = ["I", "VI"]
-            for mlen in b.b2_lengths[:-1]:
-                body += ["III"] * (2 * (mlen - 1)) + ["III", "III", "VIII"]
-            body += ["VII"]
+        elif b.kind == UNFINISHED_B3:  # the final squared run is one syllable: no padding
+            body = ["I", "VI"] + unit(b.b2_lengths) + ["VII"]
         elif b.kind == B2_END:
             body = ["IX"] + ["III", "V"] * (b.k - 2) + ["V", "V", "V"]
         elif b.kind == ALL_B2:
-            if b.k == 1 and k1_override:
-                body = ["X2", "II"]
-            else:
-                body = ["III"] * (2 * b.k - 1) + ["VII"]
+            body = ["X2", "II"] if b.k == 1 and k1_override else ["III"] * (2 * b.k - 1) + ["VII"]
         else:  # pragma: no cover
             raise AssertionError(b.kind)
         if len(body) != n_letters:
@@ -248,40 +260,59 @@ def _chains(letters: str) -> list[tuple[tuple[tuple[int, str, int], ...], int]]:
     return [(tuple(terms), 24 if is_fold else 48) for terms, is_fold in chains]
 
 
-def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[Fraction, ...]] | None:
+def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
     """Distribute each layer's shape angles onto (v, h, d) via chain sums.
 
-    A depth-first search, on an explicit stack, over each layer's distinct
-    arrangements: a candidate for layer k is accepted iff every chain whose
-    last term lies in layer k sums to its target.  Returns the first
-    consistent orientation as Fraction triples, or None.
+    Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
+    explicit stack.  need[c] is chain c's target less its chosen terms; a
+    candidate for layer k stands iff every chain with a term in layer k has
+    need[c] in [lo, hi], what its terms in later layers can add (0 where it
+    closes).  Returns the first consistent orientation as integer triples in
+    units of pi/24, or None.
     """
-    closing: list[list] = [[] for _ in shapes]
-    for terms, target in _chains(letters):
-        indexed = [(layer, _SLOT[slot], weight) for layer, slot, weight in terms]
-        closing[terms[-1][0]].append((indexed, target))
+    chains = _chains(letters)
+    need = [target for _, target in chains]
+    terms_at: list[list] = [[] for _ in shapes]  # per layer: (chain, slot, weight)
+    checks_at: list[list] = [[] for _ in shapes]  # per layer: (chain, lo, hi)
+    for c, (terms, _) in enumerate(chains):
+        lo = hi = 0
+        last = -1
+        for layer, slot, weight in reversed(terms):
+            if layer != last:  # c's last term in this layer
+                checks_at[layer].append((c, lo, hi))
+                last = layer
+            terms_at[layer].append((c, _SLOT[slot], weight))
+            least, most = _RANGE[shapes[layer]]
+            lo += weight * least
+            hi += weight * most
     chosen: list[tuple[int, int, int]] = []
     resume: list[int] = []  # per chosen layer, the index of its next candidate
-    start = 0
-    while len(chosen) < len(shapes):
-        k = len(chosen)
+    start = k = 0
+    while k < len(shapes):
         options = _ARRANGEMENTS[shapes[k]]
         for i in range(start, len(options)):
-            chosen.append(options[i])
-            if all(
-                sum(weight * chosen[layer][slot] for layer, slot, weight in terms) == target
-                for terms, target in closing[k]
-            ):
+            option = options[i]
+            for c, slot, weight in terms_at[k]:
+                need[c] -= weight * option[slot]
+            for c, lo, hi in checks_at[k]:
+                if not lo <= need[c] <= hi:
+                    break
+            else:
+                chosen.append(option)
                 resume.append(i + 1)
-                start = 0
+                start, k = 0, k + 1
                 break
-            chosen.pop()
+            for c, slot, weight in terms_at[k]:
+                need[c] += weight * option[slot]
         else:
             if not chosen:
                 return None
-            chosen.pop()
+            k -= 1
+            option = chosen.pop()
+            for c, slot, weight in terms_at[k]:
+                need[c] += weight * option[slot]
             start = resume.pop()
-    return [tuple(F(x, 24) for x in triple) for triple in chosen]
+    return chosen
 
 
 def assign_angles(
@@ -301,10 +332,9 @@ def assign_angles(
             f"{w} is outside the family: it must be normalised and hyperbolic, "
             "with end exponents 1 and inner exponents in {1, 2}"
         )
-    inner = inner_word(w)
     if dec is None:
-        dec = decompose(inner)
-    elif dec.inner != inner:
+        dec = decompose(inner_word(w))
+    elif dec.inner.syllables != w.syllables[1:-1]:  # the inner word, as end exponents are 1
         raise ValueError(f"decomposition is for {dec.inner}, not the inner word of {w}")
 
     shapes = _shape_sequence(w, dec, k1_override)
@@ -314,10 +344,7 @@ def assign_angles(
     oriented = _orient_layers(letters, shapes)
     if oriented is None:
         raise VerificationError(f"no consistent orientation of shapes {shapes} for {w}")
-    layers = tuple(
-        LayerAngles(name, triple) for name, triple in zip(shapes, oriented)
-    )
-    return AngleAssignment(w, layers)
+    return AngleAssignment(w, tuple(map(_LAYERS.__getitem__, zip(shapes, oriented))))
 
 
 def expand_to_tetrahedra(
@@ -361,37 +388,32 @@ def verify_angle_structure(
 ) -> AngleVerification:
     """Check positivity, per-tetrahedron sums pi and per-edge-class sums 2*pi.
 
-    Exact rational arithmetic when all values are Fractions (in units of
-    pi); with float entries (radians) a 1e-9 tolerance is used instead.
+    Exact arithmetic when all values are Fractions (in units of pi): sums
+    of integers in units of pi/24 when every denominator divides 24, else
+    of Fractions.  With float entries (radians) a 1e-9 tolerance is used.
     """
     exact = all(isinstance(x, Fraction) for x in angle_map.values())
-    pi_val = F(1) if exact else 3.141592653589793
-    tol = 0 if exact else 1e-9
-
-    def close(a, b):
-        return a == b if exact else abs(a - b) <= tol
+    pi_val, tol = (F(1), 0) if exact else (3.141592653589793, 1e-9)
+    if exact and all(24 % x.denominator == 0 for x in angle_map.values()):
+        angle_map = {key: x.numerator * 24 // x.denominator for key, x in angle_map.items()}
+        pi_val = 24
 
     bad_angles = []
     for t in range(tri.tet_count):
         for e in range(6):
             if (t, e) not in angle_map:
                 raise ValueError(f"angle map missing entry for tetrahedron {t} edge {e}")
-            x = angle_map[(t, e)]
-            if not (0 < x < pi_val):
+            if not 0 < angle_map[(t, e)] < pi_val:
                 bad_angles.append((t, e))
 
     bad_tets = []
     for t in range(tri.tet_count):
-        pairs_ok = all(close(angle_map[(t, e)], angle_map[(t, 5 - e)]) for e in range(3))
-        total = sum(angle_map[(t, e)] for e in (0, 1, 2))
-        if not pairs_ok or not close(total, pi_val):
+        x = [angle_map[(t, e)] for e in range(6)]
+        if abs(sum(x[:3]) - pi_val) > tol or any(abs(x[e] - x[5 - e]) > tol for e in range(3)):
             bad_tets.append(t)
 
-    bad_classes = []
-    for cls in edge_classes(tri).classes:
-        total = sum(angle_map[emb] for emb in cls.embeddings)
-        if not close(total, 2 * pi_val):
-            bad_classes.append(cls.index)
+    classes = edge_classes(tri).classes
+    bad_classes = [c.index for c in classes if abs(sum(angle_map[x] for x in c.embeddings) - 2 * pi_val) > tol]
 
     return AngleVerification(
         range_ok=not bad_angles,
@@ -417,7 +439,7 @@ def boundary_deficits(
     exps = inner_word(assignment.word).exponents
     first = 1 + sum(exps[: block.start])  # first and last layer of the block
     last = sum(exps[: block.end])
-    units = [tuple(int(x * 24) for x in la.triple) for la in assignment.layers]
+    units = [la.units for la in assignment.layers]
     before, after = {}, {}
     for terms, _ in _chains(assignment.word.letters):
         values = [weight * units[layer][_SLOT[slot]] for layer, slot, weight in terms]

@@ -84,6 +84,10 @@ def _run_block(kind: str, start: int, end: int) -> Block:
     return Block(kind, start, end, m=length // 2, p=length % 2, k=length)
 
 
+def _b3_block(kind: str, start: int, end: int, b2_lengths: list[int]) -> Block:
+    return Block(kind, start, end, m=sum(b2_lengths), p=0, k=len(b2_lengths), b2_lengths=tuple(b2_lengths))
+
+
 def decompose(inner: Word) -> BlockDecomposition:
     """Decompose an inner word with exponents in {1, 2} into blocks."""
     exps = inner.exponents
@@ -129,17 +133,7 @@ def decompose(inner: Word) -> BlockDecomposition:
             # A squared run interior to the core always joins the open B3.
             b2_lengths.append(run_len)
             if unfinished and pos == scan_end:
-                blocks.append(
-                    Block(
-                        UNFINISHED_B3,
-                        open_b3,
-                        pos,
-                        m=sum(b2_lengths),
-                        p=0,
-                        k=len(b2_lengths),
-                        b2_lengths=tuple(b2_lengths),
-                    )
-                )
+                blocks.append(_b3_block(UNFINISHED_B3, open_b3, pos, b2_lengths))
                 open_b3 = None
             continue
         # A run of single letters.  A lone single between squared runs is
@@ -150,17 +144,7 @@ def decompose(inner: Word) -> BlockDecomposition:
         if open_b3 is not None:
             if run_len == 1 and followed_by_squares:
                 continue  # B3 runs through this syllable
-            blocks.append(
-                Block(
-                    B3,
-                    open_b3,
-                    run_start + 1,
-                    m=sum(b2_lengths),
-                    p=0,
-                    k=len(b2_lengths),
-                    b2_lengths=tuple(b2_lengths),
-                )
-            )
+            blocks.append(_b3_block(B3, open_b3, run_start + 1, b2_lengths))
             open_b3 = None
             b2_lengths = []
             lo = run_start + 1

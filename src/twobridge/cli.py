@@ -31,7 +31,7 @@ from .isosig import encode_isosig
 from .moves import simplify
 from .triangulation import VerificationError, build_sakuma_weeks, degree_predicates, edge_classes, gluing_table
 from .volume import CSV_COLUMNS, assignment_volume, bounds_report, maximize_volume
-from .word import Word, enumerate_words, inner_word, normalize, parse_word
+from .word import Word, enumerate_words, inner_word, is_hyperbolic, normalize, parse_word
 
 
 def _words_from_args(args) -> list[Word]:
@@ -103,6 +103,8 @@ def _cmd_simplify(args, out) -> int:
 
 def _cmd_blocks(args, out) -> int:
     for w in _words_from_args(args):
+        if not is_hyperbolic(w):
+            raise ValueError(f"{w} is not hyperbolic (needs at least two syllables)")
         dec = decompose(inner_word(w))
         print(dec.to_json(), file=out)
     return 0

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .angles import AngleAssignment, SHAPES, Shape, assign_angles, theorem_family
+from .angles import _ARRANGEMENTS, AngleAssignment, SHAPES, Shape, assign_angles, theorem_family
+from .blocks import decompose
 from .triangulation import Triangulation, edge_classes
 from .word import Word, inner_word
 
@@ -82,13 +83,18 @@ def tet_volume(shape: Shape) -> float:
 # of pi/24.
 _LOBACHEVSKY_24 = tuple(lobachevsky(k / 24 * math.pi) for k in range(25))
 
+# Layer volume per catalogue arrangement in units of pi/24, summed in
+# (v, h, d) order as the angles themselves would be.
+_ARRANGEMENT_VOLUME = {
+    a: sum(_LOBACHEVSKY_24[x] for x in a) for options in _ARRANGEMENTS.values() for a in options
+}
+
+_V3 = v3()
+
 
 def assignment_volume(assignment: AngleAssignment) -> float:
     """Volume of a per-layer assignment (two tetrahedra per layer)."""
-    return 2.0 * sum(
-        sum(_LOBACHEVSKY_24[24 * a.numerator // a.denominator] for a in la.triple)
-        for la in assignment.layers
-    )
+    return 2.0 * sum(_ARRANGEMENT_VOLUME[la.units] for la in assignment.layers)
 
 
 # An angle within this of 0 or pi is on the positivity walls.
@@ -226,9 +232,8 @@ def bounds_report(w: Word) -> BoundsReport:
     explicit = lower_mult = lower_add = upper_add = None
     crossover = None
     if in_family:
-        assignment = assign_angles(w)
-        explicit = assignment_volume(assignment)
-        lower_mult = explicit / v3()
+        explicit = assignment_volume(assign_angles(w, decompose(inner)))
+        lower_mult = explicit / _V3
         lower_add = 2 * n_inner + 1 + (0.9632 * C + 0.393)
         upper_add = 2 * n_inner + 1 + (2 * C + 1)
         crossover = C >= 0.628 * n_inner - 0.325

@@ -5,8 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from twobridge.angles import (
+    _ARRANGEMENTS,
+    _SLOT,
     SHAPES,
     _chains,
+    _orient_layers,
+    _shape_sequence,
     assign_angles,
     boundary_deficits,
     expand_to_tetrahedra,
@@ -160,6 +164,33 @@ def test_perturbation_fails_locally():
     touched = {table.class_of[(2, 1)], table.class_of[(2, 4)]}
     assert set(report.bad_edge_classes) == touched
     assert report.bad_tets == [2]
+
+
+def test_verify_catches_a_48th_of_pi_on_one_class():
+    # 1/48 is not a multiple of pi/24: the check must fall back to exact
+    # Fractions rather than miss the difference.
+    w = parse_word("RLRLR")
+    tri = build_sakuma_weeks(w)
+    amap = expand_to_tetrahedra(assign_angles(w), tri)
+    amap[(3, 0)] += F(1, 48)
+    report = verify_angle_structure(tri, amap)
+    assert not report.passed
+    assert report.bad_edge_classes == [edge_classes(tri).class_of[(3, 0)]]
+    assert report.bad_tets == [3] and report.range_ok
+
+
+def test_verify_exact_for_denominators_outside_24():
+    # On RL the edge equations 4h + 2d = 4v + 2d = 2 hold for v = h = (1 - d)/2.
+    tri = build_sakuma_weeks(parse_word("RL"))
+
+    def layer_map(v, h, d):
+        angle = {**{e: v for e in VERTICAL_EDGES}, **{e: h for e in HORIZONTAL_EDGES}}
+        return {(t, e): angle.get(e, d) for t in range(tri.tet_count) for e in range(6)}
+
+    assert verify_angle_structure(tri, layer_map(F(2, 5), F(2, 5), F(1, 5))).passed
+    report = verify_angle_structure(tri, layer_map(F(3, 7), F(13, 35), F(1, 5)))
+    assert report.range_ok and report.tet_sums_ok
+    assert not report.edge_sums_ok and len(report.bad_edge_classes) == 2
 
 
 def test_all_regular_fails_for_squared_word():
@@ -403,6 +434,45 @@ def test_orientation_and_deficits_unchanged_n9():
     assert digest == "64cbf02a617b283a382e2f736d1df3fced1aea7e432f1f3d6869ee2ec9f420a8"
     digest = hashlib.sha256("\n".join(deficits).encode()).hexdigest()
     assert digest == "3e662c901214e2a36345f5aa9848c7ff45f2809bd630ec0619bb63909b0fc701"
+
+
+def reference_orient(letters, shapes):
+    """The plain backtracking search that _orient_layers prunes: every
+    closing chain re-summed for each candidate, no look-ahead."""
+    closing = [[] for _ in shapes]
+    for terms, target in _chains(letters):
+        indexed = [(layer, _SLOT[slot], weight) for layer, slot, weight in terms]
+        closing[terms[-1][0]].append((indexed, target))
+    chosen, resume, start = [], [], 0
+    while len(chosen) < len(shapes):
+        k = len(chosen)
+        options = _ARRANGEMENTS[shapes[k]]
+        for i in range(start, len(options)):
+            chosen.append(options[i])
+            if all(
+                sum(weight * chosen[layer][slot] for layer, slot, weight in terms) == target
+                for terms, target in closing[k]
+            ):
+                resume.append(i + 1)
+                start = 0
+                break
+            chosen.pop()
+        else:
+            if not chosen:
+                return None
+            chosen.pop()
+            start = resume.pop()
+    return chosen
+
+
+@pytest.mark.parametrize("k1_override", [True, False])
+def test_forward_checked_search_matches_plain_backtracking(words_ell10, k1_override):
+    family_words = [w for w in words_ell10 if theorem_family(w)]
+    assert len(family_words) == 87
+    for w in family_words:
+        shapes = _shape_sequence(w, decompose(inner_word(w)), k1_override)
+        found = _orient_layers(w.letters, shapes)
+        assert found is not None and found == reference_orient(w.letters, shapes), str(w)
 
 
 def test_long_family_word():

@@ -66,6 +66,12 @@ def test_blocks_json(capsys):
     assert json.loads(out)[0]["kind"] == "B3"
 
 
+@pytest.mark.parametrize("command", ["build", "edges", "simplify", "blocks", "angles", "volume", "bounds"])
+def test_one_syllable_words_rejected(capsys, command):
+    code, out, err = run_cli([command, "R^3"], capsys)
+    assert code == 1 and out == "" and "error" in err
+
+
 def test_angles_verified(capsys):
     code, out, _ = run_cli(["angles", "RL^2R", "--json"], capsys)
     assert code == 0

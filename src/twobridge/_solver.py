@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, hstack, identity
+from scipy.sparse import csc_matrix, csr_matrix, hstack
 from scipy.sparse.linalg import splu
 
 from .angles import AngleAssignment
@@ -131,6 +131,18 @@ _ON_PLANE = 1e-12
 _KKT_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
+def _kkt_matrix(A, keep: np.ndarray):
+    """[[-I, A_kept^T], [A_kept, 0]] in one step, from the triplets of A on the
+    rows in `keep`.  It is canonical CSC, so -1 is the first stored entry of
+    each of the first n columns: their other entries lie in rows n and up."""
+    n, size = A.shape[1], A.shape[1] + int(keep.sum())
+    coo = A.tocoo()
+    on = keep[coo.row]
+    row, col, val = n + (np.cumsum(keep) - 1)[coo.row[on]], coo.col[on], coo.data[on]
+    rows, cols = np.concatenate([np.arange(n), row, col]), np.concatenate([np.arange(n), col, row])
+    return csc_matrix((np.concatenate([np.full(n, -1.0), val, val]), (rows, cols)), shape=(size, size))
+
+
 def maximize(
     tri: Triangulation, table: EdgeClassTable, seed: AngleAssignment | None, tolerance: float, max_iters: int
 ) -> MaximizeResult:
@@ -148,12 +160,8 @@ def maximize(
         x = np.full(n, math.pi / 3)
 
     keep = _independent_rows(tri, table)
-    A_kept = A[keep]
-    k = A_kept.shape[0]
-    # The KKT matrix [[H, A_kept^T], [A_kept, 0]], built once: the first
-    # stored entry of each of the first n columns is the diagonal of H.
-    kkt = bmat([[-identity(n), A_kept.T], [A_kept, None]], format="csc")
-    kkt.sort_indices()
+    kkt = _kkt_matrix(A, keep)
+    k = kkt.shape[0] - n
     diagonal = kkt.indptr[:n]
     # With H = -I it is factorised once: the solution u of
     # [[-I, A_kept^T], [A_kept, 0]] [u; y] = [-v; 0] is the projection P v

@@ -181,9 +181,7 @@ def theorem_family(w: Word) -> bool:
     return all(e in (1, 2) for e in exps[1:-1])
 
 
-def _shape_sequence(
-    w: Word, dec: BlockDecomposition, k1_override: bool
-) -> list[str]:
+def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
     """Shape name per layer (layer 0 under the outer fold, one per inner letter)."""
     exps = dec.inner.exponents
 
@@ -337,7 +335,7 @@ def assign_angles(
     elif dec.inner.syllables != w.syllables[1:-1]:  # the inner word, as end exponents are 1
         raise ValueError(f"decomposition is for {dec.inner}, not the inner word of {w}")
 
-    shapes = _shape_sequence(w, dec, k1_override)
+    shapes = _shape_sequence(dec, k1_override)
     letters = w.letters
     if len(shapes) != len(letters) - 1:
         raise VerificationError("shape sequence length mismatch")

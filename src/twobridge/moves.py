@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import json
 
 from .triangulation import (
+    EDGE_INDEX,
     EDGE_VERTS,
     EdgeClassTable,
     Perm,
@@ -270,6 +271,22 @@ def _applicable_32(table: EdgeClassTable) -> int | None:
     return None
 
 
+def _degrees_after_44(tri: Triangulation, table: EdgeClassTable, edge_class: int, axis: int) -> dict[int, int]:
+    """Degree after move_44(tri, edge_class, axis) of each class the octahedron touches.
+
+    Each equator edge E_k E_{k+1} gains a tetrahedron; U-E_k and V-E_k lose
+    one for each E_k off the new diagonal; the central class loses all four.
+    Changes add up per class, so identified edges count with multiplicity.
+    """
+    delta = {edge_class: -4}
+    fan = _edge_fan(tri, table.classes[edge_class].embeddings)
+    for k, (t, c) in enumerate(fan):  # chart k is (U, V, E_k, E_{k+1})
+        for edge, d in [(c[2:], 1)] + [((c[j], c[2]), -1) for j in (0, 1) if k % 2 != axis]:
+            x = table.class_of[(t, EDGE_INDEX[edge])]
+            delta[x] = delta.get(x, 0) + d
+    return {x: table.classes[x].degree + d for x, d in delta.items()}
+
+
 def simplify(tri: Triangulation) -> SimplificationTrace:
     """Greedy simplification: 3-2 moves first, then 4-4 moves that enable one.
 
@@ -277,8 +294,9 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
     every degree-4 edge with four distinct tetrahedra is tried with both
     axes; the first 4-4 move whose result admits a 3-2 move is kept.  The
     trace ends when neither kind of step applies; the tetrahedron count
-    never increases.  Edge classes are computed once per triangulation
-    visited, trial 4-4 results included.
+    never increases.  A 4-4 trial is built only if _degrees_after_44 leaves
+    a class at degree 3: the other classes keep their tetrahedra, and in
+    this phase none of them admits a 3-2 move.
     """
     moves: list[MoveRecord] = []
     current = tri
@@ -291,19 +309,19 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
             table = edge_classes(current)
             moves.append(MoveRecord("3-2", target, None, current.tet_count))
             continue
-        stepped = False
-        for cls in table.classes:
-            if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
-                continue
-            for axis in (0, 1):
-                candidate = _move_44(current, table, cls.index, axis)
-                candidate_table = edge_classes(candidate)
-                if _applicable_32(candidate_table) is not None:
-                    moves.append(MoveRecord("4-4", cls.index, axis, candidate.tet_count))
-                    current, table = candidate, candidate_table
-                    stepped = True
-                    break
-            if stepped:
+        trials = (
+            (cls.index, axis)
+            for cls in table.classes
+            if cls.degree == 4 and len({t for t, _ in cls.embeddings}) == 4
+            for axis in (0, 1)
+            if 3 in _degrees_after_44(current, table, cls.index, axis).values()
+        )
+        for target, axis in trials:
+            candidate = _move_44(current, table, target, axis)
+            candidate_table = edge_classes(candidate)
+            if _applicable_32(candidate_table) is not None:
+                moves.append(MoveRecord("4-4", target, axis, candidate.tet_count))
+                current, table = candidate, candidate_table
                 break
-        if not stepped:
+        else:
             return SimplificationTrace(moves, current, initial)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -20,7 +21,7 @@ _TOKEN = re.compile(r"([RL])(?:\^([0-9]+))?")
 
 @dataclass(frozen=True)
 class Word:
-    """A twist word as a tuple of (letter, exponent) syllables."""
+    """A twist word as a tuple of (letter, exponent) syllables; derived values are cached."""
 
     syllables: tuple[tuple[str, int], ...]
 
@@ -41,17 +42,17 @@ class Word:
         """Number of syllables."""
         return len(self.syllables)
 
-    @property
+    @cached_property
     def ell(self) -> int:
         """Total number of letters (= crossings), the sum of all exponents."""
         return sum(e for _, e in self.syllables)
 
-    @property
+    @cached_property
     def letters(self) -> str:
         """The word expanded into individual letters, e.g. ``RRLR``."""
         return "".join(letter * exp for letter, exp in self.syllables)
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.syllables)
 

@@ -470,7 +470,7 @@ def test_forward_checked_search_matches_plain_backtracking(words_ell10, k1_overr
     family_words = [w for w in words_ell10 if theorem_family(w)]
     assert len(family_words) == 87
     for w in family_words:
-        shapes = _shape_sequence(w, decompose(inner_word(w)), k1_override)
+        shapes = _shape_sequence(decompose(inner_word(w)), k1_override)
         found = _orient_layers(w.letters, shapes)
         assert found is not None and found == reference_orient(w.letters, shapes), str(w)
 

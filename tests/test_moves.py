@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
+from twobridge import moves
 from twobridge.isosig import encode_isosig
-from twobridge.moves import move_44, pachner_23, pachner_32, simplify, triangle_pairs
+from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
 from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, validate
-from twobridge.word import parse_word
+from twobridge.word import Word, parse_word
 
 
 def applicable_32_classes(tri):
@@ -197,3 +200,76 @@ def test_simplify_replays_through_public_moves(words_ell8):
             assert current.tet_count == m.tets_after, str(w)
         assert current == trace.final, str(w)
         assert not applicable_32_classes(current) and first_useful_44(current) is None, str(w)
+
+
+def with_pachner_23_copies(words):
+    """Each word's triangulation, then its 2-3 moves across the first and
+    the last internal triangle: other edge-degree patterns than the
+    builder's."""
+    for w in words:
+        tri = build_sakuma_weeks(w)
+        pairs = triangle_pairs(tri)
+        yield str(w), tri
+        for face in (pairs[0][0], pairs[-1][0]):
+            yield f"{w} + 2-3 at {face}", pachner_23(tri, face)
+
+
+def phase_44_states(tri):
+    """The triangulations simplify(tri) searches for a 4-4 move: the one
+    before each 4-4 move it makes, and the final one."""
+    trace = simplify(tri)
+    current = tri
+    for m in trace.moves:
+        if m.kind == "4-4":
+            yield current
+        current = pachner_32(current, m.target) if m.kind == "3-2" else move_44(current, m.target, m.axis)
+    yield trace.final
+
+
+def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
+    # The degrees read off the octahedron are the rebuilt move's degrees,
+    # so the screen lets through every 4-4 move that exposes a 3-2 move.
+    checked = exposing = 0
+    for name, tri in with_pachner_23_copies(words_ell8):
+        for state in phase_44_states(tri):
+            table = edge_classes(state)
+            assert not any(c.degree == 3 and len({t for t, _ in c.embeddings}) == 3 for c in table.classes)
+            for cls in table.classes:
+                if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
+                    continue
+                for axis in (0, 1):
+                    after = _degrees_after_44(state, table, cls.index, axis)
+                    assert after[cls.index] == 0, name
+                    predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
+                    rebuilt = edge_classes(moves._move_44(state, table, cls.index, axis))
+                    assert sorted(predicted) == sorted(rebuilt.degrees()), (name, cls.index, axis)
+                    if moves._applicable_32(rebuilt) is not None:
+                        assert 3 in after.values(), (name, cls.index, axis)
+                        exposing += 1
+                    checked += 1
+    assert checked > 3000 and exposing > 1000
+
+
+def test_simplify_digest_over_ell8(words_ell8):
+    # Trace JSON and final isosig of every word with at most 8 letters and
+    # of its two 2-3 copies, as simplify gave them before the degree screen.
+    digest = hashlib.sha256()
+    for _, tri in with_pachner_23_copies(words_ell8):
+        trace = simplify(tri)
+        digest.update(f"{trace.to_json()} {encode_isosig(trace.final)}\n".encode())
+    assert digest.hexdigest() == "cb026784b95c37c20c98ba75a4e15e32178c6d66d5b1e5831f0cb499d47203a2"
+
+
+def test_simplify_builds_no_trial_on_long_word(monkeypatch):
+    # R (L^2 R^2 ..., 60 inner syllables) L: 242 tetrahedra, no move applies,
+    # and no trial 4-4 move gets past the degree screen.
+    inner = tuple(("LR"[i % 2], 2) for i in range(60))
+    tri = build_sakuma_weeks(Word((("R", 1),) + inner + (("L", 1),)))
+    calls = []
+    core = moves._move_44
+    monkeypatch.setattr(moves, "_move_44", lambda *args: calls.append(args[2:]) or core(*args))
+    trace = simplify(tri)
+    assert tri.tet_count == 242 and trace.moves == [] and calls == []
+    # RL^3R: the one trial built is the 4-4 move kept.
+    trace = simplify(build_sakuma_weeks(parse_word("RL^3R")))
+    assert calls == [(trace.moves[0].target, trace.moves[0].axis)]

@@ -9,10 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import bmat, identity
 
 import twobridge
 from conftest import all_normalized_words
-from twobridge._solver import _constraint_system, _independent_rows, _lobachevsky_array
+from twobridge._solver import _constraint_system, _independent_rows, _kkt_matrix, _lobachevsky_array
 from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
@@ -464,6 +465,28 @@ def test_cusp_relations_leave_independent_rows():
             assert keep.sum() == expected, str(w)
             assert np.linalg.matrix_rank(dense) == expected, str(w)
             assert np.linalg.matrix_rank(dense[keep]) == expected, str(w)
+
+
+def test_kkt_matrix_matches_block_assembly():
+    # The one-step KKT matrix is the block assembly entry for entry, so every
+    # factorisation, iterate and volume is the same; the 2-3 copies have
+    # other cusp structures, hence other dropped rows.
+    for w in all_normalized_words(8):
+        tri = build_sakuma_weeks(w)
+        pairs = triangle_pairs(tri)
+        for t in (tri, simplify(tri).final, pachner_23(tri, pairs[0][0]), pachner_23(tri, pairs[-1][0])):
+            table = edge_classes(t)
+            A, _ = _constraint_system(t, table)
+            keep = _independent_rows(t, table)
+            n = A.shape[1]
+            reference = bmat([[-identity(n), A[keep].T], [A[keep], None]], format="csc")
+            reference.sort_indices()
+            kkt = _kkt_matrix(A, keep)
+            assert kkt.format == "csc" and kkt.shape == reference.shape, str(w)
+            for part in ("indptr", "indices", "data"):
+                mine, theirs = getattr(kkt, part), getattr(reference, part)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), (str(w), part)
+            assert np.array_equal(kkt.indices[kkt.indptr[:n]], np.arange(n)), str(w)
 
 
 def test_bounds_report_corollary_example():

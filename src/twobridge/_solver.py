@@ -1,9 +1,10 @@
-"""Numeric core of volume.maximize_volume, on numpy and scipy.sparse.
+"""Numeric core of volume.maximize_volume, on numpy and scipy.
 
 volume.py imports this module on the first maximize_volume call, so that
 ``import twobridge`` and every path that needs no maximiser stay on the
-standard library.  The Newton loop solves the sparse KKT system of the
-angle equations, after dropping the one dependent edge equation per cusp;
+standard library.  A Newton step eliminates one angle per tetrahedron and
+solves the banded Schur complement of the edge equations, after dropping
+the one dependent edge equation per cusp, by LAPACK's band Cholesky;
 scipy.optimize is imported only for the linear program that decides input
 where the loop does not end at a converged interior point.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, hstack
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import csr_matrix, hstack
 
 from .angles import AngleAssignment
 from .triangulation import EDGE_VERTS, EdgeClassTable, Triangulation, VerificationError, vertex_classes
@@ -127,20 +128,65 @@ _BARRIER_FALL = 0.5
 # rounding level, whatever the tolerance on |Pg|.  The dropped equations
 # count too: where a vertex link is not a torus they contradict the rest.
 _ON_PLANE = 1e-12
-# The KKT matrix is symmetric: order it on A + A^T and prefer diagonal pivots.
-_KKT_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+# N: the angle step of a tetrahedron from its reduced variables (d1, d2).
+_REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 
 
-def _kkt_matrix(A, keep: np.ndarray):
-    """[[-I, A_kept^T], [A_kept, 0]] in one step, from the triplets of A on the
-    rows in `keep`.  It is canonical CSC, so -1 is the first stored entry of
-    each of the first n columns: their other entries lie in rows n and up."""
-    n, size = A.shape[1], A.shape[1] + int(keep.sum())
-    coo = A.tocoo()
-    on = keep[coo.row]
-    row, col, val = n + (np.cumsum(keep) - 1)[coo.row[on]], coo.col[on], coo.data[on]
-    rows, cols = np.concatenate([np.arange(n), row, col]), np.concatenate([np.arange(n), col, row])
-    return csc_matrix((np.concatenate([np.full(n, -1.0), val, val]), (rows, cols)), shape=(size, size))
+def _schur_solver(A, keep: np.ndarray):
+    """factor(h) -> solve(ascent, residual), the step d of the KKT system
+    [[diag(h), A_kept^T], [A_kept, 0]] [d; y] = [-ascent; -residual_kept].
+
+    In each tetrahedron d = N z + (0, 0, -r), r its row's residual, and the
+    Hessian block G = N^T diag(h) N is 2x2, negative definite for h < 0 on
+    the plane (det G = h1 h2 + h1 h3 + h2 h3).  The kept edge rows become
+    B z, and S = -B G^-1 B^T is banded in class order.  factor returns None
+    unless LAPACK's band Cholesky finds S positive definite and nonsingular
+    to rounding.
+    """
+    n = A.shape[1]
+    tets, k = n // 3, int(keep.sum()) - n // 3
+    # Column 3t + p of A holds 1 in row t and in the class rows of the pair's
+    # two edge ends (2 if they agree); each end gets its kept edge row or -1.
+    csc = A.tocsc()
+    ends = np.repeat(csc.indices, csc.data.astype(np.int64)).reshape(n, 3)[:, 1:]
+    row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[ends].reshape(tets, 6)
+    at, var = row[row >= 0], np.flatnonzero(row >= 0) // 2  # S row and angle of each kept end
+    i, j = row[:, :, None], row[:, None, :]
+    lower = (j >= 0) & (i >= j)
+    width = int((i - j)[lower].max(initial=0))
+    band_at = ((i - j) * k + j)[lower]
+
+    def factor(h):
+        h1, h2, h3 = h.reshape(tets, 3).T
+        inverse = np.stack([h2 + h3, -h3, -h3, h1 + h3], axis=1).reshape(tets, 2, 2)  # G^-1
+        inverse /= (h1 * h2 + h1 * h3 + h2 * h3)[:, None, None]
+        per_end = (_REDUCE @ inverse @ _REDUCE.T).repeat(2, axis=1).repeat(2, axis=2)  # N G^-1 N^T
+        band = np.bincount(band_at, -per_end[lower], (width + 1) * k).reshape(width + 1, k)
+        cholesky, info = dpbtrf(band, lower=1)
+        pivots = cholesky[0] ** 2
+        if info or not pivots.min(initial=np.inf) > 1e-12 * pivots.max(initial=0.0):  # NaN fails too
+            return None
+
+        def reduced(v):  # G^-1 N^T v; N^T first, as G^-1 is large at a flat tetrahedron
+            return np.einsum("tij,tj->ti", inverse, v.reshape(tets, 3) @ _REDUCE)
+
+        def solve(ascent, residual):
+            offset, z, lam = np.zeros(n), np.zeros((tets, 2)), np.zeros(k)
+            offset[2::3] = -residual[:tets]
+
+            def step():  # d = N z + offset: the tetrahedron rows hold exactly
+                return (z @ _REDUCE.T).ravel() + offset
+
+            for _ in range(2):  # solve, then refine once, on the stationarity and the edge rows
+                z += reduced(-ascent - h * step() - np.bincount(var, lam[at], n))
+                delta = dpbtrs(cholesky, -residual[keep][tets:] - np.bincount(at, step()[var], k), lower=1)[0]
+                lam += delta
+                z -= reduced(np.bincount(var, delta[at], n))
+            return step()
+
+        return solve
+
+    return factor
 
 
 def maximize(
@@ -160,25 +206,13 @@ def maximize(
         x = np.full(n, math.pi / 3)
 
     keep = _independent_rows(tri, table)
-    kkt = _kkt_matrix(A, keep)
-    k = kkt.shape[0] - n
-    diagonal = kkt.indptr[:n]
-    # With H = -I it is factorised once: the solution u of
-    # [[-I, A_kept^T], [A_kept, 0]] [u; y] = [-v; 0] is the projection P v
-    # onto the null space of A_kept.
-    try:
-        projector = splu(kkt, **_KKT_SPLU)
-        pivots = np.abs(projector.U.diagonal())
-        independent = pivots.min() > 1e-12 * pivots.max()
-    except RuntimeError:  # exactly singular
-        independent = False
-    if not independent:
-        raise VerificationError(
-            f"angle equations have rank below {k} after dropping the cusp relations"
-        )
+    factor = _schur_solver(A, keep)
+    projector = factor(np.full(n, -1.0))  # h = -1: it projects onto the null space of A_kept
+    if projector is None:
+        raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
 
-    def project(v):  # onto the null space of A_kept
-        return projector.solve(np.concatenate([-v, np.zeros(k)]))[:n]
+    def project(v):
+        return projector(v, np.zeros(len(b)))
 
     def value(v):
         return float(np.sum(_lobachevsky_array(v)))
@@ -191,7 +225,6 @@ def maximize(
     gnorm = float(np.linalg.norm(project(g)))
     residual = A @ x - b
     mu = _BARRIER / _BARRIER_FALL
-    rhs = np.zeros(n + k)
     it = 0
     for it in range(1, max_iters + 1):
         # Off the plane Pg says nothing about the maximum (at x = pi/3 it
@@ -206,13 +239,8 @@ def maximize(
             break
         # Newton step on V + mu sum(log x); the second derivative of L is -cot.
         ascent = g + mu / x
-        kkt.data[diagonal] = -1.0 / np.tan(x) - mu / (x * x)
-        rhs[:n] = -ascent
-        rhs[n:] = -residual[keep]
-        try:
-            direction = splu(kkt, **_KKT_SPLU).solve(rhs)[:n]
-        except RuntimeError:  # exactly singular: the step with H = -I
-            direction = projector.solve(rhs)[:n]
+        # Where S is not positive definite, the step with h = -1.
+        direction = (factor(-1.0 / np.tan(x) - mu / (x * x)) or projector)(ascent, residual)
         shrinking = direction < 0
         alpha = 1.0
         if shrinking.any():

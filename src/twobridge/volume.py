@@ -135,9 +135,11 @@ def maximize_volume(
     Concavity makes the interior critical point unique; on a geometric
     triangulation it computes the hyperbolic volume.  One damped Newton
     loop runs from the seed, else from x = pi/3, which satisfies every
-    tetrahedron equation.  Each step also corrects the residual of A x = b
-    (infeasible-start Newton, Boyd-Vandenberghe, Convex Optimization
-    10.3): a step of length alpha shrinks it by the factor 1 - alpha.
+    tetrahedron equation.  Each step solves the banded Schur complement of
+    the edge equations, in time linear in the size, and also corrects the
+    residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
+    Convex Optimization 10.3): a step of length alpha shrinks it by the
+    factor 1 - alpha.
     Unless the loop ends at a converged interior point, a linear program
     decides: ValueError if no strictly positive solution exists.  Raises
     VerificationError if the equations keep a dependent row after the

@@ -9,15 +9,22 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse import bmat, identity
 
 import twobridge
 from conftest import all_normalized_words
-from twobridge._solver import _constraint_system, _independent_rows, _kkt_matrix, _lobachevsky_array
+import twobridge._solver as solver
+from twobridge._solver import _constraint_system, _independent_rows, _lobachevsky_array, _schur_solver
 from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
-from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, validate, vertex_classes
+from twobridge.triangulation import (
+    Triangulation,
+    VerificationError,
+    build_sakuma_weeks,
+    edge_classes,
+    validate,
+    vertex_classes,
+)
 from twobridge.volume import (
     _LOBACHEVSKY_24,
     _ZETA_EVEN,
@@ -271,15 +278,16 @@ def run_fresh(code):
 
 def test_unseeded_builder_words_skip_the_lp():
     # the Newton loop decides builder words alone; only the verdict on
-    # infeasible input imports scipy.optimize
+    # infeasible input imports scipy.optimize.  Its steps are banded
+    # Cholesky solves, so scipy.sparse.linalg (SuperLU) is never loaded.
     code = (
         "import sys\n"
         "from twobridge import build_sakuma_weeks, maximize_volume, parse_word\n"
         "for text in ('RL^3R', 'R^5L^4'):\n"
         "    assert maximize_volume(build_sakuma_weeks(parse_word(text))).converged\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n"
     )
-    assert run_fresh(code) == "False"
+    assert run_fresh(code) == "False False"
 
 
 def test_import_uses_the_stdlib_only():
@@ -467,26 +475,138 @@ def test_cusp_relations_leave_independent_rows():
             assert np.linalg.matrix_rank(dense[keep]) == expected, str(w)
 
 
-def test_kkt_matrix_matches_block_assembly():
-    # The one-step KKT matrix is the block assembly entry for entry, so every
-    # factorisation, iterate and volume is the same; the 2-3 copies have
-    # other cusp structures, hence other dropped rows.
+def seed_angles(seed):
+    """The angle vector of an explicit assignment, in maximize_volume's order."""
+    return np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in (la.h, la.v, la.d)])
+
+
+def test_newton_step_matches_dense_kkt():
+    # The Schur-complement step and projection equal a dense solve of
+    # [[diag(h), A_kept^T], [A_kept, 0]]: at x = pi/3 (off the edge
+    # equations), at a point off the tetrahedron equations too, and at the
+    # seed.  The 2-3 copies have other cusp structures, hence other dropped
+    # rows.
+    rng = np.random.default_rng(3)
+    mu = 0.01
     for w in all_normalized_words(8):
         tri = build_sakuma_weeks(w)
         pairs = triangle_pairs(tri)
         for t in (tri, simplify(tri).final, pachner_23(tri, pairs[0][0]), pachner_23(tri, pairs[-1][0])):
             table = edge_classes(t)
-            A, _ = _constraint_system(t, table)
+            A, b = _constraint_system(t, table)
             keep = _independent_rows(t, table)
+            factor = _schur_solver(A, keep)
             n = A.shape[1]
-            reference = bmat([[-identity(n), A[keep].T], [A[keep], None]], format="csc")
-            reference.sort_indices()
-            kkt = _kkt_matrix(A, keep)
-            assert kkt.format == "csc" and kkt.shape == reference.shape, str(w)
-            for part in ("indptr", "indices", "data"):
-                mine, theirs = getattr(kkt, part), getattr(reference, part)
-                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), (str(w), part)
-            assert np.array_equal(kkt.indices[kkt.indptr[:n]], np.arange(n)), str(w)
+            kept = A.toarray()[keep]
+            points = [np.full(n, math.pi / 3), math.pi / 3 + rng.uniform(-0.2, 0.2, n)]
+            if t is tri and theorem_family(w):
+                points.append(seed_angles(assign_angles(w)))
+            for x in points:
+                g = -np.log(np.abs(2.0 * np.sin(x)))
+                newton = (-1.0 / np.tan(x) - mu / x**2, g + mu / x, A @ x - b)
+                projection = (np.full(n, -1.0), g, np.zeros(len(b)))
+                for h, ascent, residual in (newton, projection):
+                    kkt = np.block([[np.diag(h), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
+                    reference = np.linalg.solve(kkt, np.concatenate([-ascent, -residual[keep]]))[:n]
+                    step = factor(h)(ascent, residual)
+                    scale = max(np.linalg.norm(reference), np.linalg.norm(ascent))
+                    assert np.linalg.norm(step - reference) <= 1e-9 * scale, str(w)
+
+
+def test_newton_step_is_accurate_near_flat_tetrahedra():
+    # At the maximum of this 2-3 copy one tetrahedron is nearly flat
+    # (angles about 0.0013, 0.0018 and pi - 0.0032), so G^-1 is large; the
+    # step there is about 1e-11.  The dense solve is off by about 1e-15;
+    # refining only the edge rows leaves 2e-14, no refinement 1e-13.
+    tri = build_sakuma_weeks(parse_word("RL^2RLRLR"))
+    t = pachner_23(tri, triangle_pairs(tri)[0][0])
+    res = maximize_volume(t)
+    assert res.converged and res.iterations == 13
+    x = res.angles.ravel()
+    assert x.min() < 0.002 and x.max() > math.pi - 0.004
+    table = edge_classes(t)
+    A, b = _constraint_system(t, table)
+    keep = _independent_rows(t, table)
+    kept = A.toarray()[keep]
+    g, h, residual = -np.log(np.abs(2.0 * np.sin(x))), -1.0 / np.tan(x), A @ x - b
+    kkt = np.block([[np.diag(h), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
+    reference = np.linalg.solve(kkt, np.concatenate([-g, -residual[keep]]))[: len(x)]
+    step = _schur_solver(A, keep)(h)(g, residual)
+    assert np.max(np.abs(step - reference)) <= 5e-15
+
+
+def test_dependent_rows_raise_verification_error(monkeypatch):
+    # No complex found so far keeps dependent rows once one edge row per cusp
+    # is dropped (random closed and partly glued complexes of 1 to 4
+    # tetrahedra were searched), so every edge row is kept here: the cusp
+    # relations then make the rows dependent, and S singular.
+    monkeypatch.setattr(
+        "twobridge._solver._independent_rows", lambda tri, table: np.ones(tri.tet_count + len(table), dtype=bool)
+    )
+    for text in ("RL", "R^2LR", "RL^2RLR^6"):
+        with pytest.raises(VerificationError):
+            maximize_volume(build_sakuma_weeks(parse_word(text)))
+
+
+def test_failed_factorisation_takes_the_projector_step(monkeypatch):
+    # Every Newton factorisation reports a non-positive pivot (info > 0), as
+    # LAPACK does when S is not positive definite: the loop must step with
+    # the projector's factor and never solve with a failed one.
+    good, failed, used = [], [], []
+    real_factor, real_solve = solver.dpbtrf, solver.dpbtrs
+
+    def factor(band, lower):
+        cholesky, info = real_factor(band, lower=lower)
+        if not good:  # the projector's factorisation, at h = -1
+            good.append(cholesky)
+            return cholesky, info
+        failed.append(cholesky)
+        return cholesky, info + 1
+
+    def solve(cholesky, rhs, lower):
+        used.append(cholesky)
+        return real_solve(cholesky, rhs, lower=lower)
+
+    tri = build_sakuma_weeks(parse_word("RL^2R"))
+    expected = maximize_volume(tri).volume
+    monkeypatch.setattr(solver, "dpbtrf", factor)
+    monkeypatch.setattr(solver, "dpbtrs", solve)
+    res = maximize_volume(tri)
+    assert res.iterations >= 1 and len(failed) >= 1
+    assert used and all(c is good[0] for c in used)
+    assert not any(c is f for c in used for f in failed)
+    # projected-gradient steps are slower, but they reach the same maximum
+    assert res.converged and abs(res.volume - expected) <= 1e-9
+
+
+def long_family_word(ell, rng):
+    """A paper-family word R L^a1 R^a2 ... X, a_i in {1, 2}, with ell letters."""
+    inner, letters = [], 0
+    while letters < ell - 2:
+        exp = min(rng.choice((1, 2)), ell - 2 - letters)
+        inner.append(("LR"[len(inner) % 2], exp))
+        letters += exp
+    closing = "R" if inner[-1][0] == "L" else "L"
+    return Word((("R", 1),) + tuple(inner) + ((closing, 1),))
+
+
+@pytest.mark.parametrize("ell", [60, 155, 250])
+def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
+    # In class order the Schur complement is banded; a class numbering that
+    # widened the band would make every Newton step quadratic in ell.
+    widths = []
+    real_factor = solver.dpbtrf
+
+    def factor(band, lower):
+        widths.append(band.shape[0] - 1)
+        return real_factor(band, lower=lower)
+
+    monkeypatch.setattr(solver, "dpbtrf", factor)
+    tri = build_sakuma_weeks(long_family_word(ell, random.Random(ell)))
+    table = edge_classes(tri)
+    A, _ = _constraint_system(tri, table)
+    assert _schur_solver(A, _independent_rows(tri, table))(np.full(A.shape[1], -1.0)) is not None
+    assert len(widths) == 1 and widths[0] <= 12
 
 
 def test_bounds_report_corollary_example():

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_matrix, hstack
 
 from .angles import AngleAssignment
-from .triangulation import EDGE_VERTS, EdgeClassTable, Triangulation, VerificationError, vertex_classes
+from .triangulation import EDGE_VERTS, Triangulation, VerificationError, edge_classes, vertex_classes
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
 # The series of volume.lobachevsky as coefficients of (t/pi)^(2m).
@@ -41,7 +41,7 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
 _PAIR = np.array([0, 1, 2, 2, 1, 0])
 
 
-def _constraint_system(tri: Triangulation, table: EdgeClassTable):
+def _constraint_system(tri: Triangulation):
     """Sparse equations A x = b for angle structures; x has 3 entries per tet.
 
     Variable 3t + p is the angle on the opposite-edge pair p of
@@ -49,7 +49,7 @@ def _constraint_system(tri: Triangulation, table: EdgeClassTable):
     the tetrahedra (sum pi), then one row per edge class (sum 2 pi).  A is
     a CSR matrix; both edges of a pair in one class give the entry 2.
     """
-    n = tri.tet_count
+    n, table = tri.tet_count, edge_classes(tri)
     edge_row = np.fromiter(
         (table.class_of[(t, e)] for t in range(n) for e in range(6)), np.int64, 6 * n
     )
@@ -61,7 +61,7 @@ def _constraint_system(tri: Triangulation, table: EdgeClassTable):
     return A, b
 
 
-def _independent_rows(tri: Triangulation, table: EdgeClassTable) -> np.ndarray:
+def _independent_rows(tri: Triangulation) -> np.ndarray:
     """Mask of the rows of _constraint_system kept when one edge row per
     cusp is dropped.
 
@@ -71,7 +71,7 @@ def _independent_rows(tri: Triangulation, table: EdgeClassTable) -> np.ndarray:
     columns of elimination on the cusps-by-edges matrix m; on a valid
     triangulation with c cusps the remaining 2n - c rows are independent.
     """
-    n = tri.tet_count
+    n, table = tri.tet_count, edge_classes(tri)
     cusp = np.array(vertex_classes(tri), dtype=np.int64)
     # Both ends of the first embedding of each edge class.
     t, e = np.array([cls.embeddings[0] for cls in table.classes], dtype=np.int64).reshape(-1, 2).T
@@ -189,23 +189,21 @@ def _schur_solver(A, keep: np.ndarray):
     return factor
 
 
-def maximize(
-    tri: Triangulation, table: EdgeClassTable, seed: AngleAssignment | None, tolerance: float, max_iters: int
-) -> MaximizeResult:
+def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
     """The body of volume.maximize_volume, on checked arguments."""
-    A, b = _constraint_system(tri, table)
+    A, b = _constraint_system(tri)
     n = 3 * tri.tet_count
 
     if seed is not None:
-        # Variable order per tetrahedron is (horizontal, vertical, diagonal)
+        # Variable order per tetrahedron is (horizontal, vertical, diagonal), units[1, 0, 2],
         # to match the edge-pair numbering (0,5), (1,4), (2,3).
-        x = np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in (la.h, la.v, la.d)])
+        x = np.array([la.units[p] for la in seed.layers for _ in (0, 1) for p in (1, 0, 2)]) / 24 * math.pi
         if x.shape != (n,) or np.max(np.abs(A @ x - b)) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
         x = np.full(n, math.pi / 3)
 
-    keep = _independent_rows(tri, table)
+    keep = _independent_rows(tri)
     factor = _schur_solver(A, keep)
     projector = factor(np.full(n, -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:

@@ -156,12 +156,7 @@ def _edge_fan(tri: Triangulation, embeddings) -> list[tuple[int, Perm]]:
 
 def pachner_32(tri: Triangulation, edge_class: int) -> Triangulation:
     """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
-    return _pachner_32(tri, edge_classes(tri), edge_class)
-
-
-def _pachner_32(tri: Triangulation, table: EdgeClassTable, edge_class: int) -> Triangulation:
-    """pachner_32 given the edge-class table of `tri`."""
-    cls = table.classes[edge_class]
+    cls = edge_classes(tri).classes[edge_class]
     if cls.degree != 3:
         raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 3")
     tets = [t for t, _ in cls.embeddings]
@@ -190,16 +185,9 @@ def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
     the canonical walk starting at the smallest edge embedding); axis 0
     uses the new diagonal E0-E2 and axis 1 uses E1-E3.
     """
-    return _move_44(tri, edge_classes(tri), edge_class, axis)
-
-
-def _move_44(
-    tri: Triangulation, table: EdgeClassTable, edge_class: int, axis: int
-) -> Triangulation:
-    """move_44 given the edge-class table of `tri`."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    cls = table.classes[edge_class]
+    cls = edge_classes(tri).classes[edge_class]
     if cls.degree != 4:
         raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 4")
     tets = [t for t, _ in cls.embeddings]
@@ -271,13 +259,14 @@ def _applicable_32(table: EdgeClassTable) -> int | None:
     return None
 
 
-def _degrees_after_44(tri: Triangulation, table: EdgeClassTable, edge_class: int, axis: int) -> dict[int, int]:
+def _degrees_after_44(tri: Triangulation, edge_class: int, axis: int) -> dict[int, int]:
     """Degree after move_44(tri, edge_class, axis) of each class the octahedron touches.
 
     Each equator edge E_k E_{k+1} gains a tetrahedron; U-E_k and V-E_k lose
     one for each E_k off the new diagonal; the central class loses all four.
     Changes add up per class, so identified edges count with multiplicity.
     """
+    table = edge_classes(tri)
     delta = {edge_class: -4}
     fan = _edge_fan(tri, table.classes[edge_class].embeddings)
     for k, (t, c) in enumerate(fan):  # chart k is (U, V, E_k, E_{k+1})
@@ -300,13 +289,11 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
     """
     moves: list[MoveRecord] = []
     current = tri
-    table = edge_classes(current)
-    initial = tri.tet_count
     while True:
+        table = edge_classes(current)
         target = _applicable_32(table)
         if target is not None:
-            current = _pachner_32(current, table, target)
-            table = edge_classes(current)
+            current = pachner_32(current, target)
             moves.append(MoveRecord("3-2", target, None, current.tet_count))
             continue
         trials = (
@@ -314,14 +301,13 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
             for cls in table.classes
             if cls.degree == 4 and len({t for t, _ in cls.embeddings}) == 4
             for axis in (0, 1)
-            if 3 in _degrees_after_44(current, table, cls.index, axis).values()
+            if 3 in _degrees_after_44(current, cls.index, axis).values()
         )
         for target, axis in trials:
-            candidate = _move_44(current, table, target, axis)
-            candidate_table = edge_classes(candidate)
-            if _applicable_32(candidate_table) is not None:
+            candidate = move_44(current, target, axis)
+            if _applicable_32(edge_classes(candidate)) is not None:
                 moves.append(MoveRecord("4-4", target, axis, candidate.tet_count))
-                current, table = candidate, candidate_table
+                current = candidate
                 break
         else:
-            return SimplificationTrace(moves, current, initial)
+            return SimplificationTrace(moves, current, tri.tet_count)

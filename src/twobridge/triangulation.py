@@ -16,15 +16,19 @@ pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 03/12 the diagonal pair (03 faces the previous layer, 12 the next).
 
 Edge classes, vertex classes (cusps) and the corners of the vertex links
-are all found by one search over the gluings (_closure).
+are all found by one search over the gluings (_closure), run once per cell
+kind and triangulation: each Triangulation keeps the classes found until
+glue, its only mutator, clears them, and hands them out read-only.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import permutations
+from types import MappingProxyType
 
 from .word import Word, is_hyperbolic
 
@@ -74,6 +78,8 @@ class Triangulation:
         ]
         # For builder output: 0-based layer index per tetrahedron.
         self.layer_of = layer_of
+        # Cell classes found so far (_labels, edge_classes); glue clears them.
+        self._classes: dict = {}
 
     def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
         """Glue facet f of tetrahedron t to tetrahedron t2 via perm."""
@@ -84,6 +90,7 @@ class Triangulation:
             raise ValueError(f"facet already glued: ({t},{f}) or ({t2},{f2})")
         self._glue[t][f] = (t2, perm)
         self._glue[t2][f2] = (t, invert(perm))
+        self._classes.clear()
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm] | None:
         return self._glue[t][f]
@@ -215,11 +222,13 @@ def _cells(cells, key=tuple):
     return len(cells), faces, image
 
 
-_VERTEX_CELLS = _cells([(v,) for v in range(4)])
-_EDGE_CELLS = _cells(EDGE_VERTS, key=lambda vs: tuple(sorted(vs)))
-# Link corners: corner 3v + j is the end at vertex v of the j-th edge from
-# v, so the corners of vertex v are 3v, 3v + 1 and 3v + 2.
-_CORNER_CELLS = _cells([(v, w) for v in range(4) for w in range(4) if w != v])
+_CELLS = {
+    "vertex": _cells([(v,) for v in range(4)]),
+    "edge": _cells(EDGE_VERTS, key=lambda vs: tuple(sorted(vs))),
+    # Link corners: corner 3v + j is the end at vertex v of the j-th edge
+    # from v, so the corners of vertex v are 3v, 3v + 1 and 3v + 2.
+    "corner": _cells([(v, w) for v in range(4) for w in range(4) if w != v]),
+}
 
 
 def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
@@ -250,6 +259,13 @@ def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
     return label, count
 
 
+def _labels(tri: Triangulation, kind: str) -> tuple[list[int], int]:
+    """The _closure of tri's "vertex", "edge" or "corner" cells, searched once; shared, not to be mutated."""
+    if kind not in tri._classes:
+        tri._classes[kind] = _closure(tri, _CELLS[kind])
+    return tri._classes[kind]
+
+
 @dataclass(frozen=True)
 class EdgeClass:
     """One edge of the quotient complex, as a set of in-tetrahedron edges."""
@@ -262,10 +278,12 @@ class EdgeClass:
         return len(self.embeddings)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeClassTable:
-    classes: list[EdgeClass]
-    class_of: dict[tuple[int, int], int] = field(repr=False)
+    """The edge classes of one triangulation, shared until its next glue, hence read-only."""
+
+    classes: tuple[EdgeClass, ...]
+    class_of: Mapping[tuple[int, int], int] = field(repr=False)  # (tet, edge) -> class
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -276,12 +294,15 @@ class EdgeClassTable:
 
 def edge_classes(tri: Triangulation) -> EdgeClassTable:
     """Edge classes: in-tetrahedron edges identified across glued faces."""
-    label, count = _closure(tri, _EDGE_CELLS)
-    members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for x, c in enumerate(label):
-        members[c].append(divmod(x, 6))
-    classes = [EdgeClass(i, tuple(m)) for i, m in enumerate(members)]
-    return EdgeClassTable(classes, {emb: c.index for c in classes for emb in c.embeddings})
+    if "table" not in tri._classes:
+        label, count = _labels(tri, "edge")
+        members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for x, c in enumerate(label):
+            members[c].append(divmod(x, 6))
+        classes = tuple(EdgeClass(i, tuple(m)) for i, m in enumerate(members))
+        class_of = MappingProxyType({emb: c.index for c in classes for emb in c.embeddings})
+        tri._classes["table"] = EdgeClassTable(classes, class_of)
+    return tri._classes["table"]
 
 
 def vertex_classes(tri: Triangulation) -> list[int]:
@@ -289,8 +310,9 @@ def vertex_classes(tri: Triangulation) -> list[int]:
 
     Vertices are identified across glued faces; each class (a cusp of a
     closed ideal triangulation) is numbered in order of its smallest member.
+    The list is the caller's own copy.
     """
-    return _closure(tri, _VERTEX_CELLS)[0]
+    return list(_labels(tri, "vertex")[0])
 
 
 @dataclass
@@ -330,7 +352,7 @@ def validate(tri: Triangulation) -> ValidationReport:
     if not all_glued:
         failures.append("not all faces are glued")
 
-    edge_count = _closure(tri, _EDGE_CELLS)[1]
+    edge_count = _labels(tri, "edge")[1]
     edge_count_ok = edge_count == tri.tet_count
     if not edge_count_ok:
         failures.append(
@@ -344,8 +366,8 @@ def validate(tri: Triangulation) -> ValidationReport:
         # (tetrahedron, vertex) incidence, with one corner per edge at
         # that vertex.  Each link edge is shared by two triangles, so the
         # Euler characteristic V - E + F is corners - F/2.
-        vertex, count = _closure(tri, _VERTEX_CELLS)
-        corner, _ = _closure(tri, _CORNER_CELLS)
+        vertex, count = _labels(tri, "vertex")
+        corner, _ = _labels(tri, "corner")
         # Corner 12t + 3v + j lies at vertex 4t + v.
         at_vertex = {c: vertex[x // 3] for x, c in enumerate(corner)}
         corners = Counter(at_vertex.values())

@@ -20,12 +20,12 @@ maximize_volume call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .angles import _ARRANGEMENTS, AngleAssignment, SHAPES, Shape, assign_angles, theorem_family
 from .blocks import decompose
-from .triangulation import Triangulation, edge_classes
+from .triangulation import Triangulation
 from .word import Word, inner_word
 
 if TYPE_CHECKING:
@@ -153,7 +153,7 @@ def maximize_volume(
         raise ValueError("triangulation has no tetrahedra")
     from ._solver import maximize
 
-    return maximize(tri, edge_classes(tri), seed, tolerance, max_iters)
+    return maximize(tri, seed, tolerance, max_iters)
 
 
 @dataclass
@@ -175,39 +175,11 @@ class BoundsReport:
     crossover: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "word": self.word,
-            "tet_count": self.tet_count,
-            "n_inner": self.n_inner,
-            "C": self.C,
-            "explicit_volume": self.explicit_volume,
-            "lower_mult": self.lower_mult,
-            "lower_additive": self.lower_additive,
-            "upper_additive": self.upper_additive,
-            "ishikawa_nemoto": self.ishikawa_nemoto,
-            "petronio_vesnin": self.petronio_vesnin,
-            "best_lower": self.best_lower,
-            "best_upper": self.best_upper,
-            "crossover": self.crossover,
-        }
+        # vars, not asdict: asdict deep-copies, and survey calls this per word.
+        return {"schema_version": 1, **vars(self)}
 
 
-CSV_COLUMNS = [
-    "word",
-    "tet_count",
-    "n_inner",
-    "C",
-    "explicit_volume",
-    "lower_mult",
-    "lower_additive",
-    "upper_additive",
-    "ishikawa_nemoto",
-    "petronio_vesnin",
-    "best_lower",
-    "best_upper",
-    "crossover",
-]
+CSV_COLUMNS = [f.name for f in fields(BoundsReport)]
 
 
 def bounds_report(w: Word) -> BoundsReport:

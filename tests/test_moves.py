@@ -238,10 +238,10 @@ def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
                 if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
                     continue
                 for axis in (0, 1):
-                    after = _degrees_after_44(state, table, cls.index, axis)
+                    after = _degrees_after_44(state, cls.index, axis)
                     assert after[cls.index] == 0, name
                     predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
-                    rebuilt = edge_classes(moves._move_44(state, table, cls.index, axis))
+                    rebuilt = edge_classes(moves.move_44(state, cls.index, axis))
                     assert sorted(predicted) == sorted(rebuilt.degrees()), (name, cls.index, axis)
                     if moves._applicable_32(rebuilt) is not None:
                         assert 3 in after.values(), (name, cls.index, axis)
@@ -266,8 +266,8 @@ def test_simplify_builds_no_trial_on_long_word(monkeypatch):
     inner = tuple(("LR"[i % 2], 2) for i in range(60))
     tri = build_sakuma_weeks(Word((("R", 1),) + inner + (("L", 1),)))
     calls = []
-    core = moves._move_44
-    monkeypatch.setattr(moves, "_move_44", lambda *args: calls.append(args[2:]) or core(*args))
+    core = moves.move_44
+    monkeypatch.setattr(moves, "move_44", lambda *args: calls.append(args[1:]) or core(*args))
     trace = simplify(tri)
     assert tri.tet_count == 242 and trace.moves == [] and calls == []
     # RL^3R: the one trial built is the 4-4 move kept.

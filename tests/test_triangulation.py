@@ -1,11 +1,18 @@
+import ast
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import twobridge
+import twobridge.triangulation as triangulation
 from test_isosig import open_copy
+from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import are_isomorphic, encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
+from twobridge.volume import maximize_volume
 from twobridge.triangulation import (
     EDGE_INDEX,
     IDENTITY,
@@ -290,6 +297,88 @@ def test_validate_detects_missing_gluing():
     report = validate(tri)
     assert not report.all_faces_glued
     assert not report.passed
+
+
+def test_glue_after_a_class_query_changes_the_answers():
+    # One face of two tetrahedra glued by the identity identifies three
+    # pairs of edges and three of vertices; all four faces leave the six
+    # edges and four vertices of a doubled tetrahedron.
+    tri = Triangulation(2)
+    tri.glue(0, 0, 1, IDENTITY)
+    assert len(edge_classes(tri)) == 9 and len(set(vertex_classes(tri))) == 5
+    assert validate(tri).failures[0] == "not all faces are glued"
+    for f in (1, 2, 3):
+        tri.glue(0, f, 1, IDENTITY)
+    assert len(edge_classes(tri)) == 6 and vertex_classes(tri) == [0, 1, 2, 3] * 2
+    report = validate(tri)
+    assert report.all_faces_glued and report.edge_class_count == 6
+    assert report.vertex_link_eulers == [2, 2, 2, 2]
+
+
+def test_shared_edge_class_table_is_read_only():
+    tri = build_sakuma_weeks(parse_word("R^2LR"))
+    table = edge_classes(tri)
+    assert edge_classes(tri) is table
+    with pytest.raises(FrozenInstanceError):
+        table.classes = ()
+    with pytest.raises(TypeError):
+        table.class_of[(0, 0)] = 1
+    assert edge_classes(tri) == edge_classes(build_sakuma_weeks(parse_word("R^2LR")))
+
+
+def test_vertex_classes_hands_out_a_copy():
+    tri = build_sakuma_weeks(parse_word("R^2LR"))
+    labels = vertex_classes(tri)
+    expected = list(labels)
+    labels[0] = 99
+    labels.append(7)
+    assert vertex_classes(tri) == expected
+
+
+def test_one_gluing_search_per_cell_kind(monkeypatch):
+    # The analyses of one word share the classes of its triangulation: one
+    # search each over vertices, edges and link corners (7 searches when
+    # every query searched afresh).
+    sizes = []
+    search = triangulation._closure
+    monkeypatch.setattr(triangulation, "_closure", lambda tri, cells: sizes.append(cells[0]) or search(tri, cells))
+    w = parse_word("RL^2RLR")
+    tri = build_sakuma_weeks(w)
+    assert validate(tri).passed
+    degree_predicates(tri, w)
+    assert verify_angle_structure(tri, expand_to_tetrahedra(assign_angles(w), tri)).passed
+    assert maximize_volume(tri, seed=assign_angles(w)).converged
+    assert sorted(sizes) == [4, 6, 12]  # cells per tetrahedron: vertices, edges, corners
+
+
+def test_only_triangulation_methods_assign_into_glue():
+    # The stored classes stay right only while every change of the gluings
+    # goes through Triangulation.glue, which clears them.
+    mutators = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "__setitem__"}
+    offenders = []
+    for path in sorted(Path(twobridge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Triangulation"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in mutators:
+                targets = [node.func.value]
+            else:
+                continue
+            touches = any(isinstance(x, ast.Attribute) and x.attr == "_glue" for t in targets for x in ast.walk(t))
+            if touches and id(node) not in inside:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_no_self_face_gluings(words_ell8):

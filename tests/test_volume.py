@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -316,7 +317,7 @@ def test_maximize_rejects_bad_seed():
 
 def angle_residual(tri, res):
     """max |A x - b| over every angle equation, dropped rows included."""
-    A, b = _constraint_system(tri, edge_classes(tri))
+    A, b = _constraint_system(tri)
     return float(np.max(np.abs(A @ res.angles.ravel() - b)))
 
 
@@ -465,10 +466,9 @@ def test_cusp_relations_leave_independent_rows():
         tri = build_sakuma_weeks(w)
         final = simplify(tri).final
         for t in (tri,) if final is tri else (tri, final):
-            table = edge_classes(t)
-            A, _ = _constraint_system(t, table)
+            A, _ = _constraint_system(t)
             dense = A.toarray()
-            keep = _independent_rows(t, table)
+            keep = _independent_rows(t)
             expected = 2 * t.tet_count - len(set(vertex_classes(t)))
             assert keep.sum() == expected, str(w)
             assert np.linalg.matrix_rank(dense) == expected, str(w)
@@ -478,6 +478,28 @@ def test_cusp_relations_leave_independent_rows():
 def seed_angles(seed):
     """The angle vector of an explicit assignment, in maximize_volume's order."""
     return np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in (la.h, la.v, la.d)])
+
+
+def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):
+    # maximize reads the seed from the integer angles in units of pi/24; the
+    # first evaluation of V sees exactly the Fraction angles times pi.  The
+    # words cover the 25 layer arrangements used up to 10 inner syllables,
+    # and every multiple of pi/24 converts alike.
+    exact = np.array([float(Fraction(k, 24)) * math.pi for k in range(25)])
+    assert (np.arange(25) / 24 * math.pi).tobytes() == exact.tobytes()
+
+    class Seen(Exception):
+        pass
+
+    def first_value(theta):
+        raise Seen(theta)
+
+    monkeypatch.setattr(solver, "_lobachevsky_array", first_value)
+    for w in enumerate_words(6, {1, 2}):
+        seed = assign_angles(w)
+        with pytest.raises(Seen) as seen:
+            maximize_volume(build_sakuma_weeks(w), seed=seed)
+        assert seen.value.args[0].tobytes() == seed_angles(seed).tobytes(), str(w)
 
 
 def test_newton_step_matches_dense_kkt():
@@ -492,9 +514,8 @@ def test_newton_step_matches_dense_kkt():
         tri = build_sakuma_weeks(w)
         pairs = triangle_pairs(tri)
         for t in (tri, simplify(tri).final, pachner_23(tri, pairs[0][0]), pachner_23(tri, pairs[-1][0])):
-            table = edge_classes(t)
-            A, b = _constraint_system(t, table)
-            keep = _independent_rows(t, table)
+            A, b = _constraint_system(t)
+            keep = _independent_rows(t)
             factor = _schur_solver(A, keep)
             n = A.shape[1]
             kept = A.toarray()[keep]
@@ -524,9 +545,8 @@ def test_newton_step_is_accurate_near_flat_tetrahedra():
     assert res.converged and res.iterations == 13
     x = res.angles.ravel()
     assert x.min() < 0.002 and x.max() > math.pi - 0.004
-    table = edge_classes(t)
-    A, b = _constraint_system(t, table)
-    keep = _independent_rows(t, table)
+    A, b = _constraint_system(t)
+    keep = _independent_rows(t)
     kept = A.toarray()[keep]
     g, h, residual = -np.log(np.abs(2.0 * np.sin(x))), -1.0 / np.tan(x), A @ x - b
     kkt = np.block([[np.diag(h), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
@@ -541,7 +561,7 @@ def test_dependent_rows_raise_verification_error(monkeypatch):
     # tetrahedra were searched), so every edge row is kept here: the cusp
     # relations then make the rows dependent, and S singular.
     monkeypatch.setattr(
-        "twobridge._solver._independent_rows", lambda tri, table: np.ones(tri.tet_count + len(table), dtype=bool)
+        "twobridge._solver._independent_rows", lambda tri: np.ones(tri.tet_count + len(edge_classes(tri)), dtype=bool)
     )
     for text in ("RL", "R^2LR", "RL^2RLR^6"):
         with pytest.raises(VerificationError):
@@ -603,9 +623,8 @@ def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
 
     monkeypatch.setattr(solver, "dpbtrf", factor)
     tri = build_sakuma_weeks(long_family_word(ell, random.Random(ell)))
-    table = edge_classes(tri)
-    A, _ = _constraint_system(tri, table)
-    assert _schur_solver(A, _independent_rows(tri, table))(np.full(A.shape[1], -1.0)) is not None
+    A, _ = _constraint_system(tri)
+    assert _schur_solver(A, _independent_rows(tri))(np.full(A.shape[1], -1.0)) is not None
     assert len(widths) == 1 and widths[0] <= 12
 
 

@@ -4,9 +4,11 @@ volume.py imports this module on the first maximize_volume call, so that
 ``import twobridge`` and every path that needs no maximiser stay on the
 standard library.  A Newton step eliminates one angle per tetrahedron and
 solves the banded Schur complement of the edge equations, after dropping
-the one dependent edge equation per cusp, by LAPACK's band Cholesky;
-scipy.optimize is imported only for the linear program that decides input
-where the loop does not end at a converged interior point.
+the one dependent edge equation per cusp, by LAPACK's band Cholesky.  The
+equations are one integer table of the rows each angle appears in, so
+scipy.optimize, and scipy.sparse with it, load only for the linear program
+that decides input where the loop does not end at a converged interior
+point.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import csr_matrix, hstack
 
 from .angles import AngleAssignment
-from .triangulation import EDGE_VERTS, Triangulation, VerificationError, edge_classes, vertex_classes
+from .triangulation import EDGE_VERTS, Triangulation, VerificationError, _labels
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
 # The series of volume.lobachevsky as coefficients of (t/pi)^(2m).
@@ -37,28 +38,22 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.copysign(value, t), 0.0)
 
 
-# Opposite-edge pair (0, 1 or 2) of each in-tetrahedron edge 0..5.
-_PAIR = np.array([0, 1, 2, 2, 1, 0])
-
-
-def _constraint_system(tri: Triangulation):
-    """Sparse equations A x = b for angle structures; x has 3 entries per tet.
+def _constraint_system(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The equations A x = b for angle structures, as (rows, b).
 
     Variable 3t + p is the angle on the opposite-edge pair p of
     tetrahedron t (pairs are edges (0,5), (1,4), (2,3)).  Rows 0..n-1 are
-    the tetrahedra (sum pi), then one row per edge class (sum 2 pi).  A is
-    a CSR matrix; both edges of a pair in one class give the entry 2.
+    the tetrahedra (sum pi), then one row per edge class (sum 2 pi).
+    rows[3t + p] holds the rows of A with a 1 in column 3t + p: row t and
+    the class rows of the pair's two edges, twice the same one where both
+    are in one class.
     """
-    n, table = tri.tet_count, edge_classes(tri)
-    edge_row = np.fromiter(
-        (table.class_of[(t, e)] for t in range(n) for e in range(6)), np.int64, 6 * n
-    )
-    rows = np.concatenate([np.repeat(np.arange(n), 3), n + edge_row])
-    cols = np.concatenate([np.arange(3 * n), np.repeat(3 * np.arange(n), 6) + np.tile(_PAIR, n)])
-    # Repeated (row, column) places are summed.
-    A = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + len(table), 3 * n))
-    b = np.concatenate([np.full(n, math.pi), np.full(len(table), 2.0 * math.pi)])
-    return A, b
+    n = tri.tet_count
+    label, count = _labels(tri, "edge")  # class of edge e of tetrahedron t at 6t + e
+    edge_row = n + np.array(label, dtype=np.int64).reshape(n, 6)
+    rows = np.stack([np.repeat(np.arange(n), 3), edge_row[:, :3].ravel(), edge_row[:, :2:-1].ravel()], axis=1)
+    b = np.concatenate([np.full(n, math.pi), np.full(count, 2.0 * math.pi)])
+    return rows, b
 
 
 def _independent_rows(tri: Triangulation) -> np.ndarray:
@@ -71,16 +66,17 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
     columns of elimination on the cusps-by-edges matrix m; on a valid
     triangulation with c cusps the remaining 2n - c rows are independent.
     """
-    n, table = tri.tet_count, edge_classes(tri)
-    cusp = np.array(vertex_classes(tri), dtype=np.int64)
-    # Both ends of the first embedding of each edge class.
-    t, e = np.array([cls.embeddings[0] for cls in table.classes], dtype=np.int64).reshape(-1, 2).T
-    ends = cusp[4 * t[:, None] + np.array(EDGE_VERTS)[e]]
-    m = np.zeros((cusp.max(initial=-1) + 1, len(table)))
-    np.add.at(m, (ends, np.arange(len(table))[:, None]), 1.0)
-    keep = np.ones(n + len(table), dtype=bool)
+    n = tri.tet_count
+    edge, count = _labels(tri, "edge")
+    vertex, cusps = _labels(tri, "vertex")
+    # Both ends of the first member 6t + e of each edge class.
+    t, e = np.divmod(np.unique(np.array(edge, dtype=np.int64), return_index=True)[1], 6)
+    ends = np.array(vertex, dtype=np.int64)[4 * t[:, None] + np.array(EDGE_VERTS)[e]]
+    m = np.zeros((cusps, count))
+    np.add.at(m, (ends, np.arange(count)[:, None]), 1.0)
+    keep = np.ones(n + count, dtype=bool)
     r = 0
-    for col in range(len(table)):
+    for col in range(count):
         if r == len(m):
             break
         p = r + int(np.argmax(np.abs(m[r:, col])))
@@ -93,7 +89,7 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
     return keep
 
 
-def _interior_point(A, b: np.ndarray) -> np.ndarray | None:
+def _interior_point(rows: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """A strictly positive solution of A x = b via slack maximisation, or
     None: maximize_volume's verdict when its Newton loop does not converge.
 
@@ -102,11 +98,14 @@ def _interior_point(A, b: np.ndarray) -> np.ndarray | None:
     tetrahedron equations (sum pi over three positive angles) imply them.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
-    n = A.shape[1]
+    n, m = len(rows), len(b)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    A_eq = hstack([A, csr_matrix((A @ np.ones(n))[:, None])], format="csr")
+    # Each entry of A goes to its column and to column n; repeated places are summed, so column n is A 1.
+    at = (np.tile(rows.ravel(), 2), np.concatenate([np.repeat(np.arange(n), 3), np.full(3 * n, n)]))
+    A_eq = csr_matrix((np.ones(6 * n), at), shape=(m, n + 1))
     res = linprog(c, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * n + [(None, None)], method="highs")
     if not res.success or res.x[-1] <= 1e-9:
         return None
@@ -132,7 +131,7 @@ _ON_PLANE = 1e-12
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 
 
-def _schur_solver(A, keep: np.ndarray):
+def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     """factor(h) -> solve(ascent, residual), the step d of the KKT system
     [[diag(h), A_kept^T], [A_kept, 0]] [d; y] = [-ascent; -residual_kept].
 
@@ -143,13 +142,10 @@ def _schur_solver(A, keep: np.ndarray):
     unless LAPACK's band Cholesky finds S positive definite and nonsingular
     to rounding.
     """
-    n = A.shape[1]
+    n = len(rows)
     tets, k = n // 3, int(keep.sum()) - n // 3
-    # Column 3t + p of A holds 1 in row t and in the class rows of the pair's
-    # two edge ends (2 if they agree); each end gets its kept edge row or -1.
-    csc = A.tocsc()
-    ends = np.repeat(csc.indices, csc.data.astype(np.int64)).reshape(n, 3)[:, 1:]
-    row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[ends].reshape(tets, 6)
+    # Each of the pair's two edge ends gets its kept edge row or -1.
+    row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[rows[:, 1:]].reshape(tets, 6)
     at, var = row[row >= 0], np.flatnonzero(row >= 0) // 2  # S row and angle of each kept end
     i, j = row[:, :, None], row[:, None, :]
     lower = (j >= 0) & (i >= j)
@@ -191,20 +187,23 @@ def _schur_solver(A, keep: np.ndarray):
 
 def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
     """The body of volume.maximize_volume, on checked arguments."""
-    A, b = _constraint_system(tri)
-    n = 3 * tri.tet_count
+    rows, b = _constraint_system(tri)
+    n = len(rows)
+
+    def residual_at(v):  # A v - b
+        return np.bincount(rows.ravel(), np.repeat(v, 3), len(b)) - b
 
     if seed is not None:
         # Variable order per tetrahedron is (horizontal, vertical, diagonal), units[1, 0, 2],
         # to match the edge-pair numbering (0,5), (1,4), (2,3).
         x = np.array([la.units[p] for la in seed.layers for _ in (0, 1) for p in (1, 0, 2)]) / 24 * math.pi
-        if x.shape != (n,) or np.max(np.abs(A @ x - b)) > 1e-9 or x.min() <= 0:
+        if x.shape != (n,) or np.max(np.abs(residual_at(x))) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
         x = np.full(n, math.pi / 3)
 
     keep = _independent_rows(tri)
-    factor = _schur_solver(A, keep)
+    factor = _schur_solver(rows, keep)
     projector = factor(np.full(n, -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:
         raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
@@ -221,7 +220,7 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     fx = value(x)
     g = grad(x)
     gnorm = float(np.linalg.norm(project(g)))
-    residual = A @ x - b
+    residual = residual_at(x)
     mu = _BARRIER / _BARRIER_FALL
     it = 0
     for it in range(1, max_iters + 1):
@@ -257,9 +256,9 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         x, fx = x_new, f_new
         g = grad(x)
         gnorm = float(np.linalg.norm(project(g)))
-        residual = A @ x - b
+        residual = residual_at(x)
     converged = gnorm <= tolerance and float(np.max(np.abs(residual))) <= _ON_PLANE
     result = MaximizeResult(x.reshape(-1, 3), fx, gnorm, it, converged)
-    if not result.converged and _interior_point(A, b) is None:
+    if not result.converged and _interior_point(rows, b) is None:
         raise ValueError("no strict angle structure: constraint system infeasible")
     return result

@@ -250,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, MemoryError) as exc:  # exponents too large to expand into letters
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
+        return 1
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

@@ -305,16 +305,6 @@ def edge_classes(tri: Triangulation) -> EdgeClassTable:
     return tri._classes["table"]
 
 
-def vertex_classes(tri: Triangulation) -> list[int]:
-    """Vertex class of each tetrahedron vertex, indexed 4t + v.
-
-    Vertices are identified across glued faces; each class (a cusp of a
-    closed ideal triangulation) is numbered in order of its smallest member.
-    The list is the caller's own copy.
-    """
-    return list(_labels(tri, "vertex")[0])
-
-
 @dataclass
 class ValidationReport:
     """Checks that a closed ideal triangulation with torus cusps must pass."""

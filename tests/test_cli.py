@@ -72,6 +72,19 @@ def test_one_syllable_words_rejected(capsys, command):
     assert code == 1 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("command", ["build", "edges", "simplify", "volume"])
+def test_huge_exponent_is_bad_input(capsys, command):
+    # R L^(10^20) overflows the letter expansion before anything is allocated
+    code, out, err = run_cli([command, "RL^100000000000000000000"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_huge_exponent_bounds_succeed(capsys):
+    code, out, _ = run_cli(["bounds", "RL^100000000000000000000"], capsys)
+    assert code == 0 and out
+
+
 def test_angles_verified(capsys):
     code, out, _ = run_cli(["angles", "RL^2R", "--json"], capsys)
     assert code == 0

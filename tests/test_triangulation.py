@@ -23,7 +23,6 @@ from twobridge.triangulation import (
     edge_classes,
     gluing_table,
     validate,
-    vertex_classes,
 )
 from twobridge.word import parse_word
 
@@ -217,7 +216,7 @@ def assert_matches_union_find(tri):
     table = edge_classes(tri)
     assert [(c.index, list(c.embeddings)) for c in table.classes] == list(enumerate(expected))
     assert table.class_of == {divmod(x, 6): c for x, c in enumerate(edge)}
-    assert vertex_classes(tri) == oracle_vertex_labels(tri)
+    assert triangulation._labels(tri, "vertex")[0] == oracle_vertex_labels(tri)
     report = validate(tri)
     assert report.edge_class_count == len(expected)
     assert report.vertex_link_eulers == (oracle_link_eulers(tri) if tri.is_closed() else [])
@@ -305,11 +304,11 @@ def test_glue_after_a_class_query_changes_the_answers():
     # edges and four vertices of a doubled tetrahedron.
     tri = Triangulation(2)
     tri.glue(0, 0, 1, IDENTITY)
-    assert len(edge_classes(tri)) == 9 and len(set(vertex_classes(tri))) == 5
+    assert len(edge_classes(tri)) == 9 and triangulation._labels(tri, "vertex")[1] == 5
     assert validate(tri).failures[0] == "not all faces are glued"
     for f in (1, 2, 3):
         tri.glue(0, f, 1, IDENTITY)
-    assert len(edge_classes(tri)) == 6 and vertex_classes(tri) == [0, 1, 2, 3] * 2
+    assert len(edge_classes(tri)) == 6 and triangulation._labels(tri, "vertex") == ([0, 1, 2, 3] * 2, 4)
     report = validate(tri)
     assert report.all_faces_glued and report.edge_class_count == 6
     assert report.vertex_link_eulers == [2, 2, 2, 2]
@@ -324,15 +323,6 @@ def test_shared_edge_class_table_is_read_only():
     with pytest.raises(TypeError):
         table.class_of[(0, 0)] = 1
     assert edge_classes(tri) == edge_classes(build_sakuma_weeks(parse_word("R^2LR")))
-
-
-def test_vertex_classes_hands_out_a_copy():
-    tri = build_sakuma_weeks(parse_word("R^2LR"))
-    labels = vertex_classes(tri)
-    expected = list(labels)
-    labels[0] = 99
-    labels.append(7)
-    assert vertex_classes(tri) == expected
 
 
 def test_one_gluing_search_per_cell_kind(monkeypatch):

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 import twobridge
 from conftest import all_normalized_words
 import twobridge._solver as solver
-from twobridge._solver import _constraint_system, _independent_rows, _lobachevsky_array, _schur_solver
+from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
 from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
@@ -23,8 +23,8 @@ from twobridge.triangulation import (
     VerificationError,
     build_sakuma_weeks,
     edge_classes,
+    _labels,
     validate,
-    vertex_classes,
 )
 from twobridge.volume import (
     _LOBACHEVSKY_24,
@@ -249,6 +249,24 @@ def test_maximize_rejects_infeasible_pachner_copies():
     assert rejected == 6
 
 
+def test_interior_point_solves_the_dense_system():
+    # The LP verdict on its own: a strictly positive solution of the dense
+    # reference equations where one exists, None where none does.
+    tri = build_sakuma_weeks(parse_word("RL^2"))
+    copies = [pachner_23(tri, face) for face, _ in triangle_pairs(tri)]
+    points = [_interior_point(*_constraint_system(t)) for t in copies]
+    assert [i for i, x in enumerate(points) if x is not None] == [1, 2]
+    one_tet = Triangulation(1)
+    one_tet.glue(0, 0, 0, (1, 0, 3, 2))
+    one_tet.glue(0, 2, 0, (0, 1, 3, 2))
+    assert _interior_point(*_constraint_system(one_tet)) is None
+    r5l4 = build_sakuma_weeks(parse_word("R^5L^4"))
+    for t, x in [(r5l4, _interior_point(*_constraint_system(r5l4))), (copies[1], points[1]), (copies[2], points[2])]:
+        A, b = dense_system(t)
+        assert x.shape == (A.shape[1],) and x.min() > 0
+        assert np.max(np.abs(A @ x - b)) <= 1e-9
+
+
 def test_maximum_on_the_walls_is_not_converged():
     # the 2-3 move across RLR's first triangle leaves a polytope whose
     # supremum of V is on the walls: a strict structure exists, but the
@@ -280,15 +298,16 @@ def run_fresh(code):
 def test_unseeded_builder_words_skip_the_lp():
     # the Newton loop decides builder words alone; only the verdict on
     # infeasible input imports scipy.optimize.  Its steps are banded
-    # Cholesky solves, so scipy.sparse.linalg (SuperLU) is never loaded.
+    # Cholesky solves on an integer table of the equations, so scipy.sparse
+    # (and its SuperLU in scipy.sparse.linalg) is never loaded.
     code = (
         "import sys\n"
         "from twobridge import build_sakuma_weeks, maximize_volume, parse_word\n"
         "for text in ('RL^3R', 'R^5L^4'):\n"
         "    assert maximize_volume(build_sakuma_weeks(parse_word(text))).converged\n"
-        "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n"
+        "print(*(m in sys.modules for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))\n"
     )
-    assert run_fresh(code) == "False False"
+    assert run_fresh(code) == "False False False"
 
 
 def test_import_uses_the_stdlib_only():
@@ -315,9 +334,26 @@ def test_maximize_rejects_bad_seed():
         maximize_volume(build_sakuma_weeks(other), seed=assign_angles(w))
 
 
+def dense_system(tri):
+    """Dense A and b of the angle equations, built from the edge-class table.
+
+    A reference apart from _constraint_system: column 3t + p, the angle on
+    pair p of tetrahedron t (edges p and 5 - p), has 1 in row t and 1 per
+    edge end in each edge-class row n + c.
+    """
+    n, table = tri.tet_count, edge_classes(tri)
+    A = np.zeros((n + len(table), 3 * n))
+    for t in range(n):
+        A[t, 3 * t : 3 * t + 3] = 1.0
+        for e in range(6):
+            A[n + table.class_of[(t, e)], 3 * t + min(e, 5 - e)] += 1.0
+    b = np.concatenate([np.full(n, math.pi), np.full(len(table), 2.0 * math.pi)])
+    return A, b
+
+
 def angle_residual(tri, res):
     """max |A x - b| over every angle equation, dropped rows included."""
-    A, b = _constraint_system(tri)
+    A, b = dense_system(tri)
     return float(np.max(np.abs(A @ res.angles.ravel() - b)))
 
 
@@ -466,10 +502,9 @@ def test_cusp_relations_leave_independent_rows():
         tri = build_sakuma_weeks(w)
         final = simplify(tri).final
         for t in (tri,) if final is tri else (tri, final):
-            A, _ = _constraint_system(t)
-            dense = A.toarray()
+            dense, _ = dense_system(t)
             keep = _independent_rows(t)
-            expected = 2 * t.tet_count - len(set(vertex_classes(t)))
+            expected = 2 * t.tet_count - _labels(t, "vertex")[1]
             assert keep.sum() == expected, str(w)
             assert np.linalg.matrix_rank(dense) == expected, str(w)
             assert np.linalg.matrix_rank(dense[keep]) == expected, str(w)
@@ -507,18 +542,22 @@ def test_newton_step_matches_dense_kkt():
     # [[diag(h), A_kept^T], [A_kept, 0]]: at x = pi/3 (off the edge
     # equations), at a point off the tetrahedron equations too, and at the
     # seed.  The 2-3 copies have other cusp structures, hence other dropped
-    # rows.
+    # rows.  The solver's row table rebuilds the dense reference exactly.
     rng = np.random.default_rng(3)
     mu = 0.01
     for w in all_normalized_words(8):
         tri = build_sakuma_weeks(w)
         pairs = triangle_pairs(tri)
         for t in (tri, simplify(tri).final, pachner_23(tri, pairs[0][0]), pachner_23(tri, pairs[-1][0])):
-            A, b = _constraint_system(t)
-            keep = _independent_rows(t)
-            factor = _schur_solver(A, keep)
+            rows, b = _constraint_system(t)
+            A, dense_b = dense_system(t)
             n = A.shape[1]
-            kept = A.toarray()[keep]
+            rebuilt = np.zeros_like(A)
+            np.add.at(rebuilt, (rows, np.arange(n)[:, None]), 1.0)
+            assert rows.shape == (n, 3) and np.array_equal(rebuilt, A) and np.array_equal(b, dense_b), str(w)
+            keep = _independent_rows(t)
+            factor = _schur_solver(rows, keep)
+            kept = A[keep]
             points = [np.full(n, math.pi / 3), math.pi / 3 + rng.uniform(-0.2, 0.2, n)]
             if t is tri and theorem_family(w):
                 points.append(seed_angles(assign_angles(w)))
@@ -545,13 +584,13 @@ def test_newton_step_is_accurate_near_flat_tetrahedra():
     assert res.converged and res.iterations == 13
     x = res.angles.ravel()
     assert x.min() < 0.002 and x.max() > math.pi - 0.004
-    A, b = _constraint_system(t)
+    A, b = dense_system(t)
     keep = _independent_rows(t)
-    kept = A.toarray()[keep]
+    kept = A[keep]
     g, h, residual = -np.log(np.abs(2.0 * np.sin(x))), -1.0 / np.tan(x), A @ x - b
     kkt = np.block([[np.diag(h), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
     reference = np.linalg.solve(kkt, np.concatenate([-g, -residual[keep]]))[: len(x)]
-    step = _schur_solver(A, keep)(h)(g, residual)
+    step = _schur_solver(_constraint_system(t)[0], keep)(h)(g, residual)
     assert np.max(np.abs(step - reference)) <= 5e-15
 
 
@@ -623,8 +662,8 @@ def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
 
     monkeypatch.setattr(solver, "dpbtrf", factor)
     tri = build_sakuma_weeks(long_family_word(ell, random.Random(ell)))
-    A, _ = _constraint_system(tri)
-    assert _schur_solver(A, _independent_rows(tri))(np.full(A.shape[1], -1.0)) is not None
+    rows, _ = _constraint_system(tri)
+    assert _schur_solver(rows, _independent_rows(tri))(np.full(len(rows), -1.0)) is not None
     assert len(widths) == 1 and widths[0] <= 12
 
 

@@ -93,21 +93,19 @@ _UNITS: dict[str, tuple[int, int, int]] = {
 # Fraction(k, 24) for k = 0..24, shared by every angle the synthesis returns.
 _PI_24 = tuple(F(k, 24) for k in range(25))
 
-_CATALOG: tuple[Shape, ...] = tuple(
-    Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
-)
+SHAPES: dict[str, Shape] = {
+    name: Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
+}
 
 # The distinct (v, h, d) arrangements of each shape, in permutations order.
 _ARRANGEMENTS = {name: tuple(dict.fromkeys(permutations(units))) for name, units in _UNITS.items()}
 _SLOT = {"v": 0, "h": 1, "d": 2}
 _RANGE = {name: (min(units), max(units)) for name, units in _UNITS.items()}
 
-SHAPES: dict[str, Shape] = {s.name: s for s in _CATALOG}
-
 
 def shape_catalog() -> list[Shape]:
     """The shapes used by the explicit angle structures."""
-    return list(_CATALOG)
+    return list(SHAPES.values())
 
 
 def angle_str(q: Fraction) -> str:

@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import __version__
-from .angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
+from .angles import assign_angles, expand_to_tetrahedra, theorem_family, verify_angle_structure
 from .blocks import decompose
 from .isosig import encode_isosig
 from .moves import simplify
@@ -136,14 +136,8 @@ def _cmd_angles(args, out) -> int:
 def _cmd_volume(args, out) -> int:
     for w in _words_from_args(args):
         tri = build_sakuma_weeks(w)
-        seed = None
-        explicit = None
-        try:
-            assignment = assign_angles(w)
-            explicit = assignment_volume(assignment)
-            seed = assignment
-        except ValueError:
-            pass
+        seed = assign_angles(w) if theorem_family(w) else None
+        explicit = None if seed is None else assignment_volume(seed)
         res = maximize_volume(tri, seed=seed, tolerance=args.tolerance, max_iters=args.max_iters)
         doc = {
             "word": str(w),

@@ -6,17 +6,26 @@ edge; the 3-2 move is its inverse.  The 4-4 move retriangulates the
 octahedron around a degree-4 edge along one of the two alternative main
 diagonals.  All moves return new triangulations; survivors keep their
 relative order and new tetrahedra are appended at the end.
+
+Every move follows one rule (_retriangulate).  It names each vertex of
+the ball it retriangulates by a symbol, in every removed and every new
+tetrahedron, and each gluing maps a vertex to the vertex with the same
+symbol: a face of two new tetrahedra is glued between them, and a face of
+one new tetrahedron lies on the ball's boundary and keeps the outside
+gluing of the old facet with the same symbols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import json
 
 from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTS,
+    IDENTITY,
     EdgeClassTable,
     Perm,
     Triangulation,
@@ -25,157 +34,141 @@ from .triangulation import (
     invert,
 )
 
+# Symbols of the ends of an edge walked around by _edge_fan; the other
+# vertices of the fan are numbered 0, 1, ... in walk order.
+U, V = "U", "V"
 
-def _replace(
-    tri: Triangulation,
-    removed: list[int],
-    new_count: int,
-    internal: list[tuple[int, int, int, Perm]],
-    boundary: dict[tuple[int, int], tuple[int, Perm]],
-) -> Triangulation:
-    """Swap the subcomplex `removed` for `new_count` fresh tetrahedra.
 
-    `internal` lists gluings among the new tetrahedra as
-    (tet_a, facet_a, tet_b, perm_a_to_b) in new-tetrahedron indices.
-    `boundary` maps each boundary facet (old tet, old facet) of the removed
-    region to (new tet index, permutation old-labels -> new-labels).
-    Facets of removed tetrahedra absent from `boundary` must be glued
-    within the removed region and are dropped.
+def _match(a: tuple, fa: int, b: tuple, fb: int) -> Perm:
+    """The gluing of facet fa of symbols a to facet fb of symbols b."""
+    return tuple(fb if v == fa else b.index(s) for v, s in enumerate(a))
+
+
+def _retriangulate(tri: Triangulation, old: dict[int, tuple], new: list[tuple]) -> Triangulation:
+    """Swap the tetrahedra of `old` for `new`, glued by matching symbols.
+
+    `old[t][v]` is the symbol of vertex v of removed tetrahedron t, and each
+    new tetrahedron is the tuple of its vertices' symbols.
     """
-    removed_set = set(removed)
-    survivors = [t for t in range(tri.tet_count) if t not in removed_set]
-    new_index = {t: i for i, t in enumerate(survivors)}
+    survivors = [t for t in range(tri.tet_count) if t not in old]
+    index = {t: i for i, t in enumerate(survivors)}
     base = len(survivors)
+    out = Triangulation(base + len(new))
+    faces: dict[frozenset, list[tuple[int, int]]] = {}  # symbols -> (new tet, facet)
+    for j, syms in enumerate(new):
+        for f in range(4):
+            faces.setdefault(frozenset(syms) - {syms[f]}, []).append((j, f))
 
-    out = Triangulation(base + new_count)
+    def place(t: int, f: int) -> tuple[int, int, Perm] | None:
+        """(tet, facet, t's labels -> its labels) of an old facet, None inside the ball."""
+        if t not in old:
+            return index[t], f, IDENTITY
+        held = faces.get(frozenset(old[t]) - {old[t][f]}, ())
+        if len(held) != 1:
+            return None
+        j, g = held[0]
+        return base + j, g, _match(old[t], f, new[j], g)
 
-    def endpoint(t: int, f: int) -> tuple[int, int, Perm]:
-        """New (tet, facet, old->new relabelling) for an old facet."""
-        if t in removed_set:
-            nb, q = boundary[(t, f)]
-            return base + nb, q[f], q
-        return new_index[t], f, (0, 1, 2, 3)
-
-    done = set()
     for t in range(tri.tet_count):
         for f in range(4):
-            if (t, f) in done:
+            glued = tri.gluing(t, f)
+            if glued is None or (glued[0], glued[1][f]) < (t, f):
+                continue  # unglued, or done from its other side
+            t2, perm = glued
+            if t not in old and t2 not in old:
+                out.glue(index[t], f, index[t2], perm)
                 continue
-            g = tri.gluing(t, f)
-            if g is None:
-                continue
-            t2, perm = g
-            done.add((t, f))
-            done.add((t2, perm[f]))
-            if t in removed_set and (t, f) not in boundary:
-                continue  # interior to the removed region
-            nt, nf, q = endpoint(t, f)
-            nt2, _, q2 = endpoint(t2, perm[f])
-            out.glue(nt, nf, nt2, compose(q2, compose(perm, invert(q))))
-    for a, fa, b, perm in internal:
-        out.glue(base + a, fa, base + b, perm)
+            here, there = place(t, f), place(t2, perm[f])
+            if here is not None:  # else inside the ball
+                out.glue(here[0], here[1], there[0], compose(there[2], compose(perm, invert(here[2]))))
+    for (j, f), (k, g) in (held for held in faces.values() if len(held) == 2):
+        out.glue(base + j, f, base + k, _match(new[j], f, new[k], g))
     return out
 
 
 def triangle_pairs(tri: Triangulation) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All internal triangles as ((tet, facet), (tet, facet)) pairs, sorted."""
     pairs = []
-    seen = set()
     for t in range(tri.tet_count):
         for f in range(4):
-            if (t, f) in seen:
-                continue
             g = tri.gluing(t, f)
-            if g is None:
-                continue
-            t2, perm = g
-            seen.add((t, f))
-            seen.add((t2, perm[f]))
-            pairs.append(((t, f), (t2, perm[f])))
+            if g is not None and (g[0], g[1][f]) > (t, f):  # listed at its smaller end
+                pairs.append(((t, f), (g[0], g[1][f])))
     return pairs
 
 
 def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
-    """2-3 move across the internal triangle containing facet `face`."""
+    """2-3 move across the internal triangle containing facet `face`.
+
+    Both old tetrahedra name the face's vertices c_0 < c_1 < c_2 and the
+    apex f0 by their labels in t0, and the other apex 4; the new
+    tetrahedra are (f0, 4, c_k, c_{k+1}).
+    """
     t0, f0 = face
+    if t0 not in range(tri.tet_count) or f0 not in range(4):
+        raise ValueError(f"no facet {f0} of tetrahedron {t0}")
     g = tri.gluing(t0, f0)
     if g is None:
         raise ValueError("facet is not glued")
     t1, glu = g
     if t1 == t0:
         raise ValueError("2-3 move needs the face glued between two distinct tetrahedra")
-    c = [v for v in range(4) if v != f0]  # face vertices in t0
-    a0, a1 = f0, glu[f0]                  # apexes
-
-    internal = []
-    boundary = {}
-    for k in range(3):
-        ck, ck1, ck2 = c[k], c[(k + 1) % 3], c[(k + 2) % 3]
-        # New tetrahedron k has labels (0,1,2,3) = (apex0, apex1, c_k, c_{k+1}).
-        internal.append((k, 2, (k + 1) % 3, (0, 1, 3, 2)))
-        p0 = [0, 0, 0, 0]
-        p0[a0], p0[ck], p0[ck1], p0[ck2] = 0, 2, 3, 1
-        boundary[(t0, ck2)] = (k, tuple(p0))
-        p1 = [0, 0, 0, 0]
-        p1[a1], p1[glu[ck]], p1[glu[ck1]], p1[glu[ck2]] = 1, 2, 3, 0
-        boundary[(t1, glu[ck2])] = (k, tuple(p1))
-    return _replace(tri, [t0, t1], 3, internal, boundary)
+    c = [v for v in range(4) if v != f0]
+    old = {t0: IDENTITY, t1: tuple(4 if v == f0 else v for v in invert(glu))}
+    return _retriangulate(tri, old, [(f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)])
 
 
-def _edge_fan(tri: Triangulation, embeddings) -> list[tuple[int, Perm]]:
-    """Charts (tet, model-perm) walking once around an edge class.
+def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
+    """The n distinct tetrahedra walking once around a degree-n edge class.
 
-    The model tetrahedron has vertices (0,1,2,3) = (U, V, A, B) where UV is
-    the central edge; each chart maps model labels to tetrahedron labels,
-    and the walk leaves through model face UVB into the next chart, whose A
-    vertex is the previous B.  Starts at the smallest embedding.
+    The k-th tetrahedron names the ends of the edge U and V and its other
+    vertices k and k + 1 (modulo n), and the walk leaves it through face
+    U V k+1 into the next.  It starts at the smallest embedding, with U at
+    its smaller vertex.
     """
+    classes = edge_classes(tri).classes
+    if edge_class not in range(len(classes)):
+        raise ValueError(f"no edge class {edge_class}")
+    embeddings = classes[edge_class].embeddings
+    if len(embeddings) != n:
+        raise ValueError(f"edge class {edge_class} has degree {len(embeddings)}, need {n}")
+    if len({t for t, _ in embeddings}) != n:
+        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
+        raise ValueError(f"{move} distinct tetrahedra around the edge")
     t0, e0 = min(embeddings)
     u, v = EDGE_VERTS[e0]
-    others = [x for x in range(4) if x not in (u, v)]
-    chart = (t0, (u, v, others[0], others[1]))
+    a, b = (x for x in range(4) if x not in (u, v))
+    t, c = t0, (u, v, a, b)  # the vertices named U, V, k and k + 1
     fan = []
-    while True:
-        fan.append(chart)
-        t, c = chart
-        g = tri.gluing(t, c[2])  # leave through face {U, V, B} (opposite A)
+    for k in range(n):
+        syms = [U] * 4
+        syms[c[1]], syms[c[2]], syms[c[3]] = V, k, (k + 1) % n
+        fan.append((t, tuple(syms)))
+        g = tri.gluing(t, c[2])
         if g is None:
             raise ValueError("edge has a boundary face; cannot walk around it")
-        t2, perm = g
-        u2, v2, a2 = perm[c[0]], perm[c[1]], perm[c[3]]
-        b2 = next(x for x in range(4) if x not in (u2, v2, a2))
-        chart = (t2, (u2, v2, a2, b2))
-        if chart[0] == t0 and chart[1][:2] == (u, v) and chart[1][2] == others[0]:
-            break
-        if len(fan) > len(embeddings):
-            raise ValueError("edge walk failed to close")
-    if len(fan) != len(embeddings):
-        raise ValueError("edge walk length differs from edge degree")
+        t, perm = g
+        c = (perm[c[0]], perm[c[1]], perm[c[3]], perm[c[2]])
+    if (t, c[:3]) != (t0, (u, v, a)):
+        raise ValueError("edge walk failed to close")
     return fan
 
 
 def pachner_32(tri: Triangulation, edge_class: int) -> Triangulation:
-    """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
-    cls = edge_classes(tri).classes[edge_class]
-    if cls.degree != 3:
-        raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 3")
-    tets = [t for t, _ in cls.embeddings]
-    if len(set(tets)) != 3:
-        raise ValueError("3-2 move needs three distinct tetrahedra around the edge")
-    fan = _edge_fan(tri, cls.embeddings)
+    """3-2 move along a degree-3 edge class with three distinct tetrahedra.
 
-    # New tetrahedra: 0 = (E0, E1, E2, U), 1 = (E0, E1, E2, V); E_k is the
-    # third vertex (model A) of the k-th chart around the edge.
-    internal = [(0, 3, 1, (0, 1, 2, 3))]
-    boundary = {}
-    for k, (t, c) in enumerate(fan):
-        pu = [0, 0, 0, 0]
-        pu[c[0]], pu[c[2]], pu[c[3]], pu[c[1]] = 3, k, (k + 1) % 3, (k + 2) % 3
-        boundary[(t, c[1])] = (0, tuple(pu))  # face {U, A, B}, opposite V
-        pv = [0, 0, 0, 0]
-        pv[c[1]], pv[c[2]], pv[c[3]], pv[c[0]] = 3, k, (k + 1) % 3, (k + 2) % 3
-        boundary[(t, c[0])] = (1, tuple(pv))  # face {V, A, B}, opposite U
-    return _replace(tri, sorted(set(tets)), 2, internal, boundary)
+    On the symbols of _edge_fan the new tetrahedra are (0, 1, 2, U) and (0, 1, 2, V).
+    """
+    return _retriangulate(tri, dict(_edge_fan(tri, edge_class, 3)), [(0, 1, 2, U), (0, 1, 2, V)])
+
+
+# The new tetrahedra of the 4-4 move on the octahedron of _edge_fan's
+# symbols, per axis: the new diagonal is 0-2 for axis 0 and 1-3 for axis 1,
+# and the cycles around it make the move with the same axis undo itself.
+_OCTAHEDRA = (
+    ((0, 2, U, 3), (0, 2, 3, V), (0, 2, V, 1), (0, 2, 1, U)),
+    ((1, 3, 0, U), (1, 3, U, 2), (1, 3, 2, V), (1, 3, V, 0)),
+)
 
 
 def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
@@ -187,45 +180,24 @@ def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
     """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    cls = edge_classes(tri).classes[edge_class]
-    if cls.degree != 4:
-        raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need 4")
-    tets = [t for t, _ in cls.embeddings]
-    if len(set(tets)) != 4:
-        raise ValueError("4-4 move needs four distinct tetrahedra around the edge")
-    fan = _edge_fan(tri, cls.embeddings)
+    return _retriangulate(tri, dict(_edge_fan(tri, edge_class, 4)), _OCTAHEDRA[axis])
 
-    # Octahedron vertices as symbols: the central edge U V and the equator
-    # E0 E1 E2 E3 read off the canonical walk.  The replacement keeps the
-    # octahedron and re-diagonalises: new tetrahedra sit around D0 D1 with
-    # the remaining four vertices in the cycle F.  The F-cycles are chosen
-    # so that repeating the move with the same axis undoes it.
-    if axis == 0:
-        d0, d1 = "E0", "E2"
-        cycle = ("U", "E3", "V", "E1")
-    else:
-        d0, d1 = "E1", "E3"
-        cycle = ("E0", "U", "E2", "V")
-    labels = []  # symbol -> label map per new tetrahedron
-    for j in range(4):
-        labels.append({d0: 0, d1: 1, cycle[j]: 2, cycle[(j + 1) % 4]: 3})
-    internal = [(j, 2, (j + 1) % 4, (0, 1, 3, 2)) for j in range(4)]
 
-    boundary = {}
-    for k, (t, c) in enumerate(fan):
-        ek, ek1 = f"E{k}", f"E{(k + 1) % 4}"
-        for apex, other, facet in (("U", "V", c[1]), ("V", "U", c[0])):
-            face = {apex, ek, ek1}
-            j = next(jj for jj in range(4) if face <= set(labels[jj]))
-            lab = labels[j]
-            p = [0, 0, 0, 0]
-            p[c[0] if apex == "U" else c[1]] = lab[apex]
-            p[c[2]], p[c[3]] = lab[ek], lab[ek1]
-            p[c[0] if apex == "V" else c[1]] = next(
-                x for x in range(4) if x not in (lab[apex], lab[ek], lab[ek1])
-            )
-            boundary[(t, facet)] = (j, tuple(p))
-    return _replace(tri, sorted(set(tets)), 4, internal, boundary)
+def _degree_changes(new: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """(k, a, b, change) for each edge a b of the octahedron whose number of
+    tetrahedra the 4-4 move `new` changes, with k a walk tetrahedron
+    holding it; the new diagonal lies in none and is left out."""
+    old = [(U, V, k, (k + 1) % 4) for k in range(4)]
+    changes = []
+    for a, b in combinations((U, V, 0, 1, 2, 3), 2):
+        holders = [k for k, syms in enumerate(old) if a in syms and b in syms]
+        change = sum(a in syms and b in syms for syms in new) - len(holders)
+        if holders and change:
+            changes.append((holders[0], a, b, change))
+    return tuple(changes)
+
+
+_DEGREE_CHANGES = tuple(_degree_changes(new) for new in _OCTAHEDRA)
 
 
 @dataclass
@@ -240,7 +212,7 @@ class MoveRecord:
 class SimplificationTrace:
     moves: list[MoveRecord]
     final: Triangulation
-    initial_tets: int = field(default=0)
+    initial_tets: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -262,17 +234,16 @@ def _applicable_32(table: EdgeClassTable) -> int | None:
 def _degrees_after_44(tri: Triangulation, edge_class: int, axis: int) -> dict[int, int]:
     """Degree after move_44(tri, edge_class, axis) of each class the octahedron touches.
 
-    Each equator edge E_k E_{k+1} gains a tetrahedron; U-E_k and V-E_k lose
-    one for each E_k off the new diagonal; the central class loses all four.
-    Changes add up per class, so identified edges count with multiplicity.
+    Changes add up per class, so identified edges count with multiplicity;
+    the central class loses all four tetrahedra.
     """
     table = edge_classes(tri)
-    delta = {edge_class: -4}
-    fan = _edge_fan(tri, table.classes[edge_class].embeddings)
-    for k, (t, c) in enumerate(fan):  # chart k is (U, V, E_k, E_{k+1})
-        for edge, d in [(c[2:], 1)] + [((c[j], c[2]), -1) for j in (0, 1) if k % 2 != axis]:
-            x = table.class_of[(t, EDGE_INDEX[edge])]
-            delta[x] = delta.get(x, 0) + d
+    fan = _edge_fan(tri, edge_class, 4)
+    delta: dict[int, int] = {}
+    for k, a, b, change in _DEGREE_CHANGES[axis]:
+        t, syms = fan[k]
+        x = table.class_of[(t, EDGE_INDEX[(syms.index(a), syms.index(b))])]
+        delta[x] = delta.get(x, 0) + change
     return {x: table.classes[x].degree + d for x, d in delta.items()}
 
 

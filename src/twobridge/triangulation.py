@@ -35,6 +35,7 @@ from .word import Word, is_hyperbolic
 Perm = tuple[int, int, int, int]
 
 IDENTITY: Perm = (0, 1, 2, 3)
+_PERMS = frozenset(permutations(range(4)))
 
 EDGE_VERTS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX: dict[tuple[int, int], int] = {}
@@ -83,6 +84,9 @@ class Triangulation:
 
     def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
         """Glue facet f of tetrahedron t to tetrahedron t2 via perm."""
+        if not (0 <= t < self.tet_count and 0 <= t2 < self.tet_count and 0 <= f < 4) or perm not in _PERMS:
+            raise ValueError(f"gluing ({t}, {f}) to {t2} by {perm}: need tetrahedra below {self.tet_count}, "
+                             "a facet 0..3 and a permutation of 0..3")
         f2 = perm[f]
         if t == t2 and f == f2:
             raise ValueError("cannot glue a facet to itself")

@@ -238,10 +238,9 @@ def theorem_ratio_table() -> list[tuple[str, float]]:
     Each entry is (label, ratio) with ratio = V / (|T| v3) evaluated from
     full-precision shape volumes at the stated block parameters.
     """
-    V3 = v3()
 
     def over(shapes, layers):
-        return sum(tet_volume(SHAPES[s]) for s in shapes) / (layers * V3)
+        return sum(tet_volume(SHAPES[s]) for s in shapes) / (layers * _V3)
 
     entries = [
         ("start B2, k=1", over(["VII", "I", "VI"], 3)),

@@ -76,6 +76,34 @@ def test_pachner_23_rejects_self_gluing():
         pachner_23(tri, (0, 0))
 
 
+@pytest.mark.parametrize("face", [(-1, 0), (6, 0), (5, 4), (5, -1)])
+def test_pachner_23_rejects_faces_out_of_range(face):
+    # (-1, 0) would alias facet (5, 0), whose 2-3 move gives 7 tetrahedra.
+    tri = build_sakuma_weeks(parse_word("R^2LR"))
+    assert pachner_23(tri, (5, 0)).tet_count == 7 and validate(pachner_23(tri, (5, 0))).passed
+    with pytest.raises(ValueError, match="no facet"):
+        pachner_23(tri, face)
+
+
+@pytest.mark.parametrize("index", [-5, -1, 6, 100])
+def test_pachner_32_rejects_classes_out_of_range(index):
+    # R^2LR has 6 edge classes; -5 would alias class 1, which admits a 3-2 move.
+    tri = build_sakuma_weeks(parse_word("R^2LR"))
+    assert len(edge_classes(tri)) == 6 and 1 in applicable_32_classes(tri)
+    with pytest.raises(ValueError, match="no edge class"):
+        pachner_32(tri, index)
+
+
+@pytest.mark.parametrize("index", [-2, -4, 8, 100])
+def test_move_44_rejects_classes_out_of_range(index):
+    # RL^3R has 8 edge classes; -2 and -4 would alias classes 6 and 4, which admit 4-4 moves.
+    tri = build_sakuma_weeks(parse_word("RL^3R"))
+    assert len(edge_classes(tri)) == 8 and {4, 6} <= set(degree4_classes(tri))
+    for axis in (0, 1):
+        with pytest.raises(ValueError, match="no edge class"):
+            move_44(tri, index, axis)
+
+
 def test_move_44_golden_signature():
     tri = build_sakuma_weeks(parse_word("RL^3R"))
     results = set()
@@ -273,3 +301,34 @@ def test_simplify_builds_no_trial_on_long_word(monkeypatch):
     # RL^3R: the one trial built is the 4-4 move kept.
     trace = simplify(build_sakuma_weeks(parse_word("RL^3R")))
     assert calls == [(trace.moves[0].target, trace.moves[0].axis)]
+
+
+def every_move(tri):
+    """Each 2-3 move across an internal triangle, then each 3-2 and 4-4 move
+    on each edge class, as the result's JSON or the precondition's error."""
+    def outcome(move, *args):
+        try:
+            return move(*args).to_json()
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+    for face, _ in triangle_pairs(tri):
+        yield outcome(pachner_23, tri, face)
+    for cls in range(len(edge_classes(tri))):
+        yield outcome(pachner_32, tri, cls)
+        for axis in (0, 1):
+            yield outcome(move_44, tri, cls, axis)
+
+
+def test_every_move_digest_over_ell6(words_ell8):
+    # Every move on every word with at most 6 letters, on its simplify
+    # final and on its two 2-3 copies, as the moves gave them before they
+    # were rebuilt on one symbol-matching rule.  The builder's fold faces,
+    # where two tetrahedra share a second face, are among the 2-3 moves.
+    digest = hashlib.sha256()
+    for _, tri in with_pachner_23_copies(w for w in words_ell8 if w.ell <= 6):
+        final = simplify(tri).final
+        for state in (tri,) if final is tri else (tri, final):
+            for line in every_move(state):
+                digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == "b5301ccecfc20f1679928d73949e66a76396302497382500f04b1e23a0debfce"

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 from dataclasses import FrozenInstanceError
 from itertools import combinations
@@ -435,3 +436,20 @@ def test_json_roundtrip():
     back = Triangulation.from_json(tri.to_json())
     assert back == tri
     assert back.layer_of == tri.layer_of
+
+
+@pytest.mark.parametrize("gluing", [[1, "0012"], [-1, "1032"], [2, "1032"], [1, "10325"]])
+def test_from_json_rejects_malformed_gluings(gluing):
+    # A repeated vertex, a tetrahedron outside range(2) and a five-letter
+    # permutation are all refused by glue, the only mutator.
+    doc = {"schema_version": 1, "tet_count": 2, "gluings": [[gluing, None, None, None], [None] * 4]}
+    with pytest.raises(ValueError):
+        Triangulation.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("args", [(0, 4, 1, IDENTITY), (0, -1, 1, IDENTITY), (-1, 0, 1, IDENTITY), (0, 0, 1, (0, 1, 2, 2))])
+def test_glue_rejects_malformed_gluings(args):
+    tri = Triangulation(2)
+    with pytest.raises(ValueError):
+        tri.glue(*args)
+    assert tri == Triangulation(2)

@@ -49,6 +49,7 @@ of the synthesis above.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -385,14 +386,13 @@ def verify_angle_structure(
     """Check positivity, per-tetrahedron sums pi and per-edge-class sums 2*pi.
 
     Exact arithmetic when all values are Fractions (in units of pi): sums
-    of integers in units of pi/24 when every denominator divides 24, else
-    of Fractions.  With float entries (radians) a 1e-9 tolerance is used.
+    of integers in units of pi/D, D the least common multiple of the
+    denominators.  With float entries (radians) a 1e-9 tolerance is used.
     """
-    exact = all(isinstance(x, Fraction) for x in angle_map.values())
-    pi_val, tol = (F(1), 0) if exact else (3.141592653589793, 1e-9)
-    if exact and all(24 % x.denominator == 0 for x in angle_map.values()):
-        angle_map = {key: x.numerator * 24 // x.denominator for key, x in angle_map.items()}
-        pi_val = 24
+    pi_val, tol = math.pi, 1e-9
+    if all(isinstance(x, Fraction) for x in angle_map.values()):
+        pi_val, tol = math.lcm(*(x.denominator for x in angle_map.values())), 0
+        angle_map = {key: x.numerator * (pi_val // x.denominator) for key, x in angle_map.items()}
 
     bad_angles = []
     for t in range(tri.tet_count):

@@ -11,16 +11,21 @@ all inner exponents in {1, 2} decomposes uniquely into blocks:
   inner word ends with exponents ..., 1, 2);
 * AllB2: the whole inner word consists of squared syllables.
 
-Maximal runs of exponent-1 syllables determine the decomposition: a run of
-length r in the interior contributes its first and last syllables to the
-neighbouring B3 blocks and its middle r-2 syllables to a (possibly empty)
-B1 block.
+The blocks are read off the maximal runs of equal exponents.  A leading
+squared run is B2_start (AllB2 if it is the whole word).  A trailing squared
+run is B2_end if it has two or more syllables, else it ends an UnfinishedB3;
+every other squared run lies inside a B3.  A run of single letters gives its
+first syllable to the B3 it closes, if one is open, and its last to the B3
+it opens, if a squared run other than B2_end follows; any syllables in
+between form a B1.  The exception is a lone single letter between two
+squared runs: it stays inside the open B3.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 from .word import Word
 
@@ -56,14 +61,6 @@ class BlockDecomposition:
     inner: Word
     blocks: tuple[Block, ...]
 
-    @property
-    def ends_with_unfinished_b3(self) -> bool:
-        return bool(self.blocks) and self.blocks[-1].kind == UNFINISHED_B3
-
-    @property
-    def is_all_b2(self) -> bool:
-        return len(self.blocks) == 1 and self.blocks[0].kind == ALL_B2
-
     def to_json(self) -> str:
         return json.dumps(
             [
@@ -94,73 +91,34 @@ def decompose(inner: Word) -> BlockDecomposition:
     if any(e not in (1, 2) for e in exps):
         raise ValueError(f"inner word {inner} has an exponent outside {{1, 2}}")
     n = len(exps)
-
-    if all(e == 2 for e in exps):
-        return BlockDecomposition(inner, (_run_block(ALL_B2, 0, n),))
-    if all(e == 1 for e in exps):
-        return BlockDecomposition(inner, (_run_block(B1, 0, n),))
+    runs: list[tuple[int, int, int]] = []  # (exponent, start, end)
+    for e, group in groupby(exps):
+        start = runs[-1][2] if runs else 0
+        runs.append((e, start, start + len(list(group))))
 
     blocks: list[Block] = []
-    pos = 0
-
-    # Leading squared run: a B2 block at the start.
-    if exps[0] == 2:
-        while exps[pos] == 2:
-            pos += 1
-        blocks.append(_run_block(B2_START, 0, pos))
-
-    # Trailing squared run: a B2 block at the end if it has length >= 2;
-    # a lone trailing 2 instead closes an unfinished B3.
-    tail_start = n
-    while exps[tail_start - 1] == 2:
-        tail_start -= 1
-    trailing = n - tail_start
-    unfinished = trailing == 1
-    core_end = tail_start if (trailing >= 2 or unfinished) else n
-    scan_end = core_end + 1 if unfinished else core_end
-
-    # Scan the core: alternating runs of 1s and 2s, starting and ending
-    # with a run of 1s (or, in the unfinished case, the final lone 2).
-    open_b3: int | None = None   # start syllable of the B3 being assembled
+    if runs[0][0] == 2:
+        blocks.append(_run_block(B2_START if len(runs) > 1 else ALL_B2, 0, runs.pop(0)[2]))
+    tail = runs.pop() if runs and runs[-1][0] == 2 and runs[-1][2] - runs[-1][1] >= 2 else None
+    open_b3: int | None = None  # start syllable of the B3 being assembled
     b2_lengths: list[int] = []
-    while pos < scan_end:
-        run_start = pos
-        value = exps[pos]
-        while pos < scan_end and exps[pos] == value:
-            pos += 1
-        run_len = pos - run_start
-        if value == 2:
-            # A squared run interior to the core always joins the open B3.
-            b2_lengths.append(run_len)
-            if unfinished and pos == scan_end:
-                blocks.append(_b3_block(UNFINISHED_B3, open_b3, pos, b2_lengths))
-                open_b3 = None
-            continue
-        # A run of single letters.  A lone single between squared runs is
-        # absorbed into the enclosing B3; longer runs close the open B3
-        # with their first syllable, open the next with their last, and
-        # put whatever remains in between into a B1 block.
-        followed_by_squares = pos < scan_end
-        if open_b3 is not None:
-            if run_len == 1 and followed_by_squares:
-                continue  # B3 runs through this syllable
-            blocks.append(_b3_block(B3, open_b3, run_start + 1, b2_lengths))
-            open_b3 = None
-            b2_lengths = []
-            lo = run_start + 1
-        else:
-            lo = run_start
-        if followed_by_squares:
-            if pos - 1 > lo:
-                blocks.append(_run_block(B1, lo, pos - 1))
-            open_b3 = pos - 1
-        elif pos > lo:
-            blocks.append(_run_block(B1, lo, pos))
+    for i, (e, start, end) in enumerate(runs):
+        opens = i + 1 < len(runs)
+        if e == 2:
+            b2_lengths.append(end - start)
+        elif open_b3 is None or end - start > 1 or not opens:
+            if open_b3 is not None:
+                blocks.append(_b3_block(B3, open_b3, start + 1, b2_lengths))
+                start, b2_lengths = start + 1, []
+            stop = end - 1 if opens else end
+            if stop > start:
+                blocks.append(_run_block(B1, start, stop))
+            open_b3 = stop if opens else None
+    if open_b3 is not None:
+        blocks.append(_b3_block(UNFINISHED_B3, open_b3, n, b2_lengths))
+    if tail is not None:
+        blocks.append(_run_block(B2_END, tail[1], n))
 
-    if trailing >= 2:
-        blocks.append(_run_block(B2_END, tail_start, n))
-
-    blocks.sort(key=lambda b: b.start)
     spans = [(b.start, b.end) for b in blocks]
     assert spans[0][0] == 0 and spans[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))

@@ -26,7 +26,7 @@ from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTS,
     IDENTITY,
-    EdgeClassTable,
+    EdgeClass,
     Perm,
     Triangulation,
     compose,
@@ -223,12 +223,18 @@ class SimplificationTrace:
         )
 
 
-def _applicable_32(table: EdgeClassTable) -> int | None:
+def _movable(tri: Triangulation, cls: EdgeClass, n: int) -> bool:
+    """Whether cls has degree n, n distinct tetrahedra and every face around it glued."""
+    return (
+        cls.degree == n
+        and len({t for t, _ in cls.embeddings}) == n
+        and all(tri.gluing(t, f) is not None for t, e in cls.embeddings for f in range(4) if f not in EDGE_VERTS[e])
+    )
+
+
+def _applicable_32(tri: Triangulation) -> int | None:
     """Smallest edge class admitting a 3-2 move, if any."""
-    for cls in table.classes:
-        if cls.degree == 3 and len({t for t, _ in cls.embeddings}) == 3:
-            return cls.index
-    return None
+    return next((cls.index for cls in edge_classes(tri).classes if _movable(tri, cls, 3)), None)
 
 
 def _degrees_after_44(tri: Triangulation, edge_class: int, axis: int) -> dict[int, int]:
@@ -261,22 +267,21 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
     moves: list[MoveRecord] = []
     current = tri
     while True:
-        table = edge_classes(current)
-        target = _applicable_32(table)
+        target = _applicable_32(current)
         if target is not None:
             current = pachner_32(current, target)
             moves.append(MoveRecord("3-2", target, None, current.tet_count))
             continue
         trials = (
             (cls.index, axis)
-            for cls in table.classes
-            if cls.degree == 4 and len({t for t, _ in cls.embeddings}) == 4
+            for cls in edge_classes(current).classes
+            if _movable(current, cls, 4)
             for axis in (0, 1)
             if 3 in _degrees_after_44(current, cls.index, axis).values()
         )
         for target, axis in trials:
             candidate = move_44(current, target, axis)
-            if _applicable_32(edge_classes(candidate)) is not None:
+            if _applicable_32(candidate) is not None:
                 moves.append(MoveRecord("4-4", target, axis, candidate.tet_count))
                 current = candidate
                 break

@@ -139,20 +139,27 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, text: str) -> "Triangulation":
+        """Read a document written by to_json; any other document is a ValueError."""
         doc = json.loads(text)
-        tri = cls(doc["tet_count"])
-        seen = set()
-        for t, row in enumerate(doc["gluings"]):
+        n, rows = (doc.get("tet_count"), doc.get("gluings")) if isinstance(doc, dict) else (None, None)
+        if type(n) is not int or not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != 4 for row in rows
+        ):
+            raise ValueError("a triangulation needs an integer tet_count and that many rows of 4 gluings")
+        tri = cls(n)
+        for t, row in enumerate(rows):
             for f, g in enumerate(row):
-                if g is None or (t, f) in seen:
-                    continue
-                t2, digits = g
-                perm = tuple(int(c) for c in digits)
-                tri.glue(t, f, t2, perm)
-                seen.add((t, f))
-                seen.add((t2, perm[f]))
-        if "layer_of" in doc:
-            tri.layer_of = tuple(doc["layer_of"])
+                if g is None or tri.gluing(t, f) is not None:
+                    continue  # unglued, or glued from its partner entry
+                if not (isinstance(g, list) and len(g) == 2 and type(g[0]) is int and isinstance(g[1], str)):
+                    raise ValueError(f"gluing {g!r} of facet ({t}, {f}) is not [tetrahedron, permutation]")
+                tri.glue(t, f, g[0], tuple(int(c) for c in g[1]))
+        layer_of = doc.get("layer_of")
+        if isinstance(layer_of, list) and all(type(x) is int for x in layer_of):
+            tri.layer_of = tuple(layer_of)
+        # Partner entries, key set and value types must be the ones to_json writes.
+        if json.dumps(doc, sort_keys=True) != json.dumps(json.loads(tri.to_json()), sort_keys=True):
+            raise ValueError("document differs from the to_json form of its gluings")
         return tri
 
 
@@ -337,7 +344,7 @@ def validate(tri: Triangulation) -> ValidationReport:
                 continue
             t2, perm = g
             back = tri.gluing(t2, perm[f])
-            if back is None or back[0] != t or back[1] != invert(perm) or invert(perm)[perm[f]] != f:
+            if back != (t, invert(perm)):
                 involution_ok = False
     if not involution_ok:
         failures.append("gluing map is not an involution")

@@ -5,24 +5,40 @@ import pytest
 from twobridge import moves
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
-from twobridge.triangulation import Triangulation, build_sakuma_weeks, edge_classes, validate
-from twobridge.word import Word, parse_word
+from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
+from twobridge.word import Word, enumerate_words, parse_word
+
+
+def movable_classes(tri, n):
+    """Degree-n edge classes on n distinct tetrahedra with no boundary face around them."""
+    return [
+        c.index
+        for c in edge_classes(tri).classes
+        if c.degree == n
+        and len({t for t, _ in c.embeddings}) == n
+        and all(tri.gluing(t, f) is not None for t, e in c.embeddings for f in set(range(4)) - set(EDGE_VERTS[e]))
+    ]
 
 
 def applicable_32_classes(tri):
-    return [
-        c.index
-        for c in edge_classes(tri).classes
-        if c.degree == 3 and len({t for t, _ in c.embeddings}) == 3
-    ]
+    return movable_classes(tri, 3)
 
 
 def degree4_classes(tri):
-    return [
-        c.index
-        for c in edge_classes(tri).classes
-        if c.degree == 4 and len({t for t, _ in c.embeddings}) == 4
-    ]
+    return movable_classes(tri, 4)
+
+
+def opened(tri):
+    """A copy of tri with facet (0, 0) and facet 1 of the last tetrahedron unglued."""
+    cut = {(0, 0), (tri.tet_count - 1, 1)}
+    cut |= {(g[0], g[1][f]) for t, f in cut if (g := tri.gluing(t, f)) is not None}
+    out = Triangulation(tri.tet_count)
+    for t in range(tri.tet_count):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is not None and (t, f) not in cut and out.gluing(t, f) is None:
+                out.glue(t, f, *g)
+    return out
 
 
 def test_pachner_23_counts_and_validity():
@@ -168,8 +184,6 @@ def test_simplify_trace_json():
 def test_simplify_fixed_points():
     # Words whose ends are single letters and whose inner exponents lie in
     # {1, 2} admit no simplifying move.
-    from twobridge.word import enumerate_words
-
     for w in enumerate_words(4, {1, 2}):
         tri = build_sakuma_weeks(w)
         trace = simplify(tri)
@@ -210,10 +224,9 @@ def test_simplify_replays_through_public_moves(words_ell8):
             None,
         )
 
-    for w in words_ell8:
-        if w.ell > 7:
-            continue
-        tri = build_sakuma_weeks(w)
+    closed = [(str(w), build_sakuma_weeks(w)) for w in words_ell8 if w.ell <= 7]
+    opened_copies = [(f"{w} opened", opened(build_sakuma_weeks(w))) for w in enumerate_words(4, {1, 2, 3})]
+    for w, tri in closed + opened_copies:
         trace = simplify(tri)
         current = tri
         for m in trace.moves:
@@ -269,9 +282,10 @@ def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
                     after = _degrees_after_44(state, cls.index, axis)
                     assert after[cls.index] == 0, name
                     predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
-                    rebuilt = edge_classes(moves.move_44(state, cls.index, axis))
+                    moved = moves.move_44(state, cls.index, axis)
+                    rebuilt = edge_classes(moved)
                     assert sorted(predicted) == sorted(rebuilt.degrees()), (name, cls.index, axis)
-                    if moves._applicable_32(rebuilt) is not None:
+                    if moves._applicable_32(moved) is not None:
                         assert 3 in after.values(), (name, cls.index, axis)
                         exposing += 1
                     checked += 1

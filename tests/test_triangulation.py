@@ -438,11 +438,40 @@ def test_json_roundtrip():
     assert back.layer_of == tri.layer_of
 
 
-@pytest.mark.parametrize("gluing", [[1, "0012"], [-1, "1032"], [2, "1032"], [1, "10325"]])
+def _two_tets(entry=(1, "1032"), partner=(0, "1032"), **changes):
+    """A two-tetrahedron document gluing facet (0, 0) by entry, and its partner facet (1, 1) by partner."""
+    doc = {"schema_version": 1, "tet_count": 2, "gluings": [[entry, None, None, None], [None, partner, None, None]]}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize(
+    "gluing",
+    [
+        [1, "0012"],
+        [-1, "1032"],
+        [2, "1032"],
+        [1, "10325"],
+        [1, 1032],
+        [1.0, "1032"],
+        ["1", "1032"],
+        [True, "1032"],
+        [1, "1302"],
+        None,
+        _two_tets(partner=[1, "0123"]),
+        _two_tets(tet_count="2"),
+        _two_tets(tet_count=3),
+        _two_tets(gluings=[[[1, "1032"], None, None, None], [None, [0, "1032"], None]]),
+        {"schema_version": 1, "tet_count": 2},
+    ],
+)
 def test_from_json_rejects_malformed_gluings(gluing):
-    # A repeated vertex, a tetrahedron outside range(2) and a five-letter
-    # permutation are all refused by glue, the only mutator.
-    doc = {"schema_version": 1, "tet_count": 2, "gluings": [[gluing, None, None, None], [None] * 4]}
+    # A list or None is the entry of facet (0, 0) against the partner entry
+    # [0, "1032"]; a dict is a whole document.  Refused: a repeated vertex,
+    # a tetrahedron outside range(2), a five-letter permutation, entries of
+    # the wrong type, a partner that disagrees or is null, a string
+    # tet_count, too few rows, a short row and missing gluings.
+    Triangulation.from_json(json.dumps(_two_tets()))  # the unaltered document loads
+    doc = gluing if isinstance(gluing, dict) else _two_tets(gluing)
     with pytest.raises(ValueError):
         Triangulation.from_json(json.dumps(doc))
 

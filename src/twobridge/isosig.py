@@ -26,17 +26,17 @@ are known.  A candidate is abandoned at its first larger character, and
 comparison stops once one character is smaller; only candidates that tie
 through the whole action sequence go on to compare destinations and
 permutations (Burton, arXiv:1110.6080).  Vertex maps and gluings are
-handled as indices into the 24 permutations, through composition and
-inverse tables built once at import.
+handled as indices into the 24 permutations: the triangulation module
+stores gluings in that form and owns the numbering (ORDERED_S4) and its
+composition and inverse tables, which this module imports.
 
 Equality of signatures is equivalent to combinatorial isomorphism.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .triangulation import Perm, Triangulation, compose, invert
+# ORDERED_S4_INDEX is imported for this module's callers.
+from .triangulation import _COMPOSE, _INVERSE, IDENTITY, ORDERED_S4, ORDERED_S4_INDEX, Triangulation
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
@@ -44,22 +44,6 @@ _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 # The code point of each value's character: the order in which signature
 # strings compare.
 _RANK = tuple(ord(c) for c in ALPHABET)
-
-
-# Gluing permutations are encoded by their index in the lexicographic
-# ordering of all 24 vertex permutations.
-ORDERED_S4: tuple[Perm, ...] = tuple(sorted(permutations(range(4))))
-ORDERED_S4_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(ORDERED_S4)}
-
-# S4 arithmetic on ORDERED_S4 indices: _COMPOSE[i][j] applies j first,
-# then i; _INVERSE[i] is the inverse of i.
-_COMPOSE = tuple(
-    tuple(ORDERED_S4_INDEX[compose(p, q)] for q in ORDERED_S4) for p in ORDERED_S4
-)
-_INVERSE = tuple(ORDERED_S4_INDEX[invert(p)] for p in ORDERED_S4)
-# Old facets in new-label order under vertex map i: new facet k is old
-# facet i^-1(k).
-_FACET_ORDER = tuple(invert(p) for p in ORDERED_S4)
 
 
 def _smaller_candidate(
@@ -92,7 +76,7 @@ def _smaller_candidate(
         vm = vertex_map[t]
         row = gluings[t]
         base = 4 * t
-        for f_old in _FACET_ORDER[vm]:
+        for f_old in ORDERED_S4[_INVERSE[vm]]:  # new facet k is old facet vm^-1(k)
             if facet_done[base + f_old]:
                 continue
             facet_done[base + f_old] = True
@@ -141,13 +125,10 @@ def encode_isosig(tri: Triangulation) -> str:
         raise ValueError("signatures for >= 63 tetrahedra are not supported")
     if not tri.is_connected():
         raise ValueError("triangulation is disconnected")
-    gluings = []
-    for t in range(n):
-        row = []
-        for f in range(4):
-            g = tri.gluing(t, f)
-            row.append(None if g is None else (g[0], 4 * g[0] + g[1][f], ORDERED_S4_INDEX[g[1]]))
-        gluings.append(row)
+    gluings = [
+        [None if g is None else (g[0], 4 * g[0] + ORDERED_S4[g[1]][f], g[1]) for f, g in enumerate(row)]
+        for row in tri._glue
+    ]
     best = None
     for start in range(n):
         for start_perm in range(24):
@@ -160,81 +141,57 @@ def encode_isosig(tri: Triangulation) -> str:
 def decode_isosig(sig: str) -> Triangulation:
     """Reconstruct a triangulation from a signature string.
 
-    Raises ValueError for characters outside the signature alphabet, for a
-    truncated string, or for structurally inconsistent data.
+    Raises ValueError for characters outside the signature alphabet, for
+    invalid facet actions or a length that does not match them, or for
+    structurally inconsistent data.
     """
     if not sig:
         raise ValueError("empty signature")
-    for c in sig:
-        if c not in _CHAR_INDEX:
-            raise ValueError(f"illegal character {c!r} in signature")
-    n = _CHAR_INDEX[sig[0]]
+    values = [_CHAR_INDEX.get(c, -1) for c in sig]
+    if -1 in values:
+        raise ValueError(f"illegal character {sig[values.index(-1)]!r} in signature")
+    n = values[0]
     if n == 0 or n >= 63:
         raise ValueError(f"unsupported tetrahedron count {n}")
-    pos = 1
 
-    # Facet actions: each accounts for one facet (boundary) or two (gluing);
-    # the sequence ends once all 4n facet slots are accounted for.
-    type_seq: list[int] = []
+    # Facet action k is bits 2(k mod 3) of value 1 + k // 3: a boundary (0) takes one facet,
+    # a gluing (1 or 2) two, and 3 is invalid.  They end once all 4n facets are taken.
+    actions: list[int] = []
     slots = 0
-    buffered: list[int] = []
-    while slots < 4 * n:
-        if not buffered:
-            if pos >= len(sig):
-                raise ValueError("signature truncated in facet-action sequence")
-            value = _CHAR_INDEX[sig[pos]]
-            pos += 1
-            buffered = [(value >> 0) & 3, (value >> 2) & 3, (value >> 4) & 3]
-        action = buffered.pop(0)
-        if action == 3:
-            raise ValueError("invalid facet action 3")
-        type_seq.append(action)
-        slots += 1 if action == 0 else 2
-    if slots != 4 * n:
-        raise ValueError("facet actions overrun the facet count")
-
-    n_joins = sum(1 for a in type_seq if a == 2)
-    if pos + 2 * n_joins > len(sig):
-        raise ValueError("signature truncated in destination or permutation sequence")
-    dest_seq = [_CHAR_INDEX[c] for c in sig[pos : pos + n_joins]]
-    pos += n_joins
-    perm_seq = [_CHAR_INDEX[c] for c in sig[pos : pos + n_joins]]
-    pos += n_joins
-    if pos != len(sig):
-        raise ValueError("trailing characters after signature data")
-    if any(p >= 24 for p in perm_seq):
-        raise ValueError("permutation index out of range")
+    while slots < 4 * n and 1 + len(actions) // 3 < len(values):
+        k = len(actions)
+        actions.append(values[1 + k // 3] >> 2 * (k % 3) & 3)
+        slots += 1 if actions[-1] == 0 else 2
+    pos = 1 + -(-len(actions) // 3)  # the first destination
+    joins = actions.count(2)
+    if slots != 4 * n or 3 in actions or len(values) != pos + 2 * joins:
+        raise ValueError("invalid facet actions, or a length that does not match them")
 
     tri = Triangulation(n)
     created = 1
-    type_iter = iter(type_seq)
-    dest_iter = iter(dest_seq)
-    perm_iter = iter(perm_seq)
+    todo = iter(actions)
+    gluings = iter(zip(values[pos : pos + joins], values[pos + joins :]))
     for lab in range(n):
         if lab >= created:
             raise ValueError("facet actions never reach all tetrahedra")
         for f in range(4):
             if tri.gluing(lab, f) is not None:
                 continue
-            try:
-                action = next(type_iter)
-            except StopIteration:
-                raise ValueError("facet actions exhausted early") from None
-            if action == 0:
-                continue
+            action = next(todo, None)
+            if action is None:
+                raise ValueError("facet actions exhausted early")
             if action == 1:
                 if created >= n:
                     raise ValueError("more new-tetrahedron actions than tetrahedra")
-                tri.glue(lab, f, created, (0, 1, 2, 3))
+                tri.glue(lab, f, created, IDENTITY)
                 created += 1
-            else:
-                dest = next(dest_iter)
-                perm = ORDERED_S4[next(perm_iter)]
+            elif action == 2:
+                dest, perm = next(gluings)
                 if dest >= created:
                     raise ValueError("destination tetrahedron not yet labelled")
-                if tri.gluing(dest, perm[f]) is not None or (dest, perm[f]) == (lab, f):
-                    raise ValueError("inconsistent gluing in signature")
-                tri.glue(lab, f, dest, perm)
+                if perm >= 24:
+                    raise ValueError("permutation index out of range")
+                tri.glue(lab, f, dest, ORDERED_S4[perm])
     return tri
 
 

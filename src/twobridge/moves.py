@@ -118,24 +118,17 @@ def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
     return _retriangulate(tri, old, [(f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)])
 
 
-def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
-    """The n distinct tetrahedra walking once around a degree-n edge class.
+def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], str | None]:
+    """The walk once around cls, as (fan, None), or as (part, why it fails).
 
     The k-th tetrahedron names the ends of the edge U and V and its other
-    vertices k and k + 1 (modulo n), and the walk leaves it through face
-    U V k+1 into the next.  It starts at the smallest embedding, with U at
-    its smaller vertex.
+    vertices k and k + 1 (modulo the degree n), and the walk leaves it
+    through face U V k+1 into the next.  It starts at the smallest
+    embedding, with U at its smaller vertex, and fails at a boundary face or
+    unless n steps bring it back there with U and V in place.
     """
-    classes = edge_classes(tri).classes
-    if edge_class not in range(len(classes)):
-        raise ValueError(f"no edge class {edge_class}")
-    embeddings = classes[edge_class].embeddings
-    if len(embeddings) != n:
-        raise ValueError(f"edge class {edge_class} has degree {len(embeddings)}, need {n}")
-    if len({t for t, _ in embeddings}) != n:
-        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
-        raise ValueError(f"{move} distinct tetrahedra around the edge")
-    t0, e0 = min(embeddings)
+    n = cls.degree
+    t0, e0 = min(cls.embeddings)
     u, v = EDGE_VERTS[e0]
     a, b = (x for x in range(4) if x not in (u, v))
     t, c = t0, (u, v, a, b)  # the vertices named U, V, k and k + 1
@@ -146,11 +139,26 @@ def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tu
         fan.append((t, tuple(syms)))
         g = tri.gluing(t, c[2])
         if g is None:
-            raise ValueError("edge has a boundary face; cannot walk around it")
+            return fan, "edge has a boundary face; cannot walk around it"
         t, perm = g
         c = (perm[c[0]], perm[c[1]], perm[c[3]], perm[c[2]])
-    if (t, c[:3]) != (t0, (u, v, a)):
-        raise ValueError("edge walk failed to close")
+    return fan, None if (t, c[:3]) == (t0, (u, v, a)) else "edge walk failed to close"
+
+
+def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
+    """The _walk around a degree-n edge class on n distinct tetrahedra; ValueError unless it closes."""
+    classes = edge_classes(tri).classes
+    if edge_class not in range(len(classes)):
+        raise ValueError(f"no edge class {edge_class}")
+    cls = classes[edge_class]
+    if cls.degree != n:
+        raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need {n}")
+    if len({t for t, _ in cls.embeddings}) != n:
+        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
+        raise ValueError(f"{move} distinct tetrahedra around the edge")
+    fan, failure = _walk(tri, cls)
+    if failure:
+        raise ValueError(failure)
     return fan
 
 
@@ -224,12 +232,8 @@ class SimplificationTrace:
 
 
 def _movable(tri: Triangulation, cls: EdgeClass, n: int) -> bool:
-    """Whether cls has degree n, n distinct tetrahedra and every face around it glued."""
-    return (
-        cls.degree == n
-        and len({t for t, _ in cls.embeddings}) == n
-        and all(tri.gluing(t, f) is not None for t, e in cls.embeddings for f in range(4) if f not in EDGE_VERTS[e])
-    )
+    """Whether cls has degree n, n distinct tetrahedra and a _walk that closes, so no boundary face."""
+    return cls.degree == n and len({t for t, _ in cls.embeddings}) == n and _walk(tri, cls)[1] is None
 
 
 def _applicable_32(tri: Triangulation) -> int | None:

@@ -3,10 +3,12 @@
 Tetrahedron vertices are labelled 0..3.  Facet i is the face opposite
 vertex i, and edges within a tetrahedron are numbered 0..5 for the vertex
 pairs 01, 02, 03, 12, 13, 23 (so edges e and 5-e are opposite pairs).
-A face gluing is stored as (adjacent tetrahedron, permutation) where the
+A face gluing is (adjacent tetrahedron, permutation) where the
 permutation maps vertex labels of this tetrahedron to vertex labels of the
 adjacent one; facet f is glued to facet perm[f].  Gluings are kept
-involutive at all times.
+involutive at all times.  They are stored by the permutation's index in
+ORDERED_S4, Regina's lexicographic numbering, whose composition and
+inverse tables live here too; gluing() returns the tuple.
 
 The layered builder assembles the standard triangulation of a 2-bridge
 link complement from its twist word: one layer of two ideal tetrahedra per
@@ -15,10 +17,11 @@ in pairs.  In builder output every tetrahedron carries the same edge-role
 pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 03/12 the diagonal pair (03 faces the previous layer, 12 the next).
 
-Edge classes, vertex classes (cusps) and the corners of the vertex links
-are all found by one search over the gluings (_closure), run once per cell
-kind and triangulation: each Triangulation keeps the classes found until
-glue, its only mutator, clears them, and hands them out read-only.
+Edge classes, vertex classes (cusps), the corners of the vertex links and
+the components are all found by one search over the gluings (_closure),
+run once per cell kind and triangulation: each Triangulation keeps the
+classes found until glue, its only mutator, clears them, and hands them
+out read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .word import Word, is_hyperbolic
 Perm = tuple[int, int, int, int]
 
 IDENTITY: Perm = (0, 1, 2, 3)
-_PERMS = frozenset(permutations(range(4)))
 
 EDGE_VERTS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX: dict[tuple[int, int], int] = {}
@@ -63,6 +65,16 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
+# The 24 permutations in lexicographic order, as permutations() emits them.
+ORDERED_S4: tuple[Perm, ...] = tuple(permutations(range(4)))
+ORDERED_S4_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(ORDERED_S4)}
+
+# S4 arithmetic on ORDERED_S4 indices: _COMPOSE[i][j] applies j first,
+# then i; _INVERSE[i] is the inverse of i.
+_COMPOSE = tuple(tuple(ORDERED_S4_INDEX[compose(p, q)] for q in ORDERED_S4) for p in ORDERED_S4)
+_INVERSE = tuple(ORDERED_S4_INDEX[invert(p)] for p in ORDERED_S4)
+
+
 class VerificationError(RuntimeError):
     """An internal consistency check failed (signals a bug, not bad input)."""
 
@@ -74,7 +86,8 @@ class Triangulation:
         if tet_count < 0:
             raise ValueError("tet_count must be non-negative")
         self.tet_count = tet_count
-        self._glue: list[list[tuple[int, Perm] | None]] = [
+        # (adjacent tetrahedron, ORDERED_S4 index) per facet, None if unglued.
+        self._glue: list[list[tuple[int, int] | None]] = [
             [None] * 4 for _ in range(tet_count)
         ]
         # For builder output: 0-based layer index per tetrahedron.
@@ -84,7 +97,8 @@ class Triangulation:
 
     def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
         """Glue facet f of tetrahedron t to tetrahedron t2 via perm."""
-        if not (0 <= t < self.tet_count and 0 <= t2 < self.tet_count and 0 <= f < 4) or perm not in _PERMS:
+        in_range = 0 <= t < self.tet_count and 0 <= t2 < self.tet_count and 0 <= f < 4
+        if not in_range or (i := ORDERED_S4_INDEX.get(perm)) is None:
             raise ValueError(f"gluing ({t}, {f}) to {t2} by {perm}: need tetrahedra below {self.tet_count}, "
                              "a facet 0..3 and a permutation of 0..3")
         f2 = perm[f]
@@ -92,29 +106,19 @@ class Triangulation:
             raise ValueError("cannot glue a facet to itself")
         if self._glue[t][f] is not None or self._glue[t2][f2] is not None:
             raise ValueError(f"facet already glued: ({t},{f}) or ({t2},{f2})")
-        self._glue[t][f] = (t2, perm)
-        self._glue[t2][f2] = (t, invert(perm))
+        self._glue[t][f] = (t2, i)
+        self._glue[t2][f2] = (t, _INVERSE[i])
         self._classes.clear()
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm] | None:
-        return self._glue[t][f]
+        g = self._glue[t][f]
+        return None if g is None else (g[0], ORDERED_S4[g[1]])
 
     def is_closed(self) -> bool:
         return all(g is not None for row in self._glue for g in row)
 
     def is_connected(self) -> bool:
-        if self.tet_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                g = self._glue[t][f]
-                if g is not None and g[0] not in seen:
-                    seen.add(g[0])
-                    stack.append(g[0])
-        return len(seen) == self.tet_count
+        return _labels(self, "tet")[1] <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,7 +129,7 @@ class Triangulation:
 
     def to_json(self) -> str:
         gluings = [
-            [None if g is None else [g[0], "".join(map(str, g[1]))] for g in row]
+            [None if g is None else [g[0], "".join(map(str, ORDERED_S4[g[1]]))] for g in row]
             for row in self._glue
         ]
         doc = {
@@ -222,14 +226,14 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
 
 def _cells(cells, key=tuple):
     """(cells per tetrahedron, facets holding each cell, image of each cell
-    under each permutation) for cells given by their tuples of vertices.
+    under each ORDERED_S4 index) for cells given by their tuples of vertices.
 
     A cell lies in facet f iff f is none of its vertices, and a gluing
     permutation maps it to the cell on the permuted vertices.
     """
     index = {key(c): i for i, c in enumerate(cells)}
     faces = tuple(tuple(f for f in range(4) if f not in c) for c in cells)
-    image = {p: tuple(index[key(p[v] for v in c)] for c in cells) for p in permutations(range(4))}
+    image = tuple(tuple(index[key(p[v] for v in c)] for c in cells) for p in ORDERED_S4)
     return len(cells), faces, image
 
 
@@ -239,6 +243,8 @@ _CELLS = {
     # Link corners: corner 3v + j is the end at vertex v of the j-th edge
     # from v, so the corners of vertex v are 3v, 3v + 1 and 3v + 2.
     "corner": _cells([(v, w) for v in range(4) for w in range(4) if w != v]),
+    # A cell with no vertices lies in every facet: one class per component.
+    "tet": _cells([()]),
 }
 
 
@@ -271,7 +277,7 @@ def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
 
 
 def _labels(tri: Triangulation, kind: str) -> tuple[list[int], int]:
-    """The _closure of tri's "vertex", "edge" or "corner" cells, searched once; shared, not to be mutated."""
+    """The _closure of tri's "vertex", "edge", "corner" or "tet" cells, searched once; shared, not to be mutated."""
     if kind not in tri._classes:
         tri._classes[kind] = _closure(tri, _CELLS[kind])
     return tri._classes[kind]

@@ -96,11 +96,39 @@ def test_signature_length_linear():
         "cPcbbbih",        # truncated permutation sequence
         "cPcbbbihtz",      # trailing characters
         "aPcbbbiht",       # zero tetrahedra
+        "cbiau",           # a gluing onto a boundary facet: actions run out early
+        "cecak",           # the same, on a facet of a later tetrahedron
     ],
 )
 def test_decode_errors(bad):
     with pytest.raises(ValueError):
         decode_isosig(bad)
+
+
+def one_character_edits(sig):
+    """Every string one substitution, deletion or insertion of an alphabet character away from sig."""
+    for i in range(len(sig) + 1):
+        yield sig[:i] + sig[i + 1 :]
+        for c in ALPHABET:
+            yield sig[:i] + c + sig[i + 1 :]
+            yield sig[:i] + c + sig[i:]
+
+
+def test_edited_golden_signatures_decode_or_raise_value_error():
+    # Every edit either decodes to a triangulation whose signature is a
+    # fixed point of decode and encode, or raises ValueError, never another
+    # exception.
+    decoded = 0
+    for sig in GOLDEN:
+        for edit in set(one_character_edits(sig)):
+            try:
+                tri = decode_isosig(edit)
+            except ValueError:
+                continue
+            canonical = encode_isosig(tri)
+            assert encode_isosig(decode_isosig(canonical)) == canonical, edit
+            decoded += 1
+    assert decoded > 100
 
 
 def test_encode_rejects_disconnected():

@@ -1,22 +1,37 @@
 import hashlib
+import random
 
 import pytest
 
-from twobridge import moves
+from test_triangulation import random_gluing
+from twobridge import moves, triangulation
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
 from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
 from twobridge.word import Word, enumerate_words, parse_word
 
 
+# Link corner 3v + j is the end at vertex v of the j-th edge from v.
+CORNERS = [(v, w) for v in range(4) for w in range(4) if w != v]
+
+
 def movable_classes(tri, n):
-    """Degree-n edge classes on n distinct tetrahedra with no boundary face around them."""
+    """Degree-n edge classes on n distinct tetrahedra with no boundary face
+    around them, whose two ends lie in different link-corner classes (an
+    edge identified with itself reversed has them in one)."""
+    corner = triangulation._labels(tri, "corner")[0]
+
+    def ends_apart(t, e):
+        a, b = EDGE_VERTS[e]
+        return corner[12 * t + CORNERS.index((a, b))] != corner[12 * t + CORNERS.index((b, a))]
+
     return [
         c.index
         for c in edge_classes(tri).classes
         if c.degree == n
         and len({t for t, _ in c.embeddings}) == n
         and all(tri.gluing(t, f) is not None for t, e in c.embeddings for f in set(range(4)) - set(EDGE_VERTS[e]))
+        and ends_apart(*c.embeddings[0])
     ]
 
 
@@ -26,6 +41,13 @@ def applicable_32_classes(tri):
 
 def degree4_classes(tri):
     return movable_classes(tri, 4)
+
+
+def seeded_gluing(seed):
+    """1-5 tetrahedra glued at random from random.Random(seed); for every
+    fifth seed two facets stay unglued."""
+    rng = random.Random(seed)
+    return random_gluing(rng.randint(1, 5), rng, unglued=2 if seed % 5 == 0 else 0)
 
 
 def opened(tri):
@@ -226,7 +248,11 @@ def test_simplify_replays_through_public_moves(words_ell8):
 
     closed = [(str(w), build_sakuma_weeks(w)) for w in words_ell8 if w.ell <= 7]
     opened_copies = [(f"{w} opened", opened(build_sakuma_weeks(w))) for w in enumerate_words(4, {1, 2, 3})]
-    for w, tri in closed + opened_copies:
+    # Random gluings: on 74 of them simplify meets an edge with every face
+    # around it glued that is identified with itself reversed, and that no
+    # move may take.
+    gluings = [(f"seed {seed}", seeded_gluing(seed)) for seed in range(2000)]
+    for w, tri in closed + opened_copies + gluings:
         trace = simplify(tri)
         current = tri
         for m in trace.moves:
@@ -241,6 +267,13 @@ def test_simplify_replays_through_public_moves(words_ell8):
             assert current.tet_count == m.tets_after, str(w)
         assert current == trace.final, str(w)
         assert not applicable_32_classes(current) and first_useful_44(current) is None, str(w)
+
+
+def test_simplify_raises_nothing_on_random_gluings():
+    # On 745 of these gluings simplify meets an edge with every face around
+    # it glued that is identified with itself reversed.
+    moved = sum(bool(simplify(seeded_gluing(seed)).moves) for seed in range(20000))
+    assert moved == 613
 
 
 def with_pachner_23_copies(words):

@@ -209,6 +209,11 @@ def oracle_link_eulers(tri):
     return eulers
 
 
+def oracle_components(tri):
+    """Component label of every tetrahedron: a gluing joins its two tetrahedra."""
+    return union_find_labels(tri, 1, lambda f, perm: [(0, 0)])[0]
+
+
 def assert_matches_union_find(tri):
     edge = oracle_edge_labels(tri)
     expected = [[] for _ in range(max(edge, default=-1) + 1)]
@@ -218,6 +223,9 @@ def assert_matches_union_find(tri):
     assert [(c.index, list(c.embeddings)) for c in table.classes] == list(enumerate(expected))
     assert table.class_of == {divmod(x, 6): c for x, c in enumerate(edge)}
     assert triangulation._labels(tri, "vertex")[0] == oracle_vertex_labels(tri)
+    components = oracle_components(tri)
+    assert triangulation._labels(tri, "tet") == (components, len(set(components)))
+    assert tri.is_connected() == (len(set(components)) <= 1)
     report = validate(tri)
     assert report.edge_class_count == len(expected)
     assert report.vertex_link_eulers == (oracle_link_eulers(tri) if tri.is_closed() else [])
@@ -245,10 +253,12 @@ def test_classes_match_union_find_with_gluings_removed(words_ell8):
         assert_matches_union_find(tri)
 
 
-def random_closed(n, rng):
-    """n tetrahedra with their 4n facets paired at random by random permutations."""
+def random_gluing(n, rng, unglued=0):
+    """n tetrahedra with their 4n facets, but for `unglued` of them, paired
+    at random by random permutations."""
     facets = [(t, f) for t in range(n) for f in range(4)]
     rng.shuffle(facets)
+    del facets[:unglued]
     tri = Triangulation(n)
     for (t, f), (t2, f2) in zip(facets[::2], facets[1::2]):
         rest = [v for v in range(4) if v != f2]
@@ -264,12 +274,35 @@ def random_closed(n, rng):
 
 def test_classes_match_union_find_on_random_closed_gluings():
     rng = random.Random(11)
-    mixed_links = 0
+    mixed_links = disconnected = 0
     for _ in range(300):
-        tri = random_closed(rng.randint(1, 4), rng)
+        tri = random_gluing(rng.randint(1, 4), rng)
         assert_matches_union_find(tri)
         mixed_links += len(set(validate(tri).vertex_link_eulers)) > 1
+        disconnected += not tri.is_connected()
     assert mixed_links  # links that tell the vertex classes apart
+    assert disconnected == 16
+
+
+def test_components_match_union_find_on_disconnected_gluings():
+    # Opened copies of builder output side by side, one tetrahedron left
+    # alone, and the empty triangulation.
+    rng = random.Random(3)
+    parts = [open_copy(build_sakuma_weeks(parse_word(w)), rng) for w in ("RL", "R^2LR", "RLR")]
+    tri = Triangulation(sum(p.tet_count for p in parts) + 1)
+    base = 0
+    for part in parts:
+        for t in range(part.tet_count):
+            for f in range(4):
+                g = part.gluing(t, f)
+                if g is not None and tri.gluing(base + t, f) is None:
+                    tri.glue(base + t, f, base + g[0], g[1])
+        base += part.tet_count
+    assert triangulation._labels(tri, "tet") == ([0] * 2 + [1] * 6 + [2] * 4 + [3], 4)
+    assert not tri.is_connected()
+    assert_matches_union_find(tri)
+    assert Triangulation(0).is_connected() and Triangulation(1).is_connected()
+    assert not Triangulation(2).is_connected()
 
 
 def test_validate_rejects_doubled_tetrahedron():
@@ -370,6 +403,17 @@ def test_only_triangulation_methods_assign_into_glue():
             if touches and id(node) not in inside:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_triangulation_and_encode_isosig_read_glue():
+    # The stored gluings hold ORDERED_S4 indices; every other reader goes
+    # through Triangulation.gluing, which returns the permutation tuple.
+    readers = set()
+    for path in sorted(Path(twobridge.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(x, ast.Attribute) and x.attr == "_glue" for x in ast.walk(top)):
+                readers.add(path.name if path.name == "triangulation.py" else f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert readers == {"triangulation.py", "isosig.py:encode_isosig"}
 
 
 def test_no_self_face_gluings(words_ell8):

@@ -62,30 +62,31 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
 
     Each cusp v gives the identity sum_e m_v(e) row(e) = sum_t k_v(t) row(t),
     where m_v(e) counts the ends of edge class e at v and k_v(t) the
-    vertices of tetrahedron t at v.  The dropped edge rows are the pivot
-    columns of elimination on the cusps-by-edges matrix m; on a valid
-    triangulation with c cusps the remaining 2n - c rows are independent.
+    vertices of tetrahedron t at v.  The dropped edge rows are the classes,
+    in order, whose column of m is independent of the columns before it,
+    found by elimination in integers; on a valid triangulation with c cusps
+    there are c of them and the remaining 2n - c rows are independent.
     """
     n = tri.tet_count
     edge, count = _labels(tri, "edge")
     vertex, cusps = _labels(tri, "vertex")
-    # Both ends of the first member 6t + e of each edge class.
-    t, e = np.divmod(np.unique(np.array(edge, dtype=np.int64), return_index=True)[1], 6)
-    ends = np.array(vertex, dtype=np.int64)[4 * t[:, None] + np.array(EDGE_VERTS)[e]]
-    m = np.zeros((cusps, count))
-    np.add.at(m, (ends, np.arange(count)[:, None]), 1.0)
     keep = np.ones(n + count, dtype=bool)
-    r = 0
-    for col in range(count):
-        if r == len(m):
+    pivots = []  # (cusp, column) of each dropped class; a column is 0 at the cusps of the pivots before it
+    x = 0
+    for c in range(count):
+        if len(pivots) == cusps:
             break
-        p = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[p, col]) < 1e-9:
-            continue
-        m[[r, p]] = m[[p, r]]
-        m[r + 1 :] -= np.outer(m[r + 1 :, col] / m[r, col], m[r])
-        keep[n + col] = False
-        r += 1
+        x = edge.index(c, x)  # the first member 6t + e: classes are numbered in order of it
+        t, e = divmod(x, 6)
+        column = [0] * cusps
+        for v in EDGE_VERTS[e]:
+            column[vertex[4 * t + v]] += 1
+        for p, pivot in pivots:
+            column = [pivot[p] * a - column[p] * b for a, b in zip(column, pivot)]
+        p = next((v for v, a in enumerate(column) if a), None)
+        if p is not None:
+            pivots.append((p, column))
+            keep[n + c] = False
     return keep
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -44,150 +43,129 @@ def _words_from_args(args) -> list[Word]:
     return [normalize(parse_word(t)) for t in texts]
 
 
-def _cmd_build(args, out) -> int:
-    for w in _words_from_args(args):
-        tri = build_sakuma_weeks(w)
-        if args.isosig:
-            print(encode_isosig(tri), file=out)
-        elif args.json:
-            print(tri.to_json(), file=out)
-        else:
-            print(f"# {w}", file=out)
-            print(gluing_table(tri), file=out)
-    return 0
-
-
-def _cmd_edges(args, out) -> int:
-    for w in _words_from_args(args):
-        tri = build_sakuma_weeks(w)
-        table = edge_classes(tri)
-        has3, has4 = degree_predicates(tri, w)
-        if args.json:
-            doc = {
-                "word": str(w),
-                "degrees": table.degrees(),
-                "has_degree_3": has3,
-                "has_degree_4": has4,
-            }
-            print(json.dumps(doc), file=out)
-        else:
-            print(f"# {w}: {len(table)} edge classes", file=out)
-            for cls in table.classes:
-                print(f"edge {cls.index}: degree {cls.degree}", file=out)
-            print(f"degree-3 edge: {has3}; degree-4 edge: {has4}", file=out)
-    return 0
-
-
-def _cmd_simplify(args, out) -> int:
-    for w in _words_from_args(args):
-        trace = simplify(build_sakuma_weeks(w))
-        if args.isosig:
-            print(encode_isosig(trace.final), file=out)
-        elif args.json:
-            doc = {
-                "word": str(w),
-                "initial_tets": trace.initial_tets,
-                "moves": json.loads(trace.to_json()),
-                "final_tets": trace.final.tet_count,
-                "final_isosig": encode_isosig(trace.final),
-            }
-            print(json.dumps(doc), file=out)
-        else:
-            print(f"# {w}: {trace.initial_tets} -> {trace.final.tet_count} tetrahedra", file=out)
-            for m in trace.moves:
-                extra = "" if m.axis is None else f" axis {m.axis}"
-                print(f"{m.kind} on edge {m.target}{extra}: {m.tets_after} tetrahedra", file=out)
-            print(f"final isosig: {encode_isosig(trace.final)}", file=out)
-    return 0
-
-
-def _cmd_blocks(args, out) -> int:
-    for w in _words_from_args(args):
-        if not is_hyperbolic(w):
-            raise ValueError(f"{w} is not hyperbolic (needs at least two syllables)")
-        dec = decompose(inner_word(w))
-        print(dec.to_json(), file=out)
-    return 0
-
-
-def _cmd_angles(args, out) -> int:
+def _each_word(args) -> int:
+    """Print each word's record once it is complete; 2 if any is unverified."""
     code = 0
     for w in _words_from_args(args):
-        assignment = assign_angles(w)
-        tri = build_sakuma_weeks(w)
-        report = verify_angle_structure(tri, expand_to_tetrahedra(assignment, tri))
-        if args.json:
-            doc = {
-                "word": str(w),
-                "layers": json.loads(assignment.to_json()),
-                "verified": report.passed,
-                "bad_edge_classes": report.bad_edge_classes,
-            }
-            print(json.dumps(doc), file=out)
-        else:
-            print(f"# {w}", file=out)
-            print(assignment.to_json(), file=out)
-            print(f"verified: {report.passed}", file=out)
-        if not report.passed:
+        lines, verified = args.record(w, args)
+        print(*lines, sep="\n")
+        if not verified:
             code = 2
     return code
 
 
-def _cmd_volume(args, out) -> int:
-    for w in _words_from_args(args):
-        tri = build_sakuma_weeks(w)
-        seed = assign_angles(w) if theorem_family(w) else None
-        explicit = None if seed is None else assignment_volume(seed)
-        res = maximize_volume(tri, seed=seed, tolerance=args.tolerance, max_iters=args.max_iters)
+def _build(w: Word, args) -> tuple[list[str], bool]:
+    tri = build_sakuma_weeks(w)
+    if args.isosig:
+        return [encode_isosig(tri)], True
+    if args.json:
+        return [tri.to_json()], True
+    return [f"# {w}", gluing_table(tri)], True
+
+
+def _edges(w: Word, args) -> tuple[list[str], bool]:
+    tri = build_sakuma_weeks(w)
+    table = edge_classes(tri)
+    has3, has4 = degree_predicates(tri, w)
+    if args.json:
         doc = {
             "word": str(w),
-            "tet_count": tri.tet_count,
-            "explicit_volume": explicit,
-            "maximized_volume": res.volume,
-            "gradient_norm": res.gradient_norm,
-            "converged": res.converged,
-            "on_boundary": res.on_boundary,
+            "degrees": table.degrees(),
+            "has_degree_3": has3,
+            "has_degree_4": has4,
         }
-        if args.json:
-            print(json.dumps(doc), file=out)
-        else:
-            for key, val in doc.items():
-                print(f"{key}: {val}", file=out)
-    return 0
+        return [json.dumps(doc)], True
+    lines = [f"# {w}: {len(table)} edge classes"]
+    lines += [f"edge {cls.index}: degree {cls.degree}" for cls in table.classes]
+    lines.append(f"degree-3 edge: {has3}; degree-4 edge: {has4}")
+    return lines, True
 
 
-def _bounds_lines(reports, as_json, as_csv):
-    lines = []
+def _simplify(w: Word, args) -> tuple[list[str], bool]:
+    trace = simplify(build_sakuma_weeks(w))
+    isosig = encode_isosig(trace.final)
+    if args.isosig:
+        return [isosig], True
+    if args.json:
+        doc = {
+            "word": str(w),
+            "initial_tets": trace.initial_tets,
+            "moves": json.loads(trace.to_json()),
+            "final_tets": trace.final.tet_count,
+            "final_isosig": isosig,
+        }
+        return [json.dumps(doc)], True
+    lines = [f"# {w}: {trace.initial_tets} -> {trace.final.tet_count} tetrahedra"]
+    for m in trace.moves:
+        extra = "" if m.axis is None else f" axis {m.axis}"
+        lines.append(f"{m.kind} on edge {m.target}{extra}: {m.tets_after} tetrahedra")
+    lines.append(f"final isosig: {isosig}")
+    return lines, True
+
+
+def _blocks(w: Word, args) -> tuple[list[str], bool]:
+    if not is_hyperbolic(w):
+        raise ValueError(f"{w} is not hyperbolic (needs at least two syllables)")
+    return [decompose(inner_word(w)).to_json()], True
+
+
+def _angles(w: Word, args) -> tuple[list[str], bool]:
+    assignment = assign_angles(w)
+    tri = build_sakuma_weeks(w)
+    report = verify_angle_structure(tri, expand_to_tetrahedra(assignment, tri))
+    if args.json:
+        doc = {
+            "word": str(w),
+            "layers": json.loads(assignment.to_json()),
+            "verified": report.passed,
+            "bad_edge_classes": report.bad_edge_classes,
+        }
+        return [json.dumps(doc)], report.passed
+    return [f"# {w}", assignment.to_json(), f"verified: {report.passed}"], report.passed
+
+
+def _volume(w: Word, args) -> tuple[list[str], bool]:
+    tri = build_sakuma_weeks(w)
+    seed = assign_angles(w) if theorem_family(w) else None
+    explicit = None if seed is None else assignment_volume(seed)
+    res = maximize_volume(tri, seed=seed, tolerance=args.tolerance, max_iters=args.max_iters)
+    doc = {
+        "word": str(w),
+        "tet_count": tri.tet_count,
+        "explicit_volume": explicit,
+        "maximized_volume": res.volume,
+        "gradient_norm": res.gradient_norm,
+        "converged": res.converged,
+        "on_boundary": res.on_boundary,
+    }
+    if args.json:
+        return [json.dumps(doc)], True
+    return [f"{key}: {val}" for key, val in doc.items()], True
+
+
+def _print_reports(reports, as_json: bool, as_csv: bool) -> int:
     if as_json:
         for r in reports:
-            lines.append(json.dumps(r.to_dict()))
+            print(json.dumps(r.to_dict()))
     elif as_csv:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n", extrasaction="ignore")
+        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n", extrasaction="ignore")
         writer.writeheader()
         writer.writerows(r.to_dict() for r in reports)
-        lines.append(buf.getvalue().rstrip("\n"))
     else:
         for r in reports:
             d = r.to_dict()
             width = max(len(k) for k in d)
-            lines.extend(f"{k.ljust(width)}  {v}" for k, v in d.items() if k != "schema_version")
-            lines.append("")
-    return lines
-
-
-def _cmd_bounds(args, out) -> int:
-    reports = [bounds_report(w) for w in _words_from_args(args)]
-    for line in _bounds_lines(reports, args.json, args.csv):
-        print(line, file=out)
+            print(*(f"{k.ljust(width)}  {v}" for k, v in d.items() if k != "schema_version"), "", sep="\n")
     return 0
 
 
-def _cmd_survey(args, out) -> int:
+def _cmd_bounds(args) -> int:
+    return _print_reports([bounds_report(w) for w in _words_from_args(args)], args.json, args.csv)
+
+
+def _cmd_survey(args) -> int:
     reports = [bounds_report(w) for w in enumerate_words(args.max_n, set(args.exponents), args.C)]
-    for line in _bounds_lines(reports, args.json, not args.json):
-        print(line, file=out)
-    return 0
+    return _print_reports(reports, args.json, not args.json)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -207,28 +185,28 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, words=True):
+    def add(name, helptext, record=None, fn=_each_word, words=True):
         p = sub.add_parser(name, help=helptext)
         if words:
             p.add_argument("word", nargs="*", help="twist words such as R^2LR")
             p.add_argument("--words-file", help="file with one word per line")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, record=record)
         return p
 
-    p = add("build", _cmd_build, "construct the layered triangulation")
+    p = add("build", "construct the layered triangulation", _build)
     p.add_argument("--isosig", action="store_true", help="print only the isomorphism signature")
-    add("edges", _cmd_edges, "edge classes, degrees and low-degree criteria")
-    p = add("simplify", _cmd_simplify, "simplify via 3-2 and 4-4 moves")
+    add("edges", "edge classes, degrees and low-degree criteria", _edges)
+    p = add("simplify", "simplify via 3-2 and 4-4 moves", _simplify)
     p.add_argument("--isosig", action="store_true", help="print only the final signature")
-    add("blocks", _cmd_blocks, "block decomposition of the inner word")
-    add("angles", _cmd_angles, "explicit angle structure with verification")
-    p = add("volume", _cmd_volume, "explicit and maximised volumes")
+    add("blocks", "block decomposition of the inner word", _blocks)
+    add("angles", "explicit angle structure with verification", _angles)
+    p = add("volume", "explicit and maximised volumes", _volume)
     p.add_argument("--tolerance", type=float, default=1e-10, help="projected-gradient stopping tolerance")
     p.add_argument("--max-iters", type=int, default=200, help="maximum ascent iterations")
-    p = add("bounds", _cmd_bounds, "complexity bounds for given words")
+    p = add("bounds", "complexity bounds for given words", fn=_cmd_bounds)
     p.add_argument("--csv", action="store_true", help=f"CSV with columns {','.join(CSV_COLUMNS)}")
-    p = add("survey", _cmd_survey, "bounds over the enumerated family (CSV)", words=False)
+    p = add("survey", "bounds over the enumerated family (CSV)", fn=_cmd_survey, words=False)
     p.add_argument("--max-n", type=int, required=True, help="largest inner syllable count")
     p.add_argument("--C", type=int, default=None, help="restrict to words with this many squared syllables")
     p.add_argument(
@@ -240,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

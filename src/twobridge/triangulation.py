@@ -98,7 +98,11 @@ class Triangulation:
     def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
         """Glue facet f of tetrahedron t to tetrahedron t2 via perm."""
         in_range = 0 <= t < self.tet_count and 0 <= t2 < self.tet_count and 0 <= f < 4
-        if not in_range or (i := ORDERED_S4_INDEX.get(perm)) is None:
+        try:
+            i = ORDERED_S4_INDEX.get(perm) if in_range else None
+        except TypeError:  # an unhashable perm, such as a list
+            i = None
+        if i is None:
             raise ValueError(f"gluing ({t}, {f}) to {t2} by {perm}: need tetrahedra below {self.tet_count}, "
                              "a facet 0..3 and a permutation of 0..3")
         f2 = perm[f]

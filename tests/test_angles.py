@@ -146,6 +146,8 @@ def test_expand_total_angle_mass():
 def test_expand_requires_layer_metadata():
     w = parse_word("RL^2R")
     tri = build_sakuma_weeks(w)
+    with pytest.raises(ValueError, match="different layer counts"):
+        expand_to_tetrahedra(assign_angles(parse_word("RLR^2LR")), tri)
     tri.layer_of = None
     with pytest.raises(ValueError):
         expand_to_tetrahedra(assign_angles(w), tri)
@@ -164,6 +166,19 @@ def test_perturbation_fails_locally():
     touched = {table.class_of[(2, 1)], table.class_of[(2, 4)]}
     assert set(report.bad_edge_classes) == touched
     assert report.bad_tets == [2]
+
+
+def test_verify_rejects_missing_and_zero_angles():
+    w = parse_word("RLRLR")
+    tri = build_sakuma_weeks(w)
+    amap = expand_to_tetrahedra(assign_angles(w), tri)
+    flat = dict(amap)
+    flat[(2, 1)] = flat[(2, 4)] = F(0)  # the sums fail too, but the range check is its own
+    report = verify_angle_structure(tri, flat)
+    assert not report.range_ok and report.bad_angles == [(2, 1), (2, 4)]
+    del amap[(2, 1)]
+    with pytest.raises(ValueError, match="missing entry for tetrahedron 2 edge 1"):
+        verify_angle_structure(tri, amap)
 
 
 def test_verify_catches_a_48th_of_pi_on_one_class():

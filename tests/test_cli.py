@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +181,77 @@ def test_survey_csv_bytes_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "bfef647417aa7e790cb2665fdcf090306d6caec515b46fc6ef4d94935b6ecdb1"
     )
+
+
+PIN_WORDS = ["RL", "RLR", "R^2LR", "RL^2R", "RL^3R", "RLRLR", "R^2L^2R", "RL^2RLR^2L"]
+PIN_MODES = {
+    "build": [[], ["--json"], ["--isosig"]],
+    "edges": [[], ["--json"]],
+    "simplify": [[], ["--json"], ["--isosig"]],
+    "blocks": [[], ["--json"]],
+    "angles": [[], ["--json"]],
+    "volume": [[], ["--json"]],
+    "bounds": [[], ["--json"], ["--csv"]],
+}
+# (explicit, maximised) volume of each pinned word.
+PIN_VOLUMES = {
+    "RL": (None, 2.029883212819308),
+    "RLR": (3.3831386880321794, 3.6638623767088774),
+    "R^2LR": (None, 4.400832516123047),
+    "RL^2R": (5.252258794478314, 5.33348956689812),
+    "RL^3R": (None, 6.1381387890852475),
+    "RLRLR": (7.442905113670795, 7.643375172359956),
+    "R^2L^2R": (None, 6.443537380850573),
+    "RL^2RLR^2L": (12.209447713655537, 12.800390354861706),
+}
+FLOAT = re.compile(r"-?\d+\.\d+(?:e-?\d+)?")
+
+
+def test_every_output_mode_pinned(capsys):
+    # Each command and mode on each word alone, then on all words in one run
+    # (where a failing word stops the run after the records before it).
+    # Volume output depends on the BLAS, so its floats are compared to
+    # PIN_VOLUMES within 1e-12 and the digest sees them as "F"; the
+    # gradient norm need only be within the default tolerance.
+    digest = hashlib.sha256()
+    for command, modes in PIN_MODES.items():
+        for mode in modes:
+            for words in [[w] for w in PIN_WORDS] + [PIN_WORDS]:
+                code, out, _ = run_cli([command, *words, *mode], capsys)
+                if command == "volume":
+                    expected = []  # per word: the explicit volume if any, the maximised volume, the gradient norm
+                    for w in words:
+                        explicit, maximised = PIN_VOLUMES[w]
+                        expected += [maximised, None] if explicit is None else [explicit, maximised, None]
+                    floats = [float(x) for x in FLOAT.findall(out)]
+                    assert len(floats) == len(expected)
+                    for got, want in zip(floats, expected):
+                        assert 0 <= got <= 1e-10 if want is None else math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
+                    out = FLOAT.sub("F", out)
+                digest.update(f"{command} {words} {mode} {code}\n{out}".encode())
+    assert digest.hexdigest() == "70058defb89d76ee1c4b5454b87d408021e88e8d8704ddffb618aec81947b298"
+
+
+def test_simplify_text_prints_no_partial_record(capsys):
+    # 74 tetrahedra: the final signature cannot be encoded, so the record
+    # is not printed at all, in text mode as in JSON mode.
+    word = "R" + "L^2R^2" * 9 + "L"
+    for mode in [[], ["--json"]]:
+        code, out, err = run_cli(["simplify", word, *mode], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: signatures for >= 63 tetrahedra")
+
+
+def test_only_the_printers_print():
+    # Records are built whole before they are printed: the per-word driver
+    # and _print_reports print, main prints errors, and nothing else does.
+    tree = ast.parse(Path(twobridge.cli.__file__).read_text())
+    printers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                printers.add(getattr(top, "name", top.lineno))
+    assert printers == {"_each_word", "_print_reports", "main"}
 
 
 def test_words_file(tmp_path, capsys):

@@ -87,22 +87,36 @@ def test_signature_length_linear():
         assert length <= 3 * tets + 4
 
 
+DECODE_ERRORS = {
+    "": "empty signature",
+    "!!": "illegal character",
+    "c": "invalid facet actions",           # truncated action sequence
+    "cPcbbbih": "invalid facet actions",    # truncated permutation sequence
+    "cPcbbbihtz": "invalid facet actions",  # trailing characters
+    "aPcbbbiht": "unsupported tetrahedron count 0",
+    "cbiau": "exhausted early",  # a gluing onto a boundary facet: actions run out early
+    "cecak": "exhausted early",  # the same, on a facet of a later tetrahedron
+    "bb": "more new-tetrahedron actions",  # one tetrahedron whose facet would open a second
+    "cau": "never reach all tetrahedra",   # two tetrahedra, the second never reached
+}
+
+
+@pytest.mark.parametrize("bad", DECODE_ERRORS)
+def test_decode_errors(bad):
+    with pytest.raises(ValueError, match=DECODE_ERRORS[bad]):
+        decode_isosig(bad)
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "tri, message",
     [
-        "",
-        "!!",
-        "c",               # truncated action sequence
-        "cPcbbbih",        # truncated permutation sequence
-        "cPcbbbihtz",      # trailing characters
-        "aPcbbbiht",       # zero tetrahedra
-        "cbiau",           # a gluing onto a boundary facet: actions run out early
-        "cecak",           # the same, on a facet of a later tetrahedron
+        (Triangulation(0), "empty triangulation"),
+        (build_sakuma_weeks(parse_word("R" + "LR" * 16)), ">= 63 tetrahedra"),  # 64 tetrahedra
     ],
 )
-def test_decode_errors(bad):
-    with pytest.raises(ValueError):
-        decode_isosig(bad)
+def test_encode_errors(tri, message):
+    with pytest.raises(ValueError, match=message):
+        encode_isosig(tri)
 
 
 def one_character_edits(sig):

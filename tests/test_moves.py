@@ -109,8 +109,10 @@ def test_pachner_32_preconditions():
 def test_pachner_23_rejects_self_gluing():
     tri = Triangulation(1)
     tri.glue(0, 0, 0, (1, 0, 3, 2))  # face glued within one tetrahedron
+    with pytest.raises(ValueError, match="not glued"):
+        pachner_23(tri, (0, 2))
     tri.glue(0, 2, 0, (0, 1, 3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two distinct tetrahedra"):
         pachner_23(tri, (0, 0))
 
 

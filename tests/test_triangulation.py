@@ -473,6 +473,11 @@ def test_gluing_table_text_golden():
 
 def test_gluing_table_empty():
     assert gluing_table(Triangulation(0)).splitlines()[1:] == []
+    tri = Triangulation(1)
+    tri.glue(0, 0, 0, (1, 0, 3, 2))  # facets 2 and 3, faces 013 and 012, stay unglued
+    assert gluing_table(tri).splitlines()[1].split() == ["0", "boundary", "boundary", "0", "(132)", "0", "(032)"]
+    with pytest.raises(ValueError, match="non-negative"):
+        Triangulation(-1)
 
 
 def test_json_roundtrip():
@@ -520,9 +525,11 @@ def test_from_json_rejects_malformed_gluings(gluing):
         Triangulation.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("args", [(0, 4, 1, IDENTITY), (0, -1, 1, IDENTITY), (-1, 0, 1, IDENTITY), (0, 0, 1, (0, 1, 2, 2))])
+@pytest.mark.parametrize(
+    "args", [(0, 4, 1, IDENTITY), (0, -1, 1, IDENTITY), (-1, 0, 1, IDENTITY), (0, 0, 1, (0, 1, 2, 2)), (0, 0, 1, [1, 0, 2, 3])]
+)
 def test_glue_rejects_malformed_gluings(args):
     tri = Triangulation(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need tetrahedra below 2"):
         tri.glue(*args)
     assert tri == Triangulation(2)

@@ -327,6 +327,11 @@ def test_survey_and_bounds_use_the_stdlib_only():
     assert run_fresh(code) == "[0, 0] False"
 
 
+def test_maximize_rejects_empty_triangulation():
+    with pytest.raises(ValueError, match="no tetrahedra"):
+        maximize_volume(Triangulation(0))
+
+
 def test_maximize_rejects_bad_seed():
     w = parse_word("RLR")
     other = parse_word("RL^2R")
@@ -691,6 +696,34 @@ def test_bounds_report_petronio_vesnin():
     assert bounds_report(parse_word("RL")).petronio_vesnin == 2.0
     r = bounds_report(parse_word("RLRLRLR"))
     assert abs(r.petronio_vesnin - (2 * 5 - 2.6667)) < 1e-12
+
+
+def test_bounds_sit_clear_of_integers():
+    # The complexity bounds are integers, ceil(lower_mult) and
+    # ceil(lower_additive); the float each is read from must sit farther
+    # from an integer than its error, so that the ceiling is exact.
+    V3 = v3()
+    vol = {s: tet_volume(SHAPES[s]) / V3 for s in ("I", "III", "V", "VI", "VIII")}
+    slope = 2 * (2 * vol["III"] + vol["VIII"]) - 4  # full precision; coded as 0.9632
+    intercept = 2 * (vol["V"] + vol["I"] + vol["VI"] - vol["III"]) - 3  # coded as 0.393
+    closest_mult = closest_additive = 1.0
+    words = list(enumerate_words(11, {1, 2}))  # the words of survey --max-n 11
+    assert len(words) == 4094
+    for w in words:
+        r = bounds_report(w)
+        # explicit_volume adds 3 tet_count table entries, each within 3e-16
+        # of L (test_lobachevsky_table_against_mpmath), with one rounding of
+        # at most an ulp of the sum per addition; the division by v3 adds a
+        # relative 1e-15.
+        mult_budget = 3 * r.tet_count * (3e-16 + math.ulp(r.explicit_volume)) + 1e-15 * r.lower_mult
+        # The coded constants against the full-precision ones, and rounding.
+        additive_budget = abs(slope - 0.9632) * r.C + abs(intercept - 0.393) + 1e-12
+        mult_margin = abs(r.lower_mult - round(r.lower_mult))
+        additive_margin = abs(r.lower_additive - round(r.lower_additive))
+        assert mult_margin > mult_budget and additive_margin > additive_budget, r.word
+        closest_mult = min(closest_mult, mult_margin)
+        closest_additive = min(closest_additive, additive_margin)
+    assert 3.4e-4 < closest_mult < 3.5e-4 and 0.011 < closest_additive < 0.012
 
 
 def test_bounds_report_outside_family():

@@ -40,6 +40,8 @@ def test_word_invariants():
         Word((("R", 0),))
     with pytest.raises(ValueError):
         Word(())
+    with pytest.raises(ValueError, match="letter must be R or L"):
+        Word((("X", 1),))
 
 
 def test_derived_quantities():

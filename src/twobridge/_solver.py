@@ -167,14 +167,14 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
         def reduced(v):  # G^-1 N^T v; N^T first, as G^-1 is large at a flat tetrahedron
             return np.einsum("tij,tj->ti", inverse, v.reshape(tets, 3) @ _REDUCE)
 
-        def solve(ascent, residual):
+        def solve(ascent, residual, refine=True):
             offset, z, lam = np.zeros(n), np.zeros((tets, 2)), np.zeros(k)
             offset[2::3] = -residual[:tets]
 
             def step():  # d = N z + offset: the tetrahedron rows hold exactly
                 return (z @ _REDUCE.T).ravel() + offset
 
-            for _ in range(2):  # solve, then refine once, on the stationarity and the edge rows
+            for _ in range(1 + refine):  # solve, then refine once, on the stationarity and the edge rows
                 z += reduced(-ascent - h * step() - np.bincount(var, lam[at], n))
                 delta = dpbtrs(cholesky, -residual[keep][tets:] - np.bincount(at, step()[var], k), lower=1)[0]
                 lam += delta
@@ -209,8 +209,8 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     if projector is None:
         raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
 
-    def project(v):
-        return projector(v, np.zeros(len(b)))
+    def project(v):  # G^-1 is bounded at h = -1, so no refinement
+        return projector(v, np.zeros(len(b)), refine=False)
 
     def value(v):
         return float(np.sum(_lobachevsky_array(v)))

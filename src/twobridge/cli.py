@@ -185,12 +185,15 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, record=None, fn=_each_word, words=True):
+    def add(name, helptext, record=None, fn=_each_word, words=True, with_csv=False):
         p = sub.add_parser(name, help=helptext)
         if words:
             p.add_argument("word", nargs="*", help="twist words such as R^2LR")
             p.add_argument("--words-file", help="file with one word per line")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        modes = p.add_mutually_exclusive_group()  # one output format
+        modes.add_argument("--json", action="store_true", help="machine-readable output")
+        if with_csv:
+            modes.add_argument("--csv", action="store_true", help=f"CSV with columns {','.join(CSV_COLUMNS)}")
         p.set_defaults(fn=fn, record=record)
         return p
 
@@ -204,8 +207,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("volume", "explicit and maximised volumes", _volume)
     p.add_argument("--tolerance", type=float, default=1e-10, help="projected-gradient stopping tolerance")
     p.add_argument("--max-iters", type=int, default=200, help="maximum ascent iterations")
-    p = add("bounds", "complexity bounds for given words", fn=_cmd_bounds)
-    p.add_argument("--csv", action="store_true", help=f"CSV with columns {','.join(CSV_COLUMNS)}")
+    add("bounds", "complexity bounds for given words", fn=_cmd_bounds, with_csv=True)
     p = add("survey", "bounds over the enumerated family (CSV)", fn=_cmd_survey, words=False)
     p.add_argument("--max-n", type=int, required=True, help="largest inner syllable count")
     p.add_argument("--C", type=int, default=None, help="restrict to words with this many squared syllables")

@@ -19,13 +19,18 @@ characters (``+ - 0-9 A-Z a-z`` ascending), not by their index in
 ALPHABET.  All candidates of one triangulation have the same length, so
 they can be compared character by character.
 
-The search runs one breadth-first labelling per (start tetrahedron, start
-permutation), 24n in all, but streams each candidate: every action
-character is compared with the running best as soon as its three actions
-are known.  A candidate is abandoned at its first larger character, and
-comparison stops once one character is smaller; only candidates that tie
-through the whole action sequence go on to compare destinations and
-permutations (Burton, arXiv:1110.6080).  Vertex maps and gluings are
+A candidate's first action character depends only on the start
+permutation and the facet pattern of the start tetrahedron (which facets
+are boundary, glued to its own facets or to which distinct neighbours).
+A table from pattern to the smallest first character, and the start
+permutations that reach it, picks the starts that can be minimal: in
+layered triangulations about one in eight of the 24n (Burton,
+arXiv:1110.6080).  Each picked start runs one breadth-first labelling,
+streamed: every action character is compared with the running best as
+soon as its three actions are known.  A candidate is abandoned at its
+first larger character, and comparison stops once one character is
+smaller; only candidates that tie through the whole action sequence go on
+to compare destinations and permutations.  Vertex maps and gluings are
 handled as indices into the 24 permutations: the triangulation module
 stores gluings in that form and owns the numbering (ORDERED_S4) and its
 composition and inverse tables, which this module imports.
@@ -116,6 +121,32 @@ def _smaller_candidate(
     return out
 
 
+def _pattern(t: int, row: list[tuple[int, int, int] | None]) -> tuple[int, ...]:
+    """Facet by facet of tetrahedron t: k if glued to its k-th distinct
+    neighbour, 4 + j if glued to its own facet j, 8 if boundary."""
+    met = list(dict.fromkeys(g[0] for g in row if g is not None and g[0] != t))
+    return tuple(8 if g is None else g[1] - 4 * t + 4 if g[0] == t else met.index(g[0]) for g in row)
+
+
+def _first_rank(pattern: tuple[int, ...], start_perm: int) -> int:
+    """Code point of the first action character of a start at this pattern."""
+    done, met, actions = [False] * 4, set(), []
+    for f in ORDERED_S4[_INVERSE[start_perm]]:
+        if not done[f] and len(actions) < 3:
+            done[f] = True
+            k = pattern[f]
+            if 4 <= k < 8:  # glued to its own facet k - 4, which it uses up
+                done[k - 4] = True
+            actions.append(0 if k == 8 else 2 if k >= 4 or k in met else 1)
+            met.add(k)
+    return _RANK[sum(a << 2 * i for i, a in enumerate(actions))]
+
+
+# Facet pattern -> (the smallest first-character code point over the 24
+# start permutations, the permutations that reach it); fewer than 9^4 keys.
+_FIRST: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+
+
 def encode_isosig(tri: Triangulation) -> str:
     """Canonical signature: the smallest candidate over all starts."""
     n = tri.tet_count
@@ -129,12 +160,21 @@ def encode_isosig(tri: Triangulation) -> str:
         [None if g is None else (g[0], 4 * g[0] + ORDERED_S4[g[1]][f], g[1]) for f, g in enumerate(row)]
         for row in tri._glue
     ]
+    firsts = []
+    for t, row in enumerate(gluings):
+        key = _pattern(t, row)
+        if key not in _FIRST:
+            ranks = [_first_rank(key, p) for p in range(24)]
+            _FIRST[key] = min(ranks), [p for p in range(24) if ranks[p] == min(ranks)]
+        firsts.append(_FIRST[key])
+    low = min(rank for rank, _ in firsts)
     best = None
-    for start in range(n):
-        for start_perm in range(24):
-            cand = _smaller_candidate(gluings, start, start_perm, best)
-            if cand is not None:
-                best = cand
+    for start, (rank, start_perms) in enumerate(firsts):
+        if rank == low:
+            for start_perm in start_perms:
+                cand = _smaller_candidate(gluings, start, start_perm, best)
+                if cand is not None:
+                    best = cand
     return ALPHABET[n] + "".join(map(chr, best))
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from twobridge.triangulation import Triangulation
 from twobridge.word import Word
 
 
@@ -18,6 +19,25 @@ def all_normalized_words(max_ell):
                 )
                 out.append(Word(syllables))
     return out
+
+
+def random_gluing(n, rng, unglued=0):
+    """n tetrahedra with their 4n facets, but for `unglued` of them, paired
+    at random by random permutations."""
+    facets = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(facets)
+    del facets[:unglued]
+    tri = Triangulation(n)
+    for (t, f), (t2, f2) in zip(facets[::2], facets[1::2]):
+        rest = [v for v in range(4) if v != f2]
+        rng.shuffle(rest)
+        perm = [0] * 4
+        perm[f] = f2
+        for v in range(4):
+            if v != f:
+                perm[v] = rest.pop()
+        tri.glue(t, f, t2, tuple(perm))
+    return tri
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,12 @@ def test_bounds_outside_family_reports_generic_bounds(capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["volume", "RL", "--bogus"], ["volume", "RL", "--tolerance", "-1e-10"], ["frobnicate", "RL"]],
+    [
+        ["volume", "RL", "--bogus"],
+        ["volume", "RL", "--tolerance", "-1e-10"],
+        ["frobnicate", "RL"],
+        ["bounds", "RL", "--json", "--csv"],  # two output formats
+    ],
 )
 def test_usage_errors_exit_1(capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_normalized_words
+from conftest import all_normalized_words, random_gluing
+from twobridge import isosig
 from twobridge.isosig import (
     ALPHABET,
     ORDERED_S4,
@@ -211,6 +212,69 @@ def test_oracle_agrees_on_small_words_and_simplified():
             assert encode_isosig(t) == expected, str(w)
             for _ in range(3):
                 assert encode_isosig(relabel(t, rng)) == expected, str(w)
+
+
+@pytest.fixture(scope="module")
+def random_connected():
+    """Connected random gluings of 1-4 tetrahedra, closed or with two facets
+    unglued: boundary and self-glued facets, and single tetrahedra."""
+    rng = random.Random(5)
+    tris = [random_gluing(rng.randint(1, 4), rng, unglued) for unglued in (0, 2) for _ in range(150)]
+    return [tri for tri in tris if tri.is_connected()]
+
+
+def test_oracle_agrees_on_random_gluings(random_connected):
+    for tri in random_connected:
+        assert encode_isosig(tri) == brute_force_isosig(tri), tri.to_json()
+
+
+def search_gluings(tri):
+    """The gluings as _smaller_candidate reads them: (adjacent tetrahedron,
+    4 * it + adjacent facet, permutation index), or None for a boundary facet."""
+    rows = [[tri.gluing(t, f) for f in range(4)] for t in range(tri.tet_count)]
+    return [
+        [None if g is None else (g[0], 4 * g[0] + g[1][f], ORDERED_S4_INDEX[g[1]]) for f, g in enumerate(row)]
+        for row in rows
+    ]
+
+
+def test_first_character_table_matches_streamed_search(random_connected, words_ell8):
+    # Each permutation's first character from a start with a given facet
+    # pattern, against the first code point the streamed search emits there.
+    seen = set()
+    for tri in random_connected + [build_sakuma_weeks(w) for w in words_ell8]:
+        gluings = search_gluings(tri)
+        for t, row in enumerate(gluings):
+            pattern = isosig._pattern(t, row)
+            if pattern in seen:
+                continue
+            seen.add(pattern)
+            ranks = [isosig._smaller_candidate(gluings, t, p, None)[0] for p in range(24)]
+            assert [isosig._first_rank(pattern, p) for p in range(24)] == ranks, pattern
+            encode_isosig(tri)  # fills the table for every pattern of tri
+            assert isosig._FIRST[pattern] == (min(ranks), [p for p in range(24) if ranks[p] == min(ranks)])
+    # Boundary facets, a self-glued facet, and one tetrahedron glued to itself throughout.
+    assert {8, 4, 5, 6, 7} <= {k for pattern in seen for k in pattern}
+    assert any(min(pattern) >= 4 for pattern in seen) and len(seen) > 50
+
+
+def test_start_filter_prunes_builder_output(monkeypatch):
+    # Fails if the filter silently stops pruning.  Small words such as RL
+    # keep every start, so the bound is on the total over all 120 words.
+    calls = 0
+    search = isosig._smaller_candidate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(isosig, "_smaller_candidate", counted)
+    tris = [build_sakuma_weeks(w) for w in all_normalized_words(7)]
+    for tri in tris:
+        encode_isosig(tri)
+    assert len(tris) == 120
+    assert calls <= 0.15 * sum(24 * tri.tet_count for tri in tris)
 
 
 def reverse(w):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from test_triangulation import random_gluing
+from conftest import random_gluing
 from twobridge import moves, triangulation
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs

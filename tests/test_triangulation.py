@@ -9,6 +9,7 @@ import pytest
 
 import twobridge
 import twobridge.triangulation as triangulation
+from conftest import random_gluing
 from test_isosig import open_copy
 from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import are_isomorphic, encode_isosig
@@ -251,25 +252,6 @@ def test_classes_match_union_find_with_gluings_removed(words_ell8):
         tri = open_copy(build_sakuma_weeks(w), rng)
         assert not tri.is_closed()
         assert_matches_union_find(tri)
-
-
-def random_gluing(n, rng, unglued=0):
-    """n tetrahedra with their 4n facets, but for `unglued` of them, paired
-    at random by random permutations."""
-    facets = [(t, f) for t in range(n) for f in range(4)]
-    rng.shuffle(facets)
-    del facets[:unglued]
-    tri = Triangulation(n)
-    for (t, f), (t2, f2) in zip(facets[::2], facets[1::2]):
-        rest = [v for v in range(4) if v != f2]
-        rng.shuffle(rest)
-        perm = [0] * 4
-        perm[f] = f2
-        for v in range(4):
-            if v != f:
-                perm[v] = rest.pop()
-        tri.glue(t, f, t2, tuple(perm))
-    return tri
 
 
 def test_classes_match_union_find_on_random_closed_gluings():

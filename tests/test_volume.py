@@ -578,6 +578,26 @@ def test_newton_step_matches_dense_kkt():
                     assert np.linalg.norm(step - reference) <= 1e-9 * scale, str(w)
 
 
+def test_projection_needs_no_refinement():
+    # At h = -1 every block G^-1 is the same bounded matrix, so the gradient
+    # projection behind gradient_norm skips the refinement pass: unrefined,
+    # it is within rounding (about 1.4e-15 relative here) of the dense one.
+    rng = np.random.default_rng(5)
+    for w in all_normalized_words(6):
+        tri = build_sakuma_weeks(w)
+        for t in (tri, pachner_23(tri, triangle_pairs(tri)[-1][0])):
+            rows, b = _constraint_system(t)
+            A, _ = dense_system(t)
+            n = A.shape[1]
+            keep = _independent_rows(t)
+            kept = A[keep]
+            g = -np.log(np.abs(2.0 * np.sin(math.pi / 3 + rng.uniform(-0.2, 0.2, n))))
+            kkt = np.block([[-np.eye(n), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
+            reference = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(len(kept))]))[:n]
+            step = _schur_solver(rows, keep)(np.full(n, -1.0))(g, np.zeros(len(b)), refine=False)
+            assert np.linalg.norm(step - reference) <= 1e-13 * np.linalg.norm(g), str(w)
+
+
 def test_newton_step_is_accurate_near_flat_tetrahedra():
     # At the maximum of this 2-3 copy one tetrahedron is nearly flat
     # (angles about 0.0013, 0.0018 and pi - 0.0032), so G^-1 is large; the

@@ -33,7 +33,7 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     nonzero = a > 0.0
     a_safe = np.where(nonzero, a, 1.0)
     ratio = (a_safe / math.pi) ** 2
-    powers = np.cumprod(np.repeat(ratio[:, None], len(_SERIES), axis=1), axis=1)
+    powers = np.multiply.accumulate(np.broadcast_to(ratio[:, None], (len(ratio), len(_SERIES))), axis=1)
     value = a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * (powers @ _SERIES)
     return np.where(nonzero, np.copysign(value, t), 0.0)
 
@@ -130,6 +130,17 @@ _BARRIER_FALL = 0.5
 _ON_PLANE = 1e-12
 # N: the angle step of a tetrahedron from its reduced variables (d1, d2).
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+# N G^-1 N^T = adj(h) / det G: entry (i, i) is the sum of the other two h,
+# entry (i, j) minus the third.  Row k holds the coefficients of h_k, each
+# entry repeated over the pair's two edge ends.
+_ADJ = np.array([[[float(k != i) if i == j else -float(k not in (i, j)) for j in range(3)] for i in range(3)]
+                 for k in range(3)]).repeat(2, axis=1).repeat(2, axis=2).reshape(3, 36)
+
+
+def _end_blocks(h: np.ndarray) -> np.ndarray:
+    """N G^-1 N^T of each tetrahedron, over its pair ends, as (tets, 6, 6)."""
+    h1, h2, h3 = h.reshape(-1, 3).T
+    return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 6, 6)
 
 
 def _schur_solver(rows: np.ndarray, keep: np.ndarray):
@@ -154,10 +165,8 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     band_at = ((i - j) * k + j)[lower]
 
     def factor(h):
-        h1, h2, h3 = h.reshape(tets, 3).T
-        inverse = np.stack([h2 + h3, -h3, -h3, h1 + h3], axis=1).reshape(tets, 2, 2)  # G^-1
-        inverse /= (h1 * h2 + h1 * h3 + h2 * h3)[:, None, None]
-        per_end = (_REDUCE @ inverse @ _REDUCE.T).repeat(2, axis=1).repeat(2, axis=2)  # N G^-1 N^T
+        per_end = _end_blocks(h)
+        inverse = per_end[:, :4:2, :4:2]  # G^-1, the top left block, as N's top rows are the identity
         band = np.bincount(band_at, -per_end[lower], (width + 1) * k).reshape(width + 1, k)
         cholesky, info = dpbtrf(band, lower=1)
         pivots = cholesky[0] ** 2
@@ -209,26 +218,26 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     if projector is None:
         raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
 
-    def project(v):  # G^-1 is bounded at h = -1, so no refinement
-        return projector(v, np.zeros(len(b)), refine=False)
-
     def value(v):
         return float(np.sum(_lobachevsky_array(v)))
 
     def grad(v):
         return -np.log(np.abs(2.0 * np.sin(v)))
 
+    def gradient_norm(v):  # |Pv|; G^-1 is bounded at h = -1, so no refinement
+        return float(np.linalg.norm(projector(v, np.zeros(len(b)), refine=False)))
+
     fx = value(x)
-    g = grad(x)
-    gnorm = float(np.linalg.norm(project(g)))
+    g, gnorm = grad(x), None  # gnorm: |Pg| at x once computed
     residual = residual_at(x)
     mu = _BARRIER / _BARRIER_FALL
     it = 0
     for it in range(1, max_iters + 1):
         # Off the plane Pg says nothing about the maximum (at x = pi/3 it
-        # is 0), so the barrier and the stopping test wait for the plane.
+        # is 0), so the barrier, the stopping test and Pg wait for the plane.
         on_plane = float(np.max(np.abs(residual))) <= _ON_PLANE
         if on_plane:
+            gnorm = gradient_norm(g)
             if gnorm <= tolerance:
                 break
             mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
@@ -255,9 +264,10 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         else:
             break
         x, fx = x_new, f_new
-        g = grad(x)
-        gnorm = float(np.linalg.norm(project(g)))
+        g, gnorm = grad(x), None
         residual = residual_at(x)
+    if gnorm is None:
+        gnorm = gradient_norm(g)
     converged = gnorm <= tolerance and float(np.max(np.abs(residual))) <= _ON_PLANE
     result = MaximizeResult(x.reshape(-1, 3), fx, gnorm, it, converged)
     if not result.converged and _interior_point(rows, b) is None:

@@ -52,17 +52,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .blocks import ALL_B2, B1, B2_END, B2_START, B3, UNFINISHED_B3, Block, BlockDecomposition, decompose
-from .triangulation import (
-    DIAGONAL_EDGES,
-    HORIZONTAL_EDGES,
-    VERTICAL_EDGES,
-    Triangulation,
-    VerificationError,
-    edge_classes,
-)
+from .triangulation import DIAGONAL_EDGES, HORIZONTAL_EDGES, VERTICAL_EDGES, Triangulation, VerificationError, _labels
 from .word import Word, inner_word
 
 F = Fraction
@@ -352,15 +345,14 @@ def expand_to_tetrahedra(
         raise ValueError("triangulation carries no layer metadata")
     if tri.tet_count != 2 * len(assignment.layers):
         raise ValueError("assignment and triangulation have different layer counts")
+    layers, layer_of = assignment.layers, tri.layer_of
+    (v1, v2), (h1, h2), (d1, d2) = VERTICAL_EDGES, HORIZONTAL_EDGES, DIAGONAL_EDGES
     out: dict[tuple[int, int], Fraction] = {}
     for t in range(tri.tet_count):
-        la = assignment.layers[tri.layer_of[t]]
-        for e in VERTICAL_EDGES:
-            out[(t, e)] = la.v
-        for e in HORIZONTAL_EDGES:
-            out[(t, e)] = la.h
-        for e in DIAGONAL_EDGES:
-            out[(t, e)] = la.d
+        v, h, d = layers[layer_of[t]].triple
+        out[t, v1] = out[t, v2] = v
+        out[t, h1] = out[t, h2] = h
+        out[t, d1] = out[t, d2] = d
     return out
 
 
@@ -389,27 +381,26 @@ def verify_angle_structure(
     of integers in units of pi/D, D the least common multiple of the
     denominators.  With float entries (radians) a 1e-9 tolerance is used.
     """
+    try:  # the angle of edge e of tetrahedron t at x[6t + e]
+        x = list(map(angle_map.__getitem__, product(range(tri.tet_count), range(6))))
+    except KeyError as exc:
+        t, e = exc.args[0]
+        raise ValueError(f"angle map missing entry for tetrahedron {t} edge {e}") from None
     pi_val, tol = math.pi, 1e-9
-    if all(isinstance(x, Fraction) for x in angle_map.values()):
-        pi_val, tol = math.lcm(*(x.denominator for x in angle_map.values())), 0
-        angle_map = {key: x.numerator * (pi_val // x.denominator) for key, x in angle_map.items()}
+    distinct = {id(a): a for a in angle_map.values()}  # every value of the map, each object once
+    if all(isinstance(a, Fraction) for a in distinct.values()):
+        pi_val, tol = math.lcm(*(a.denominator for a in distinct.values())), 0
+        units = {i: a.numerator * (pi_val // a.denominator) for i, a in distinct.items()}
+        x = [units[id(a)] for a in x]
 
-    bad_angles = []
-    for t in range(tri.tet_count):
-        for e in range(6):
-            if (t, e) not in angle_map:
-                raise ValueError(f"angle map missing entry for tetrahedron {t} edge {e}")
-            if not 0 < angle_map[(t, e)] < pi_val:
-                bad_angles.append((t, e))
-
-    bad_tets = []
-    for t in range(tri.tet_count):
-        x = [angle_map[(t, e)] for e in range(6)]
-        if abs(sum(x[:3]) - pi_val) > tol or any(abs(x[e] - x[5 - e]) > tol for e in range(3)):
-            bad_tets.append(t)
-
-    classes = edge_classes(tri).classes
-    bad_classes = [c.index for c in classes if abs(sum(angle_map[x] for x in c.embeddings) - 2 * pi_val) > tol]
+    bad_angles = [divmod(i, 6) for i, a in enumerate(x) if not 0 < a < pi_val]
+    bad_tets = [t for t, (a, b, c, d, e, f) in enumerate(zip(*[iter(x)] * 6))
+                if abs(a + b + c - pi_val) > tol or abs(a - f) > tol or abs(b - e) > tol or abs(c - d) > tol]
+    label, count = _labels(tri, "edge")  # the class of x[6t + e]; each sum runs in embedding order
+    sums = [0] * count
+    for c, a in zip(label, x):
+        sums[c] += a
+    bad_classes = [c for c, s in enumerate(sums) if abs(s - 2 * pi_val) > tol]
 
     return AngleVerification(
         range_ok=not bad_angles,

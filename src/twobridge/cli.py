@@ -185,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, record=None, fn=_each_word, words=True, with_csv=False):
+    def add(name, helptext, record=None, fn=_each_word, words=True, with_csv=False, isosig=None):
         p = sub.add_parser(name, help=helptext)
         if words:
             p.add_argument("word", nargs="*", help="twist words such as R^2LR")
@@ -194,14 +194,14 @@ def _parser() -> argparse.ArgumentParser:
         modes.add_argument("--json", action="store_true", help="machine-readable output")
         if with_csv:
             modes.add_argument("--csv", action="store_true", help=f"CSV with columns {','.join(CSV_COLUMNS)}")
+        if isosig:
+            modes.add_argument("--isosig", action="store_true", help=isosig)
         p.set_defaults(fn=fn, record=record)
         return p
 
-    p = add("build", "construct the layered triangulation", _build)
-    p.add_argument("--isosig", action="store_true", help="print only the isomorphism signature")
+    add("build", "construct the layered triangulation", _build, isosig="print only the isomorphism signature")
     add("edges", "edge classes, degrees and low-degree criteria", _edges)
-    p = add("simplify", "simplify via 3-2 and 4-4 moves", _simplify)
-    p.add_argument("--isosig", action="store_true", help="print only the final signature")
+    add("simplify", "simplify via 3-2 and 4-4 moves", _simplify, isosig="print only the final signature")
     add("blocks", "block decomposition of the inner word", _blocks)
     add("angles", "explicit angle structure with verification", _angles)
     p = add("volume", "explicit and maximised volumes", _volume)

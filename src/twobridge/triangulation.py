@@ -30,7 +30,7 @@ import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from types import MappingProxyType
 
 from .word import Word, is_hyperbolic
@@ -229,16 +229,19 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
 
 
 def _cells(cells, key=tuple):
-    """(cells per tetrahedron, facets holding each cell, image of each cell
-    under each ORDERED_S4 index) for cells given by their tuples of vertices.
+    """(cells per tetrahedron, steps of each cell) for cells given by their
+    tuples of vertices: steps[c] pairs each facet holding cell c with the
+    cell it becomes under each ORDERED_S4 index.
 
     A cell lies in facet f iff f is none of its vertices, and a gluing
     permutation maps it to the cell on the permuted vertices.
     """
     index = {key(c): i for i, c in enumerate(cells)}
-    faces = tuple(tuple(f for f in range(4) if f not in c) for c in cells)
-    image = tuple(tuple(index[key(p[v] for v in c)] for c in cells) for p in ORDERED_S4)
-    return len(cells), faces, image
+    steps = tuple(
+        tuple((f, tuple(index[key(p[v] for v in c)] for p in ORDERED_S4)) for f in range(4) if f not in c)
+        for c in cells
+    )
+    return len(cells), steps
 
 
 _CELLS = {
@@ -255,10 +258,11 @@ _CELLS = {
 def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
     """Classes of cells identified across glued faces, as (label, count).
 
-    Cell c of tetrahedron t gets label[size*t + c]; a depth-first search
-    over the gluings numbers the classes in order of their smallest member.
+    Cell c of tetrahedron t gets label[size*t + c]; a search over the
+    gluings, growing each class's list of (t, c) members, numbers the
+    classes in order of their smallest member.
     """
-    size, faces, image = cells
+    size, steps = cells
     glue = tri._glue
     label = [-1] * (size * tri.tet_count)
     count = 0
@@ -266,16 +270,17 @@ def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
         if label[start] >= 0:
             continue
         label[start] = count
-        stack = [start]
-        while stack:
-            t, c = divmod(stack.pop(), size)
-            for f in faces[c]:
-                g = glue[t][f]
+        members = [divmod(start, size)]
+        for t, c in members:  # members grows while it is walked
+            row = glue[t]
+            for f, image in steps[c]:
+                g = row[f]
                 if g is not None:
-                    other = size * g[0] + image[g[1]][c]
-                    if label[other] < 0:
-                        label[other] = count
-                        stack.append(other)
+                    t2, c2 = g[0], image[g[1]]
+                    x = size * t2 + c2
+                    if label[x] < 0:
+                        label[x] = count
+                        members.append((t2, c2))
         count += 1
     return label, count
 
@@ -346,16 +351,9 @@ class ValidationReport:
 def validate(tri: Triangulation) -> ValidationReport:
     failures = []
 
-    involution_ok = True
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is None:
-                continue
-            t2, perm = g
-            back = tri.gluing(t2, perm[f])
-            if back != (t, invert(perm)):
-                involution_ok = False
+    glue = tri._glue
+    involution_ok = all(g is None or glue[g[0]][ORDERED_S4[g[1]][f]] == (t, _INVERSE[g[1]])
+                        for t, row in enumerate(glue) for f, g in enumerate(row))
     if not involution_ok:
         failures.append("gluing map is not an involution")
 
@@ -380,7 +378,7 @@ def validate(tri: Triangulation) -> ValidationReport:
         vertex, count = _labels(tri, "vertex")
         corner, _ = _labels(tri, "corner")
         # Corner 12t + 3v + j lies at vertex 4t + v.
-        at_vertex = {c: vertex[x // 3] for x, c in enumerate(corner)}
+        at_vertex = dict(zip(corner, chain.from_iterable(zip(vertex, vertex, vertex))))
         corners = Counter(at_vertex.values())
         faces = Counter(vertex)
         eulers = [corners[v] - faces[v] // 2 for v in range(count)]
@@ -413,7 +411,7 @@ def degree_predicates(tri: Triangulation, w: Word) -> tuple[bool, bool]:
     degree 2(ell-1) = 4 even though every exponent is 1.)  A mismatch with
     the criteria means the builder is broken and raises VerificationError.
     """
-    degrees = edge_classes(tri).degrees()
+    degrees = Counter(_labels(tri, "edge")[0]).values()
     has3 = 3 in degrees
     has4 = 4 in degrees
     exps = w.exponents

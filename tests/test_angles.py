@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -218,8 +219,6 @@ def test_all_regular_fails_for_squared_word():
 
 
 def test_verify_float_fallback():
-    import math
-
     w = parse_word("RL^2R")
     tri = build_sakuma_weeks(w)
     amap = expand_to_tetrahedra(assign_angles(w), tri)
@@ -228,6 +227,55 @@ def test_verify_float_fallback():
     floats[(0, 0)] += 1e-6
     floats[(0, 5)] += 1e-6
     assert not verify_angle_structure(tri, floats).passed
+
+
+def reference_verdicts(tri, angle_map):
+    """The bad angles, tetrahedra and edge classes by their definitions,
+    summing over the embeddings of the EdgeClassTable."""
+    pi_val, tol = math.pi, 1e-9
+    if all(isinstance(x, F) for x in angle_map.values()):
+        pi_val, tol = math.lcm(*(x.denominator for x in angle_map.values())), 0
+        angle_map = {key: x * pi_val for key, x in angle_map.items()}
+    n = tri.tet_count
+    bad_angles = [(t, e) for t in range(n) for e in range(6) if not 0 < angle_map[t, e] < pi_val]
+    bad_tets = [
+        t
+        for t in range(n)
+        if abs(sum(angle_map[t, e] for e in range(3)) - pi_val) > tol
+        or any(abs(angle_map[t, e] - angle_map[t, 5 - e]) > tol for e in range(3))
+    ]
+    bad_classes = [
+        c.index for c in edge_classes(tri).classes if abs(sum(angle_map[x] for x in c.embeddings) - 2 * pi_val) > tol
+    ]
+    return bad_angles, bad_tets, bad_classes
+
+
+def test_verify_reads_every_value_for_the_arithmetic():
+    # Every value of the map, also under keys outside the triangulation,
+    # decides between exact and float arithmetic and enters the common
+    # denominator; only the 6n angles of the triangulation are checked.
+    w = parse_word("RL^2RLR")
+    tri = build_sakuma_weeks(w)
+    n = tri.tet_count
+    amap = expand_to_tetrahedra(assign_angles(w), tri)
+    broken = {**amap, (3, 0): amap[3, 0] + F(1, 48), (2, 1): F(0)}
+    maps = {
+        "exact": amap,
+        "broken": broken,
+        "extra fractions": {**broken, (n, 0): F(1, 7), (-1, 9): F(5, 11)},
+        "extra float": {**amap, (n, 0): 0.5},  # floats: Fractions then count as radians
+        "one float angle": {**amap, (1, 2): float(amap[1, 2])},
+        "radians": {key: float(x) * math.pi + 1e-6 * (key == (0, 0)) for key, x in amap.items()},
+    }
+    for name, angle_map in maps.items():
+        report = verify_angle_structure(tri, angle_map)
+        verdicts = (report.bad_angles, report.bad_tets, report.bad_edge_classes)
+        assert verdicts == reference_verdicts(tri, angle_map), name
+        assert report.passed == (verdicts == ([], [], [])), name
+    assert verify_angle_structure(tri, maps["extra fractions"]).bad_tets == [2, 3]
+    assert verify_angle_structure(tri, maps["extra float"]).bad_tets == list(range(n))
+    with pytest.raises(ValueError, match="missing entry for tetrahedron 0 edge 0"):
+        verify_angle_structure(tri, {key: x for key, x in amap.items() if key != (0, 0)})
 
 
 def shape_counts(word_text):

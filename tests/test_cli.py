@@ -124,6 +124,8 @@ def test_bounds_outside_family_reports_generic_bounds(capsys):
         ["volume", "RL", "--tolerance", "-1e-10"],
         ["frobnicate", "RL"],
         ["bounds", "RL", "--json", "--csv"],  # two output formats
+        ["build", "RL", "--isosig", "--json"],
+        ["simplify", "RL", "--isosig", "--json"],
     ],
 )
 def test_usage_errors_exit_1(capsys, args):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twobridge
+import twobridge.angles as angles
 import twobridge.triangulation as triangulation
 from conftest import random_gluing
 from test_isosig import open_copy
@@ -18,6 +19,7 @@ from twobridge.volume import maximize_volume
 from twobridge.triangulation import (
     EDGE_INDEX,
     IDENTITY,
+    ORDERED_S4,
     Triangulation,
     VerificationError,
     build_sakuma_weeks,
@@ -312,6 +314,46 @@ def test_validate_detects_missing_gluing():
     report = validate(tri)
     assert not report.all_faces_glued
     assert not report.passed
+
+
+def test_validate_detects_a_one_sided_gluing():
+    # One half of a gluing edited behind glue's back: the partner facet
+    # still names the old tetrahedron or the old inverse permutation.
+    for edit in ("tetrahedron", "permutation"):
+        tri = build_sakuma_weeks(parse_word("RL^2R"))
+        t2, i = tri._glue[0][2]
+        if edit == "tetrahedron":
+            t2 = next(t for t in range(tri.tet_count) if t != t2)
+        else:  # another permutation onto the same facet
+            i = next(j for j, p in enumerate(ORDERED_S4) if j != i and p[2] == ORDERED_S4[i][2])
+        tri._glue[0][2] = (t2, i)
+        report = validate(tri)
+        assert not report.involution_ok and "gluing map is not an involution" in report.failures, edit
+
+
+def test_checks_use_nothing_from_the_synthesis():
+    # validate, verify_angle_structure and degree_predicates check the
+    # builder and assign_angles by a search over the gluings: neither they
+    # nor any function they reach in either module may use the synthesis.
+    synthesis = {"_chains", "_orient_layers", "assign_angles", "layer_of", "build_sakuma_weeks"}
+    defs: dict[str, list] = {}
+    for module in (triangulation, angles):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo, used = set(), ["validate", "verify_angle_structure", "degree_predicates"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in (x for fn in defs[name] for x in ast.walk(fn)):
+            word = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if word is not None:
+                used.add(word)
+                todo += [word] if word in defs else []
+    assert {"_labels", "_closure"} <= reached
+    assert used & synthesis == set()
 
 
 def test_glue_after_a_class_query_changes_the_answers():

@@ -16,7 +16,9 @@ angle sums around the edge classes hold.
 
 Those sums come from one chain model of the layered complex (_chains).
 For a word with letters 0..N and layers 0..N-1, each edge class is a chain
-of (layer, slot, weight) terms, read from the letters alone:
+of (layer, slot, weight) terms, read from the letters alone; the slot is
+v, h or d (the integers V, H, D = 0, 1, 2, the positions in a layer's
+triple):
 
 * a horizontal chain opens at the outer fold with (0, d, 1), the layer's
   bottom diagonal; a vertical chain opens empty;
@@ -37,8 +39,17 @@ pi; every other chain is two edge classes and sums to 2 pi.
 _orient_layers searches the layers in order, keeping one running integer
 sum per chain, and forward-checks every chain a candidate touches: what
 the chain still needs must lie within what its later terms can add
-(Haralick and Elliott, Artificial Intelligence 14, 1980).  That prunes
-dead branches only, so it finds the first orientation in catalogue order.
+(Haralick and Elliott, Artificial Intelligence 14, 1980).  One backward
+pass over the chains gives each layer one row per chain it touches: the
+chain's weights on v, h and d in that layer and the bounds of its later
+terms.  A candidate is checked against every row before anything is
+written, and the running sums change only when a candidate is taken and
+when it is taken back.  What a row subtracts is what the chain's terms in
+that layer would subtract one by one, so a candidate passes exactly when
+applying its terms and then checking would pass it; with the candidates,
+their order and the bounds unchanged, the search visits the same
+branches as apply, check and undo.  It prunes dead branches only, so it
+finds the first orientation in catalogue order.
 
 verify_angle_structure checks the result against the triangulation itself
 (exact sums, in integer units of pi/24 where the denominators allow, over
@@ -54,7 +65,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from .blocks import ALL_B2, B1, B2_END, B2_START, B3, UNFINISHED_B3, Block, BlockDecomposition, decompose
+from .blocks import (
+    ALL_B2,
+    B1,
+    B2_END,
+    B2_START,
+    B3,
+    INNER_EXPONENTS,
+    UNFINISHED_B3,
+    Block,
+    BlockDecomposition,
+    decompose,
+)
 from .triangulation import DIAGONAL_EDGES, HORIZONTAL_EDGES, VERTICAL_EDGES, Triangulation, VerificationError, _labels
 from .word import Word, inner_word
 
@@ -91,9 +113,11 @@ SHAPES: dict[str, Shape] = {
     name: Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
 }
 
+# Chain slots: the vertical, horizontal and diagonal angle of a layer.
+V, H, D = 0, 1, 2
+
 # The distinct (v, h, d) arrangements of each shape, in permutations order.
 _ARRANGEMENTS = {name: tuple(dict.fromkeys(permutations(units))) for name, units in _UNITS.items()}
-_SLOT = {"v": 0, "h": 1, "d": 2}
 _RANGE = {name: (min(units), max(units)) for name, units in _UNITS.items()}
 
 
@@ -125,9 +149,10 @@ class LayerAngles:
         return self.triple[2]
 
 
-# One shared (frozen) LayerAngles per shape and arrangement.
+# One shared (frozen) LayerAngles per arrangement.  No two shapes share a
+# multiset of angles, so an arrangement names its shape.
 _LAYERS = {
-    (name, units): LayerAngles(name, tuple(_PI_24[x] for x in units), units)
+    units: LayerAngles(name, tuple(_PI_24[x] for x in units), units)
     for name, options in _ARRANGEMENTS.items()
     for units in options
 }
@@ -170,7 +195,7 @@ def theorem_family(w: Word) -> bool:
     exps = w.exponents  # with end exponents 1, exps[1:-1] are the inner word's
     if w.n < 3 or w.syllables[0][0] != "R" or exps[0] != 1 or exps[-1] != 1:
         return False
-    return all(e in (1, 2) for e in exps[1:-1])
+    return INNER_EXPONENTS.issuperset(exps)  # the end exponents 1 are in it too
 
 
 def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
@@ -224,55 +249,61 @@ def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
     return [delta1] + seq
 
 
-def _chains(letters: str) -> list[tuple[tuple[tuple[int, str, int], ...], int]]:
+def _chains(letters: str) -> list[tuple[list[tuple[int, int, int]], int]]:
     """Every edge class of the layered complex as a chain of terms.
 
     Returns (terms, target) pairs: terms are (layer, slot, weight) with slot
-    one of "v", "h", "d", in order up the layers, and target is the sum the
+    one of V, H, D, in order up the layers, and target is the sum the
     weighted angles must reach, in units of pi/24.  The rules are in the
     module docstring.
     """
     n = len(letters) - 1
     chains = []
-    open_terms = {"h": [(0, "d", 1)], "v": []}
-    fold = {"h": True, "v": False}
+    open_terms = [[], [(0, D, 1)]]  # the open vertical and horizontal chains
+    target = [48, 24]  # theirs in units of pi/24: 24 once a chain touches a fold
     for k in range(n):
         if k:
-            slot = "h" if letters[k] == "L" else "v"
-            chains.append((open_terms[slot] + [(k, "d", 1)], fold[slot]))
-            open_terms[slot], fold[slot] = [(k - 1, "d", 1)], False
-        open_terms["h"].append((k, "h", 2))
-        open_terms["v"].append((k, "v", 2))
-    slot = "h" if letters[-1] == "R" else "v"
-    open_terms[slot].append((n - 1, "d", 1))
-    fold[slot] = True
-    chains += [(open_terms["h"], fold["h"]), (open_terms["v"], fold["v"])]
-    return [(tuple(terms), 24 if is_fold else 48) for terms, is_fold in chains]
+            slot = H if letters[k] == "L" else V
+            terms = open_terms[slot]
+            terms.append((k, D, 1))
+            chains.append((terms, target[slot]))
+            open_terms[slot], target[slot] = [(k - 1, D, 1)], 48
+        open_terms[H].append((k, H, 2))
+        open_terms[V].append((k, V, 2))
+    slot = H if letters[-1] == "R" else V
+    open_terms[slot].append((n - 1, D, 1))
+    target[slot] = 24
+    chains.append((open_terms[H], target[H]))
+    chains.append((open_terms[V], target[V]))
+    return chains
 
 
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
     """Distribute each layer's shape angles onto (v, h, d) via chain sums.
 
     Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
-    explicit stack.  need[c] is chain c's target less its chosen terms; a
-    candidate for layer k stands iff every chain with a term in layer k has
-    need[c] in [lo, hi], what its terms in later layers can add (0 where it
-    closes).  Returns the first consistent orientation as integer triples in
-    units of pi/24, or None.
+    explicit stack.  need[c] is chain c's target less its chosen terms.  One
+    backward pass gives layer k a row (c, weight on v, on h, on d, lo, hi)
+    per chain c it touches, lo and hi bounding what c's terms in later
+    layers can add (0 where it closes).  A candidate (a, b, d) stands iff
+    need[c] - (a, b, d) . weights lies in [lo, hi] on every row; need
+    changes only when a candidate stands and when it is taken back.
+    Returns the first consistent orientation as integer triples in units
+    of pi/24, or None.
     """
     chains = _chains(letters)
     need = [target for _, target in chains]
-    terms_at: list[list] = [[] for _ in shapes]  # per layer: (chain, slot, weight)
-    checks_at: list[list] = [[] for _ in shapes]  # per layer: (chain, lo, hi)
+    rows: list[list] = [[] for _ in shapes]  # per layer: [c, weight on v, on h, on d, lo, hi]
     for c, (terms, _) in enumerate(chains):
         lo = hi = 0
         last = -1
         for layer, slot, weight in reversed(terms):
-            if layer != last:  # c's last term in this layer
-                checks_at[layer].append((c, lo, hi))
+            if layer != last:  # c's last term in this layer: lo, hi cover the later layers
+                row = [c, 0, 0, 0, lo, hi]
+                rows[layer].append(row)
+                least, most = _RANGE[shapes[layer]]
                 last = layer
-            terms_at[layer].append((c, _SLOT[slot], weight))
-            least, most = _RANGE[shapes[layer]]
+            row[1 + slot] += weight
             lo += weight * least
             hi += weight * most
     chosen: list[tuple[int, int, int]] = []
@@ -280,27 +311,26 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
     start = k = 0
     while k < len(shapes):
         options = _ARRANGEMENTS[shapes[k]]
+        here = rows[k]
         for i in range(start, len(options)):
-            option = options[i]
-            for c, slot, weight in terms_at[k]:
-                need[c] -= weight * option[slot]
-            for c, lo, hi in checks_at[k]:
-                if not lo <= need[c] <= hi:
+            a, b, d = option = options[i]
+            for c, wv, wh, wd, lo, hi in here:
+                if not lo <= need[c] - wv * a - wh * b - wd * d <= hi:
                     break
             else:
+                for c, wv, wh, wd, _, _ in here:
+                    need[c] -= wv * a + wh * b + wd * d
                 chosen.append(option)
                 resume.append(i + 1)
                 start, k = 0, k + 1
                 break
-            for c, slot, weight in terms_at[k]:
-                need[c] += weight * option[slot]
         else:
             if not chosen:
                 return None
             k -= 1
-            option = chosen.pop()
-            for c, slot, weight in terms_at[k]:
-                need[c] += weight * option[slot]
+            a, b, d = chosen.pop()
+            for c, wv, wh, wd, _, _ in rows[k]:
+                need[c] += wv * a + wh * b + wd * d
             start = resume.pop()
     return chosen
 
@@ -334,7 +364,7 @@ def assign_angles(
     oriented = _orient_layers(letters, shapes)
     if oriented is None:
         raise VerificationError(f"no consistent orientation of shapes {shapes} for {w}")
-    return AngleAssignment(w, tuple(map(_LAYERS.__getitem__, zip(shapes, oriented))))
+    return AngleAssignment(w, tuple(map(_LAYERS.__getitem__, oriented)))
 
 
 def expand_to_tetrahedra(
@@ -429,11 +459,11 @@ def boundary_deficits(
     units = [la.units for la in assignment.layers]
     before, after = {}, {}
     for terms, _ in _chains(assignment.word.letters):
-        values = [weight * units[layer][_SLOT[slot]] for layer, slot, weight in terms]
+        values = [weight * units[layer][slot] for layer, slot, weight in terms]
         for i, (layer, slot, _) in enumerate(terms):
-            if slot != "d" and layer in (first, last):
+            if slot != D and layer in (first, last):
                 before[layer, slot] = sum(values[:i])
                 after[layer, slot] = sum(values[i + 1 :])
-    delta = (before[first, "h"], before[first, "v"], 48 - units[first][2])
-    epsilon = (after[last, "h"], after[last, "v"], 48 - units[last][2])
+    delta = (before[first, H], before[first, V], 48 - units[first][D])
+    epsilon = (after[last, H], after[last, V], 48 - units[last][D])
     return DeficitTriple(*(F(x, 24) for x in delta)), DeficitTriple(*(F(x, 24) for x in epsilon))

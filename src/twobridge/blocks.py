@@ -36,6 +36,9 @@ B3 = "B3"
 UNFINISHED_B3 = "UnfinishedB3"
 ALL_B2 = "AllB2"
 
+# The exponents an inner word may have.
+INNER_EXPONENTS = frozenset((1, 2))
+
 
 @dataclass(frozen=True)
 class Block:
@@ -88,7 +91,7 @@ def _b3_block(kind: str, start: int, end: int, b2_lengths: list[int]) -> Block:
 def decompose(inner: Word) -> BlockDecomposition:
     """Decompose an inner word with exponents in {1, 2} into blocks."""
     exps = inner.exponents
-    if any(e not in (1, 2) for e in exps):
+    if not INNER_EXPONENTS.issuperset(exps):
         raise ValueError(f"inner word {inner} has an exponent outside {{1, 2}}")
     n = len(exps)
     runs: list[tuple[int, int, int]] = []  # (exponent, start, end)

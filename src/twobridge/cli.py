@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from operator import attrgetter
 
 from . import __version__
 from .angles import assign_angles, expand_to_tetrahedra, theorem_family, verify_angle_structure
@@ -148,9 +149,9 @@ def _print_reports(reports, as_json: bool, as_csv: bool) -> int:
         for r in reports:
             print(json.dumps(r.to_dict()))
     elif as_csv:
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n", extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(r.to_dict() for r in reports)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(attrgetter(*CSV_COLUMNS), reports))
     else:
         for r in reports:
             d = r.to_dict()
@@ -185,13 +186,14 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, record=None, fn=_each_word, words=True, with_csv=False, isosig=None):
+    def add(name, helptext, record=None, fn=_each_word, words=True, with_json=True, with_csv=False, isosig=None):
         p = sub.add_parser(name, help=helptext)
         if words:
             p.add_argument("word", nargs="*", help="twist words such as R^2LR")
             p.add_argument("--words-file", help="file with one word per line")
         modes = p.add_mutually_exclusive_group()  # one output format
-        modes.add_argument("--json", action="store_true", help="machine-readable output")
+        if with_json:
+            modes.add_argument("--json", action="store_true", help="machine-readable output")
         if with_csv:
             modes.add_argument("--csv", action="store_true", help=f"CSV with columns {','.join(CSV_COLUMNS)}")
         if isosig:
@@ -202,7 +204,7 @@ def _parser() -> argparse.ArgumentParser:
     add("build", "construct the layered triangulation", _build, isosig="print only the isomorphism signature")
     add("edges", "edge classes, degrees and low-degree criteria", _edges)
     add("simplify", "simplify via 3-2 and 4-4 moves", _simplify, isosig="print only the final signature")
-    add("blocks", "block decomposition of the inner word", _blocks)
+    add("blocks", "block decomposition of the inner word (JSON)", _blocks, with_json=False)
     add("angles", "explicit angle structure with verification", _angles)
     p = add("volume", "explicit and maximised volumes", _volume)
     p.add_argument("--tolerance", type=float, default=1e-10, help="projected-gradient stopping tolerance")

@@ -164,6 +164,8 @@ class Triangulation:
                 tri.glue(t, f, g[0], tuple(int(c) for c in g[1]))
         layer_of = doc.get("layer_of")
         if isinstance(layer_of, list) and all(type(x) is int for x in layer_of):
+            if len(layer_of) != n or not all(0 <= x < n // 2 for x in layer_of):
+                raise ValueError("layer_of needs one layer in range(tet_count // 2) per tetrahedron")
             tri.layer_of = tuple(layer_of)
         # Partner entries, key set and value types must be the ones to_json writes.
         if json.dumps(doc, sort_keys=True) != json.dumps(json.loads(tri.to_json()), sort_keys=True):

@@ -193,7 +193,7 @@ def bounds_report(w: Word) -> BoundsReport:
         raise ValueError(f"{w} is not hyperbolic")
     tet_count = 2 * (w.ell - 1)
     exps = w.exponents
-    ishikawa = w.ell + 2 * (w.n - 1) - sum(1 for e in exps if e == 1)
+    ishikawa = w.ell + 2 * (w.n - 1) - exps.count(1)
     if w.ell >= 3:
         inner = inner_word(w)
         n_inner = inner.n

@@ -11,8 +11,7 @@ word (all letters swapped) describes a homeomorphic complement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
@@ -21,40 +20,42 @@ _TOKEN = re.compile(r"([RL])(?:\^([0-9]+))?")
 
 @dataclass(frozen=True)
 class Word:
-    """A twist word as a tuple of (letter, exponent) syllables; derived values are cached."""
+    """A twist word as a tuple of (letter, exponent) syllables.
+
+    ell and exponents are computed once, on construction; letters is
+    expanded on each access, so a huge exponent costs nothing until a
+    caller asks for the letter string.
+    """
 
     syllables: tuple[tuple[str, int], ...]
+    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ell: int = field(init=False, repr=False, compare=False)  # letters (= crossings): the sum of exponents
 
     def __post_init__(self):
         if not self.syllables:
             raise ValueError("a word needs at least one syllable")
+        previous = None
         for letter, exp in self.syllables:
             if letter not in ("R", "L"):
                 raise ValueError(f"letter must be R or L, got {letter!r}")
             if exp < 1:
                 raise ValueError(f"syllable exponent must be >= 1, got {exp}")
-        for (a, _), (b, _) in zip(self.syllables, self.syllables[1:]):
-            if a == b:
+            if letter == previous:
                 raise ValueError("adjacent syllables must use distinct letters")
+            previous = letter
+        exponents = tuple([e for _, e in self.syllables])
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "ell", sum(exponents))
 
     @property
     def n(self) -> int:
         """Number of syllables."""
         return len(self.syllables)
 
-    @cached_property
-    def ell(self) -> int:
-        """Total number of letters (= crossings), the sum of all exponents."""
-        return sum(e for _, e in self.syllables)
-
-    @cached_property
+    @property
     def letters(self) -> str:
         """The word expanded into individual letters, e.g. ``RRLR``."""
-        return "".join(letter * exp for letter, exp in self.syllables)
-
-    @cached_property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.syllables)
+        return "".join([letter * exp for letter, exp in self.syllables])
 
     def __str__(self) -> str:
         return render(self)
@@ -157,9 +158,9 @@ def enumerate_words(
     if max_inner_syllables < 1:
         raise ValueError("max_inner_syllables must be >= 1")
     for n in range(1, max_inner_syllables + 1):
+        inner_letters = ("LR" * n)[:n]
+        terminal = ("R" if inner_letters[-1] == "L" else "L", 1)
         for combo in product(exps, repeat=n):
             if fixed_C is not None and sum(combo) != n + fixed_C:
                 continue
-            inner = tuple(("L" if i % 2 == 0 else "R", e) for i, e in enumerate(combo))
-            terminal = "R" if inner[-1][0] == "L" else "L"
-            yield Word((("R", 1),) + inner + ((terminal, 1),))
+            yield Word((("R", 1), *zip(inner_letters, combo), terminal))

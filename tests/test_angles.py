@@ -7,7 +7,7 @@ import pytest
 
 from twobridge.angles import (
     _ARRANGEMENTS,
-    _SLOT,
+    D,
     SHAPES,
     _chains,
     _orient_layers,
@@ -461,8 +461,8 @@ def chain_classes(w):
         assert target in (24, 48)
         counts = Counter()
         for i, (layer, slot, weight) in enumerate(terms):
-            role = slot
-            if slot == "d":
+            role = "vhd"[slot]
+            if slot == D:
                 # Up a layer a chain meets the bottom diagonal, then h or v,
                 # then the top diagonal, so the neighbouring term tells which.
                 if i == 0:
@@ -499,13 +499,24 @@ def test_orientation_and_deficits_unchanged_n9():
     assert digest == "3e662c901214e2a36345f5aa9848c7ff45f2809bd630ec0619bb63909b0fc701"
 
 
+def test_survey_layer_triples_unchanged():
+    # Every word of `twobridge survey --max-n 11`: each layer's shape and its
+    # (v, h, d) in units of pi/24, the Fractions of LayerAngles.triple being
+    # read from the same shared table.  Digest recorded before the
+    # check-before-apply search on integer chain slots.
+    words = family(11)
+    lines = [f"{w}: {[(la.shape, la.units) for la in assign_angles(w).layers]}" for w in words]
+    assert len(words) == 4094
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5e34ab0bb1cd674241851e37a61b60068663e56e1ba89984c725a6a267a69c39"
+
+
 def reference_orient(letters, shapes):
     """The plain backtracking search that _orient_layers prunes: every
     closing chain re-summed for each candidate, no look-ahead."""
     closing = [[] for _ in shapes]
     for terms, target in _chains(letters):
-        indexed = [(layer, _SLOT[slot], weight) for layer, slot, weight in terms]
-        closing[terms[-1][0]].append((indexed, target))
+        closing[terms[-1][0]].append((terms, target))
     chosen, resume, start = [], [], 0
     while len(chosen) < len(shapes):
         k = len(chosen)

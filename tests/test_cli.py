@@ -126,6 +126,7 @@ def test_bounds_outside_family_reports_generic_bounds(capsys):
         ["bounds", "RL", "--json", "--csv"],  # two output formats
         ["build", "RL", "--isosig", "--json"],
         ["simplify", "RL", "--isosig", "--json"],
+        ["blocks", "RLR^2LR", "--json"],  # blocks always prints JSON
     ],
 )
 def test_usage_errors_exit_1(capsys, args):
@@ -195,7 +196,7 @@ PIN_MODES = {
     "build": [[], ["--json"], ["--isosig"]],
     "edges": [[], ["--json"]],
     "simplify": [[], ["--json"], ["--isosig"]],
-    "blocks": [[], ["--json"]],
+    "blocks": [[]],
     "angles": [[], ["--json"]],
     "volume": [[], ["--json"]],
     "bounds": [[], ["--json"], ["--csv"]],
@@ -236,7 +237,7 @@ def test_every_output_mode_pinned(capsys):
                         assert 0 <= got <= 1e-10 if want is None else math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
                     out = FLOAT.sub("F", out)
                 digest.update(f"{command} {words} {mode} {code}\n{out}".encode())
-    assert digest.hexdigest() == "70058defb89d76ee1c4b5454b87d408021e88e8d8704ddffb618aec81947b298"
+    assert digest.hexdigest() == "38b668b330caabb3cb23eb82146dc85062b73e754fb772324f5a357822255a70"
 
 
 def test_simplify_text_prints_no_partial_record(capsys):

@@ -511,6 +511,16 @@ def test_json_roundtrip():
     assert back.layer_of == tri.layer_of
 
 
+@pytest.mark.parametrize("layer_of", [[0], [0, 0, 5, 5], [0, 0, -1, -1]])
+def test_from_json_rejects_layers_outside_the_triangulation(layer_of):
+    # RLR has two layers of two tetrahedra: layer_of needs four entries in range(2).
+    doc = json.loads(build_sakuma_weeks(parse_word("RLR")).to_json())
+    Triangulation.from_json(json.dumps(doc))  # the unaltered document loads
+    doc["layer_of"] = layer_of
+    with pytest.raises(ValueError, match="layer_of"):
+        Triangulation.from_json(json.dumps(doc))
+
+
 def _two_tets(entry=(1, "1032"), partner=(0, "1032"), **changes):
     """A two-tetrahedron document gluing facet (0, 0) by entry, and its partner facet (1, 1) by partner."""
     doc = {"schema_version": 1, "tet_count": 2, "gluings": [[entry, None, None, None], [None, partner, None, None]]}

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twobridge.angles import theorem_family
+from twobridge.volume import bounds_report
 from twobridge.word import (
     Word,
     enumerate_words,
@@ -78,6 +80,25 @@ def test_inner_word_strips_the_letter_string():
         for letters in itertools.product("RL", repeat=ell):
             text = "".join(letters)
             assert inner_word(parse_word(text)) == parse_word(text[1:-1]), text
+
+
+def test_huge_exponent_values_leave_the_letters_unexpanded(monkeypatch):
+    # R L^(10^20) R cannot be expanded into letters; everything that needs
+    # only the syllables must still work, without reading Word.letters.
+    def expand(self):
+        raise AssertionError("letters expanded")
+
+    monkeypatch.setattr(Word, "letters", property(expand))
+    huge = 10**20
+    w = parse_word(f"RL^{huge}R")
+    assert w.ell == huge + 2 and w.exponents == (1, huge, 1)
+    assert str(w) == f"RL^{huge}R"
+    assert inner_word(w) == Word((("L", huge),))
+    assert not theorem_family(w)
+    report = bounds_report(w)
+    assert report.tet_count == 2 * (huge + 1) and report.explicit_volume is None
+    with pytest.raises(AssertionError, match="letters expanded"):
+        w.letters
 
 
 def test_render():

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .angles import AngleAssignment
+from .angles import AngleAssignment, expand_to_tetrahedra
 from .triangulation import EDGE_VERTS, Triangulation, VerificationError, _labels
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
@@ -204,10 +204,10 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         return np.bincount(rows.ravel(), np.repeat(v, 3), len(b)) - b
 
     if seed is not None:
-        # Variable order per tetrahedron is (horizontal, vertical, diagonal), units[1, 0, 2],
-        # to match the edge-pair numbering (0,5), (1,4), (2,3).
-        x = np.array([la.units[p] for la in seed.layers for _ in (0, 1) for p in (1, 0, 2)]) / 24 * math.pi
-        if x.shape != (n,) or np.max(np.abs(residual_at(x))) > 1e-9 or x.min() <= 0:
+        angles = [a for triple in expand_to_tetrahedra(seed, tri) for a in triple]
+        radians = {i: float(a) * math.pi for i, a in {id(a): a for a in angles}.items()}  # each object once
+        x = np.array([radians[id(a)] for a in angles])
+        if np.max(np.abs(residual_at(x))) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
         x = np.full(n, math.pi / 3)

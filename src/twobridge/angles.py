@@ -51,19 +51,22 @@ their order and the bounds unchanged, the search visits the same
 branches as apply, check and undo.  It prunes dead branches only, so it
 finds the first orientation in catalogue order.
 
-verify_angle_structure checks the result against the triangulation itself
-(exact sums, in integer units of pi/24 where the denominators allow, over
-edge classes found by a search over the gluings) and is kept independent
-of the synthesis above.
+On a triangulation an angle structure is one triple per tetrahedron, the
+angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
+vertical, diagonal), as expand_to_tetrahedra returns it and
+MaximizeResult.angles holds it.  verify_angle_structure checks it against
+the triangulation itself, over edge classes found by a search over the
+gluings, and is kept independent of the synthesis above.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 from .blocks import (
     ALL_B2,
@@ -77,7 +80,7 @@ from .blocks import (
     BlockDecomposition,
     decompose,
 )
-from .triangulation import DIAGONAL_EDGES, HORIZONTAL_EDGES, VERTICAL_EDGES, Triangulation, VerificationError, _labels
+from .triangulation import Triangulation, VerificationError, _labels
 from .word import Word, inner_word
 
 F = Fraction
@@ -369,31 +372,25 @@ def assign_angles(
 
 def expand_to_tetrahedra(
     assignment: AngleAssignment, tri: Triangulation
-) -> dict[tuple[int, int], Fraction]:
-    """Per-(tetrahedron, edge) angles; both tetrahedra of a layer agree."""
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The pair triple (h, v, d) of each tetrahedron's layer; both
+    tetrahedra of a layer share one tuple."""
     if tri.layer_of is None:
         raise ValueError("triangulation carries no layer metadata")
     if tri.tet_count != 2 * len(assignment.layers):
         raise ValueError("assignment and triangulation have different layer counts")
-    layers, layer_of = assignment.layers, tri.layer_of
-    (v1, v2), (h1, h2), (d1, d2) = VERTICAL_EDGES, HORIZONTAL_EDGES, DIAGONAL_EDGES
-    out: dict[tuple[int, int], Fraction] = {}
-    for t in range(tri.tet_count):
-        v, h, d = layers[layer_of[t]].triple
-        out[t, v1] = out[t, v2] = v
-        out[t, h1] = out[t, h2] = h
-        out[t, d1] = out[t, d2] = d
-    return out
+    pairs = [(la.h, la.v, la.d) for la in assignment.layers]
+    return [pairs[k] for k in tri.layer_of]
 
 
 @dataclass
 class AngleVerification:
-    """Outcome of checking an angle map against a triangulation."""
+    """Outcome of checking an angle structure against a triangulation."""
 
     range_ok: bool
     tet_sums_ok: bool
     edge_sums_ok: bool
-    bad_angles: list[tuple[int, int]]
+    bad_angles: list[tuple[int, int]]  # (tetrahedron, pair)
     bad_tets: list[int]
     bad_edge_classes: list[int]
 
@@ -403,32 +400,32 @@ class AngleVerification:
 
 
 def verify_angle_structure(
-    tri: Triangulation, angle_map: dict[tuple[int, int], Fraction | float]
+    tri: Triangulation, angles: Sequence[Sequence[Fraction | float]]
 ) -> AngleVerification:
     """Check positivity, per-tetrahedron sums pi and per-edge-class sums 2*pi.
 
-    Exact arithmetic when all values are Fractions (in units of pi): sums
-    of integers in units of pi/D, D the least common multiple of the
-    denominators.  With float entries (radians) a 1e-9 tolerance is used.
+    angles holds a pair triple per tetrahedron.  Exact arithmetic when all
+    3n values are Fractions (in units of pi): sums of integers in units of
+    pi/D, D the least common multiple of the denominators.  Otherwise they
+    are radians, checked with a 1e-9 tolerance.
     """
-    try:  # the angle of edge e of tetrahedron t at x[6t + e]
-        x = list(map(angle_map.__getitem__, product(range(tri.tet_count), range(6))))
-    except KeyError as exc:
-        t, e = exc.args[0]
-        raise ValueError(f"angle map missing entry for tetrahedron {t} edge {e}") from None
+    n = tri.tet_count
+    if len(angles) != n or any(len(triple) != 3 for triple in angles):
+        raise ValueError(f"need {n} triples of pair angles, one per tetrahedron")
+    x = [a for triple in angles for a in triple]  # the angle on pair p of tetrahedron t at x[3t + p]
     pi_val, tol = math.pi, 1e-9
-    distinct = {id(a): a for a in angle_map.values()}  # every value of the map, each object once
+    distinct = {id(a): a for a in x}  # each object once
     if all(isinstance(a, Fraction) for a in distinct.values()):
         pi_val, tol = math.lcm(*(a.denominator for a in distinct.values())), 0
         units = {i: a.numerator * (pi_val // a.denominator) for i, a in distinct.items()}
         x = [units[id(a)] for a in x]
 
-    bad_angles = [divmod(i, 6) for i, a in enumerate(x) if not 0 < a < pi_val]
-    bad_tets = [t for t, (a, b, c, d, e, f) in enumerate(zip(*[iter(x)] * 6))
-                if abs(a + b + c - pi_val) > tol or abs(a - f) > tol or abs(b - e) > tol or abs(c - d) > tol]
-    label, count = _labels(tri, "edge")  # the class of x[6t + e]; each sum runs in embedding order
+    bad_angles = [divmod(i, 3) for i, a in enumerate(x) if not 0 < a < pi_val]
+    triples = list(zip(*[iter(x)] * 3))
+    bad_tets = [t for t, (a, b, c) in enumerate(triples) if abs(a + b + c - pi_val) > tol]
+    label, count = _labels(tri, "edge")  # the class of edge e of tetrahedron t at 6t + e
     sums = [0] * count
-    for c, a in zip(label, x):
+    for c, a in zip(label, [a for p, q, r in triples for a in (p, q, r, r, q, p)]):  # edge e reads pair min(e, 5 - e)
         sums[c] += a
     bad_classes = [c for c, s in enumerate(sums) if abs(s - 2 * pi_val) > tol]
 

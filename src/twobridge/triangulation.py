@@ -85,13 +85,17 @@ class Triangulation:
     def __init__(self, tet_count: int, layer_of: tuple[int, ...] | None = None):
         if tet_count < 0:
             raise ValueError("tet_count must be non-negative")
+        if layer_of is not None and (len(layer_of) != tet_count or not all(
+            type(x) is int and 0 <= x < tet_count // 2 for x in layer_of
+        )):
+            raise ValueError("layer_of needs one layer in range(tet_count // 2) per tetrahedron")
         self.tet_count = tet_count
         # (adjacent tetrahedron, ORDERED_S4 index) per facet, None if unglued.
         self._glue: list[list[tuple[int, int] | None]] = [
             [None] * 4 for _ in range(tet_count)
         ]
         # For builder output: 0-based layer index per tetrahedron.
-        self.layer_of = layer_of
+        self.layer_of = None if layer_of is None else tuple(layer_of)
         # Cell classes found so far (_labels, edge_classes); glue clears them.
         self._classes: dict = {}
 
@@ -154,7 +158,8 @@ class Triangulation:
             not isinstance(row, list) or len(row) != 4 for row in rows
         ):
             raise ValueError("a triangulation needs an integer tet_count and that many rows of 4 gluings")
-        tri = cls(n)
+        layer_of = doc.get("layer_of")
+        tri = cls(n, layer_of if isinstance(layer_of, list) else None)
         for t, row in enumerate(rows):
             for f, g in enumerate(row):
                 if g is None or tri.gluing(t, f) is not None:
@@ -162,11 +167,6 @@ class Triangulation:
                 if not (isinstance(g, list) and len(g) == 2 and type(g[0]) is int and isinstance(g[1], str)):
                     raise ValueError(f"gluing {g!r} of facet ({t}, {f}) is not [tetrahedron, permutation]")
                 tri.glue(t, f, g[0], tuple(int(c) for c in g[1]))
-        layer_of = doc.get("layer_of")
-        if isinstance(layer_of, list) and all(type(x) is int for x in layer_of):
-            if len(layer_of) != n or not all(0 <= x < n // 2 for x in layer_of):
-                raise ValueError("layer_of needs one layer in range(tet_count // 2) per tetrahedron")
-            tri.layer_of = tuple(layer_of)
         # Partner entries, key set and value types must be the ones to_json writes.
         if json.dumps(doc, sort_keys=True) != json.dumps(json.loads(tri.to_json()), sort_keys=True):
             raise ValueError("document differs from the to_json form of its gluings")

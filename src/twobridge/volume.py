@@ -103,7 +103,7 @@ _WALL = 1e-6
 
 @dataclass
 class MaximizeResult:
-    angles: np.ndarray          # shape (tets, 3), pair angles in radians
+    angles: np.ndarray          # shape (tets, 3): pairs 0/5, 1/4, 2/3, radians
     volume: float
     gradient_norm: float        # projected onto the constraint null space
     iterations: int
@@ -134,7 +134,8 @@ def maximize_volume(
 
     Concavity makes the interior critical point unique; on a geometric
     triangulation it computes the hyperbolic volume.  One damped Newton
-    loop runs from the seed, else from x = pi/3, which satisfies every
+    loop runs from the seed (spread by expand_to_tetrahedra, so tri needs
+    its layer_of), else from x = pi/3, which satisfies every
     tetrahedron equation.  Each step solves the banded Schur complement of
     the edge equations, in time linear in the size, and also corrects the
     residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,

@@ -38,8 +38,8 @@ class Word:
         for letter, exp in self.syllables:
             if letter not in ("R", "L"):
                 raise ValueError(f"letter must be R or L, got {letter!r}")
-            if exp < 1:
-                raise ValueError(f"syllable exponent must be >= 1, got {exp}")
+            if type(exp) is not int or exp < 1:
+                raise ValueError(f"syllable exponent must be an int >= 1, got {exp!r}")
             if letter == previous:
                 raise ValueError("adjacent syllables must use distinct letters")
             previous = letter

@@ -130,18 +130,34 @@ def test_assigned_triples_are_catalog_shapes():
 def test_expand_shape_zero_regular():
     w = parse_word("RLRLR")
     tri = build_sakuma_weeks(w)
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
+    angles = expand_to_tetrahedra(assign_angles(w), tri)
     for t in range(tri.tet_count):
         if tri.layer_of[t] in (1, 2):
-            assert all(amap[(t, e)] == F(1, 3) for e in range(6))
+            assert angles[t] == (F(1, 3),) * 3
 
 
 def test_expand_total_angle_mass():
     for word in ("RLR", "RL^2R", "RLR^2LR"):
         w = parse_word(word)
         tri = build_sakuma_weeks(w)
-        amap = expand_to_tetrahedra(assign_angles(w), tri)
-        assert sum(amap.values()) == 2 * tri.tet_count  # units of pi
+        angles = expand_to_tetrahedra(assign_angles(w), tri)
+        assert len(angles) == tri.tet_count
+        assert sum(map(sum, angles)) == tri.tet_count  # units of pi
+
+
+def test_expand_pair_order_follows_the_edge_roles():
+    # Pair p holds edges p and 5 - p: in builder output the horizontal,
+    # vertical and diagonal pair, read off the layer's (v, h, d) triple.
+    w = parse_word("RL^2RLR")
+    tri = build_sakuma_weeks(w)
+    a = assign_angles(w)
+    angles = expand_to_tetrahedra(a, tri)
+    for t, triple in enumerate(angles):
+        v, h, d = a.layers[tri.layer_of[t]].triple
+        for e in range(6):
+            role = v if e in VERTICAL_EDGES else h if e in HORIZONTAL_EDGES else d
+            assert triple[min(e, 5 - e)] == role, (t, e)
+    assert all(angles[2 * k] is angles[2 * k + 1] for k in range(len(a.layers)))  # one tuple per layer
 
 
 def test_expand_requires_layer_metadata():
@@ -157,11 +173,9 @@ def test_expand_requires_layer_metadata():
 def test_perturbation_fails_locally():
     w = parse_word("RLRLR")
     tri = build_sakuma_weeks(w)
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
-    target_pair = (2, 1)  # tetrahedron 2, vertical pair (edges 1 and 4)
-    amap[(2, 1)] += F(1, 24)
-    amap[(2, 4)] += F(1, 24)
-    report = verify_angle_structure(tri, amap)
+    angles = [list(triple) for triple in expand_to_tetrahedra(assign_angles(w), tri)]
+    angles[2][1] += F(1, 24)  # tetrahedron 2, vertical pair (edges 1 and 4)
+    report = verify_angle_structure(tri, angles)
     assert not report.passed
     table = edge_classes(tri)
     touched = {table.class_of[(2, 1)], table.class_of[(2, 4)]}
@@ -172,14 +186,14 @@ def test_perturbation_fails_locally():
 def test_verify_rejects_missing_and_zero_angles():
     w = parse_word("RLRLR")
     tri = build_sakuma_weeks(w)
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
-    flat = dict(amap)
-    flat[(2, 1)] = flat[(2, 4)] = F(0)  # the sums fail too, but the range check is its own
+    angles = expand_to_tetrahedra(assign_angles(w), tri)
+    flat = [list(triple) for triple in angles]
+    flat[2][1] = F(0)  # the sums fail too, but the range check is its own
     report = verify_angle_structure(tri, flat)
-    assert not report.range_ok and report.bad_angles == [(2, 1), (2, 4)]
-    del amap[(2, 1)]
-    with pytest.raises(ValueError, match="missing entry for tetrahedron 2 edge 1"):
-        verify_angle_structure(tri, amap)
+    assert not report.range_ok and report.bad_angles == [(2, 1)]
+    for missing in (angles[:-1], angles[:2] + [angles[2][:2]] + angles[3:]):
+        with pytest.raises(ValueError, match="need 8 triples"):
+            verify_angle_structure(tri, missing)
 
 
 def test_verify_catches_a_48th_of_pi_on_one_class():
@@ -187,11 +201,12 @@ def test_verify_catches_a_48th_of_pi_on_one_class():
     # Fractions rather than miss the difference.
     w = parse_word("RLRLR")
     tri = build_sakuma_weeks(w)
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
-    amap[(3, 0)] += F(1, 48)
-    report = verify_angle_structure(tri, amap)
+    angles = [list(triple) for triple in expand_to_tetrahedra(assign_angles(w), tri)]
+    angles[3][0] += F(1, 48)  # edges 0 and 5 of tetrahedron 3
+    report = verify_angle_structure(tri, angles)
     assert not report.passed
-    assert report.bad_edge_classes == [edge_classes(tri).class_of[(3, 0)]]
+    class_of = edge_classes(tri).class_of
+    assert report.bad_edge_classes == sorted({class_of[3, 0], class_of[3, 5]})
     assert report.bad_tets == [3] and report.range_ok
 
 
@@ -199,9 +214,8 @@ def test_verify_exact_for_denominators_outside_24():
     # On RL the edge equations 4h + 2d = 4v + 2d = 2 hold for v = h = (1 - d)/2.
     tri = build_sakuma_weeks(parse_word("RL"))
 
-    def layer_map(v, h, d):
-        angle = {**{e: v for e in VERTICAL_EDGES}, **{e: h for e in HORIZONTAL_EDGES}}
-        return {(t, e): angle.get(e, d) for t in range(tri.tet_count) for e in range(6)}
+    def layer_map(v, h, d):  # pairs 0/5, 1/4, 2/3: horizontal, vertical, diagonal
+        return [(h, v, d)] * tri.tet_count
 
     assert verify_angle_structure(tri, layer_map(F(2, 5), F(2, 5), F(1, 5))).passed
     report = verify_angle_structure(tri, layer_map(F(3, 7), F(13, 35), F(1, 5)))
@@ -212,8 +226,7 @@ def test_verify_exact_for_denominators_outside_24():
 def test_all_regular_fails_for_squared_word():
     w = parse_word("RL^2R")
     tri = build_sakuma_weeks(w)
-    amap = {(t, e): F(1, 3) for t in range(tri.tet_count) for e in range(6)}
-    report = verify_angle_structure(tri, amap)
+    report = verify_angle_structure(tri, [(F(1, 3),) * 3] * tri.tet_count)
     assert report.tet_sums_ok
     assert not report.edge_sums_ok
 
@@ -221,61 +234,66 @@ def test_all_regular_fails_for_squared_word():
 def test_verify_float_fallback():
     w = parse_word("RL^2R")
     tri = build_sakuma_weeks(w)
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
-    floats = {k: float(v) * math.pi for k, v in amap.items()}
+    angles = expand_to_tetrahedra(assign_angles(w), tri)
+    floats = [[float(a) * math.pi for a in triple] for triple in angles]
     assert verify_angle_structure(tri, floats).passed
-    floats[(0, 0)] += 1e-6
-    floats[(0, 5)] += 1e-6
+    floats[0][0] += 1e-6  # edges 0 and 5 of tetrahedron 0
     assert not verify_angle_structure(tri, floats).passed
 
 
-def reference_verdicts(tri, angle_map):
+def reference_verdicts(tri, angles):
     """The bad angles, tetrahedra and edge classes by their definitions,
     summing over the embeddings of the EdgeClassTable."""
     pi_val, tol = math.pi, 1e-9
-    if all(isinstance(x, F) for x in angle_map.values()):
-        pi_val, tol = math.lcm(*(x.denominator for x in angle_map.values())), 0
-        angle_map = {key: x * pi_val for key, x in angle_map.items()}
+    values = [x for triple in angles for x in triple]
+    if all(isinstance(x, F) for x in values):
+        pi_val, tol = math.lcm(*(x.denominator for x in values)), 0
+        angles = [[x * pi_val for x in triple] for triple in angles]
     n = tri.tet_count
-    bad_angles = [(t, e) for t in range(n) for e in range(6) if not 0 < angle_map[t, e] < pi_val]
-    bad_tets = [
-        t
-        for t in range(n)
-        if abs(sum(angle_map[t, e] for e in range(3)) - pi_val) > tol
-        or any(abs(angle_map[t, e] - angle_map[t, 5 - e]) > tol for e in range(3))
-    ]
+    bad_angles = [(t, p) for t in range(n) for p in range(3) if not 0 < angles[t][p] < pi_val]
+    bad_tets = [t for t in range(n) if abs(sum(angles[t]) - pi_val) > tol]
     bad_classes = [
-        c.index for c in edge_classes(tri).classes if abs(sum(angle_map[x] for x in c.embeddings) - 2 * pi_val) > tol
+        c.index
+        for c in edge_classes(tri).classes
+        if abs(sum(angles[t][min(e, 5 - e)] for t, e in c.embeddings) - 2 * pi_val) > tol
     ]
     return bad_angles, bad_tets, bad_classes
 
 
 def test_verify_reads_every_value_for_the_arithmetic():
-    # Every value of the map, also under keys outside the triangulation,
-    # decides between exact and float arithmetic and enters the common
-    # denominator; only the 6n angles of the triangulation are checked.
+    # Every one of the 3n values decides between exact and float arithmetic
+    # and enters the common denominator; there is no room for a value
+    # outside the triangulation: a triple too many is a ValueError.
     w = parse_word("RL^2RLR")
     tri = build_sakuma_weeks(w)
     n = tri.tet_count
-    amap = expand_to_tetrahedra(assign_angles(w), tri)
-    broken = {**amap, (3, 0): amap[3, 0] + F(1, 48), (2, 1): F(0)}
-    maps = {
-        "exact": amap,
+    exact = expand_to_tetrahedra(assign_angles(w), tri)
+
+    def edited(triples, changes):  # changes: {(t, p): the new angle on pair p of tetrahedron t}
+        out = [list(triple) for triple in triples]
+        for (t, p), x in changes.items():
+            out[t][p] = x
+        return out
+
+    radians = [[float(x) * math.pi for x in triple] for triple in exact]
+    broken = edited(exact, {(3, 0): exact[3][0] + F(1, 48), (2, 1): F(0)})
+    angle_sets = {
+        "exact": exact,
         "broken": broken,
-        "extra fractions": {**broken, (n, 0): F(1, 7), (-1, 9): F(5, 11)},
-        "extra float": {**amap, (n, 0): 0.5},  # floats: Fractions then count as radians
-        "one float angle": {**amap, (1, 2): float(amap[1, 2])},
-        "radians": {key: float(x) * math.pi + 1e-6 * (key == (0, 0)) for key, x in amap.items()},
+        "sevenths": edited(broken, {(4, 2): exact[4][2] + F(1, 7)}),
+        "one float angle": edited(exact, {(1, 2): float(exact[1][2])}),  # Fractions then count as radians
+        "radians": edited(radians, {(0, 0): radians[0][0] + 1e-6}),
     }
-    for name, angle_map in maps.items():
-        report = verify_angle_structure(tri, angle_map)
+    for name, angles in angle_sets.items():
+        report = verify_angle_structure(tri, angles)
         verdicts = (report.bad_angles, report.bad_tets, report.bad_edge_classes)
-        assert verdicts == reference_verdicts(tri, angle_map), name
+        assert verdicts == reference_verdicts(tri, angles), name
         assert report.passed == (verdicts == ([], [], [])), name
-    assert verify_angle_structure(tri, maps["extra fractions"]).bad_tets == [2, 3]
-    assert verify_angle_structure(tri, maps["extra float"]).bad_tets == list(range(n))
-    with pytest.raises(ValueError, match="missing entry for tetrahedron 0 edge 0"):
-        verify_angle_structure(tri, {key: x for key, x in amap.items() if key != (0, 0)})
+    assert verify_angle_structure(tri, angle_sets["sevenths"]).bad_tets == [2, 3, 4]
+    assert verify_angle_structure(tri, angle_sets["one float angle"]).bad_tets == list(range(n))
+    for wrong in (exact + [exact[0]], exact[:-1] + [exact[-1] + (F(0),)]):
+        with pytest.raises(ValueError, match=f"need {n} triples"):
+            verify_angle_structure(tri, wrong)
 
 
 def shape_counts(word_text):

@@ -521,6 +521,13 @@ def test_from_json_rejects_layers_outside_the_triangulation(layer_of):
         Triangulation.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("layer_of", [(0,), (0, 0, 5, 5), (0, 0, -1, -1)])
+def test_constructor_rejects_layers_outside_the_triangulation(layer_of):
+    assert Triangulation(4, layer_of=(0, 0, 1, 1)).layer_of == (0, 0, 1, 1)
+    with pytest.raises(ValueError, match="layer_of"):
+        Triangulation(4, layer_of=layer_of)
+
+
 def _two_tets(entry=(1, "1032"), partner=(0, "1032"), **changes):
     """A two-tetrahedron document gluing facet (0, 0) by entry, and its partner facet (1, 1) by partner."""
     doc = {"schema_version": 1, "tet_count": 2, "gluings": [[entry, None, None, None], [None, partner, None, None]]}

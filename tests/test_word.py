@@ -44,6 +44,9 @@ def test_word_invariants():
         Word(())
     with pytest.raises(ValueError, match="letter must be R or L"):
         Word((("X", 1),))
+    for exp in (1.5, True, 2.0, "2"):  # an exponent must be an int, not merely compare like one
+        with pytest.raises(ValueError, match="exponent must be an int"):
+            Word((("R", exp), ("L", 1)))
 
 
 def test_derived_quantities():

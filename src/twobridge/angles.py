@@ -1,7 +1,7 @@
 """Explicit angle structures on layered 2-bridge triangulations.
 
-Every layer's two tetrahedra share one triple (v, h, d): the angle on the
-vertical pair, the horizontal pair and the diagonal pair of opposite edges
+Every layer's two tetrahedra share one triple (h, v, d): the angle on the
+horizontal pair, the vertical pair and the diagonal pair of opposite edges
 (volume is maximised with the two tetrahedra of a layer agreeing, so
 nothing is lost).  Internally angles are integers in units of pi/24 (every
 catalogue angle is a multiple of pi/24); Shape, LayerAngles and
@@ -11,13 +11,13 @@ The assignment is built in two steps.  First the block decomposition of
 the inner word fixes the hyperbolic shape of every layer: B1 blocks are
 regular ideal, B2/B3 blocks use a small catalogue of shapes, and the first
 and last layers get substitute shapes that absorb the folds at the two
-ends.  Second, each shape triple is oriented onto (v, h, d) so that the
+ends.  Second, each shape triple is oriented onto (h, v, d) so that the
 angle sums around the edge classes hold.
 
 Those sums come from one chain model of the layered complex (_chains).
 For a word with letters 0..N and layers 0..N-1, each edge class is a chain
 of (layer, slot, weight) terms, read from the letters alone; the slot is
-v, h or d (the integers V, H, D = 0, 1, 2, the positions in a layer's
+h, v or d (the integers H, V, D = 0, 1, 2, the positions in a layer's
 triple):
 
 * a horizontal chain opens at the outer fold with (0, d, 1), the layer's
@@ -41,7 +41,7 @@ sum per chain, and forward-checks every chain a candidate touches: what
 the chain still needs must lie within what its later terms can add
 (Haralick and Elliott, Artificial Intelligence 14, 1980).  One backward
 pass over the chains gives each layer one row per chain it touches: the
-chain's weights on v, h and d in that layer and the bounds of its later
+chain's weights on h, v and d in that layer and the bounds of its later
 terms.  A candidate is checked against every row before anything is
 written, and the running sums change only when a candidate is taken and
 when it is taken back.  What a row subtracts is what the chain's terms in
@@ -53,10 +53,10 @@ finds the first orientation in catalogue order.
 
 On a triangulation an angle structure is one triple per tetrahedron, the
 angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
-vertical, diagonal), as expand_to_tetrahedra returns it and
-MaximizeResult.angles holds it.  verify_angle_structure checks it against
-the triangulation itself, over edge classes found by a search over the
-gluings, and is kept independent of the synthesis above.
+vertical, diagonal: its layer's triple as it is), as expand_to_tetrahedra
+returns it and MaximizeResult.angles holds it.  verify_angle_structure
+checks it against the triangulation itself, over edge classes found by a
+search over the gluings, and is kept independent of the synthesis above.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .blocks import (
     ALL_B2,
@@ -116,11 +117,16 @@ SHAPES: dict[str, Shape] = {
     name: Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
 }
 
-# Chain slots: the vertical, horizontal and diagonal angle of a layer.
-V, H, D = 0, 1, 2
+# Chain slots: the horizontal, vertical and diagonal angle of a layer.
+H, V, D = 0, 1, 2
 
-# The distinct (v, h, d) arrangements of each shape, in permutations order.
-_ARRANGEMENTS = {name: tuple(dict.fromkeys(permutations(units))) for name, units in _UNITS.items()}
+# The distinct (h, v, d) arrangements of each shape.  _orient_layers takes
+# the first that fits, so they keep the order in which permutations() gives
+# them as (v, h, d).
+_ARRANGEMENTS = {
+    name: tuple(dict.fromkeys((h, v, d) for v, h, d in permutations(units)))
+    for name, units in _UNITS.items()
+}
 _RANGE = {name: (min(units), max(units)) for name, units in _UNITS.items()}
 
 
@@ -136,20 +142,8 @@ def angle_str(q: Fraction) -> str:
 @dataclass(frozen=True)
 class LayerAngles:
     shape: str
-    triple: tuple[Fraction, Fraction, Fraction]  # (vertical, horizontal, diagonal)
+    triple: tuple[Fraction, Fraction, Fraction]  # (horizontal, vertical, diagonal)
     units: tuple[int, int, int] = field(compare=False, repr=False)  # triple in pi/24
-
-    @property
-    def v(self) -> Fraction:
-        return self.triple[0]
-
-    @property
-    def h(self) -> Fraction:
-        return self.triple[1]
-
-    @property
-    def d(self) -> Fraction:
-        return self.triple[2]
 
 
 # One shared (frozen) LayerAngles per arrangement.  No two shapes share a
@@ -171,25 +165,21 @@ class AngleAssignment:
             [
                 {
                     "shape": la.shape,
-                    "vertical": angle_str(la.v),
-                    "horizontal": angle_str(la.h),
-                    "diagonal": angle_str(la.d),
+                    "vertical": angle_str(la.triple[V]),
+                    "horizontal": angle_str(la.triple[H]),
+                    "diagonal": angle_str(la.triple[D]),
                 }
                 for la in self.layers
             ]
         )
 
 
-@dataclass(frozen=True)
-class DeficitTriple:
+class DeficitTriple(NamedTuple):
     """Angle deficits on the three boundary edge classes of a block end."""
 
     horizontal: Fraction
     vertical: Fraction
     diagonal: Fraction
-
-    def __iter__(self):
-        return iter((self.horizontal, self.vertical, self.diagonal))
 
 
 def theorem_family(w: Word) -> bool:
@@ -256,14 +246,14 @@ def _chains(letters: str) -> list[tuple[list[tuple[int, int, int]], int]]:
     """Every edge class of the layered complex as a chain of terms.
 
     Returns (terms, target) pairs: terms are (layer, slot, weight) with slot
-    one of V, H, D, in order up the layers, and target is the sum the
+    one of H, V, D, in order up the layers, and target is the sum the
     weighted angles must reach, in units of pi/24.  The rules are in the
     module docstring.
     """
     n = len(letters) - 1
     chains = []
-    open_terms = [[], [(0, D, 1)]]  # the open vertical and horizontal chains
-    target = [48, 24]  # theirs in units of pi/24: 24 once a chain touches a fold
+    open_terms = [[(0, D, 1)], []]  # the open horizontal and vertical chains
+    target = [24, 48]  # theirs in units of pi/24: 24 once a chain touches a fold
     for k in range(n):
         if k:
             slot = H if letters[k] == "L" else V
@@ -282,11 +272,11 @@ def _chains(letters: str) -> list[tuple[list[tuple[int, int, int]], int]]:
 
 
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
-    """Distribute each layer's shape angles onto (v, h, d) via chain sums.
+    """Distribute each layer's shape angles onto (h, v, d) via chain sums.
 
     Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
     explicit stack.  need[c] is chain c's target less its chosen terms.  One
-    backward pass gives layer k a row (c, weight on v, on h, on d, lo, hi)
+    backward pass gives layer k a row (c, weight on h, on v, on d, lo, hi)
     per chain c it touches, lo and hi bounding what c's terms in later
     layers can add (0 where it closes).  A candidate (a, b, d) stands iff
     need[c] - (a, b, d) . weights lies in [lo, hi] on every row; need
@@ -296,7 +286,7 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
     """
     chains = _chains(letters)
     need = [target for _, target in chains]
-    rows: list[list] = [[] for _ in shapes]  # per layer: [c, weight on v, on h, on d, lo, hi]
+    rows: list[list] = [[] for _ in shapes]  # per layer: [c, weight on h, on v, on d, lo, hi]
     for c, (terms, _) in enumerate(chains):
         lo = hi = 0
         last = -1
@@ -317,12 +307,12 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
         here = rows[k]
         for i in range(start, len(options)):
             a, b, d = option = options[i]
-            for c, wv, wh, wd, lo, hi in here:
-                if not lo <= need[c] - wv * a - wh * b - wd * d <= hi:
+            for c, wh, wv, wd, lo, hi in here:
+                if not lo <= need[c] - wh * a - wv * b - wd * d <= hi:
                     break
             else:
-                for c, wv, wh, wd, _, _ in here:
-                    need[c] -= wv * a + wh * b + wd * d
+                for c, wh, wv, wd, _, _ in here:
+                    need[c] -= wh * a + wv * b + wd * d
                 chosen.append(option)
                 resume.append(i + 1)
                 start, k = 0, k + 1
@@ -332,8 +322,8 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
                 return None
             k -= 1
             a, b, d = chosen.pop()
-            for c, wv, wh, wd, _, _ in rows[k]:
-                need[c] += wv * a + wh * b + wd * d
+            for c, wh, wv, wd, _, _ in rows[k]:
+                need[c] += wh * a + wv * b + wd * d
             start = resume.pop()
     return chosen
 
@@ -373,14 +363,14 @@ def assign_angles(
 def expand_to_tetrahedra(
     assignment: AngleAssignment, tri: Triangulation
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """The pair triple (h, v, d) of each tetrahedron's layer; both
+    """The triple (h, v, d) of each tetrahedron's layer, as it is: both
     tetrahedra of a layer share one tuple."""
     if tri.layer_of is None:
         raise ValueError("triangulation carries no layer metadata")
     if tri.tet_count != 2 * len(assignment.layers):
         raise ValueError("assignment and triangulation have different layer counts")
-    pairs = [(la.h, la.v, la.d) for la in assignment.layers]
-    return [pairs[k] for k in tri.layer_of]
+    layers = assignment.layers
+    return [layers[k].triple for k in tri.layer_of]
 
 
 @dataclass
@@ -449,8 +439,11 @@ def boundary_deficits(
     layer the horizontal and vertical deficits are the sums of the chains
     through that layer's h and v terms up to those terms; at its last layer
     they are the sums after them.  Ordered (horizontal, vertical, diagonal).
+    Raises ValueError unless the block lies within the inner word.
     """
     exps = inner_word(assignment.word).exponents
+    if not 0 <= block.start < block.end <= len(exps):
+        raise ValueError(f"block spans syllables {block.start}..{block.end}, outside 0..{len(exps)}")
     first = 1 + sum(exps[: block.start])  # first and last layer of the block
     last = sum(exps[: block.end])
     units = [la.units for la in assignment.layers]

@@ -40,8 +40,7 @@ Equality of signatures is equivalent to combinatorial isomorphism.
 
 from __future__ import annotations
 
-# ORDERED_S4_INDEX is imported for this module's callers.
-from .triangulation import _COMPOSE, _INVERSE, IDENTITY, ORDERED_S4, ORDERED_S4_INDEX, Triangulation
+from .triangulation import _COMPOSE, _INVERSE, IDENTITY, ORDERED_S4, Triangulation
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}

@@ -15,7 +15,8 @@ link complement from its twist word: one layer of two ideal tetrahedra per
 letter transition, with the outermost and innermost four faces folded up
 in pairs.  In builder output every tetrahedron carries the same edge-role
 pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
-03/12 the diagonal pair (03 faces the previous layer, 12 the next).
+03/12 the diagonal pair (in even tetrahedra 03 faces the previous layer and
+12 the next, in odd ones the other way round).
 
 Edge classes, vertex classes (cusps), the corners of the vertex links and
 the components are all found by one search over the gluings (_closure),
@@ -44,13 +45,6 @@ EDGE_INDEX: dict[tuple[int, int], int] = {}
 for _i, (_a, _b) in enumerate(EDGE_VERTS):
     EDGE_INDEX[(_a, _b)] = _i
     EDGE_INDEX[(_b, _a)] = _i
-
-# Roles of the in-tetrahedron edges in builder output.
-VERTICAL_EDGES = (1, 4)
-HORIZONTAL_EDGES = (0, 5)
-DIAGONAL_EDGES = (2, 3)
-BOTTOM_DIAGONAL_EVEN = 2   # edge 03 of even tets
-BOTTOM_DIAGONAL_ODD = 3    # edge 12 of odd tets
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -84,7 +84,7 @@ def tet_volume(shape: Shape) -> float:
 _LOBACHEVSKY_24 = tuple(lobachevsky(k / 24 * math.pi) for k in range(25))
 
 # Layer volume per catalogue arrangement in units of pi/24, summed in
-# (v, h, d) order as the angles themselves would be.
+# triple order (h, v, d) as the angles themselves would be.
 _ARRANGEMENT_VOLUME = {
     a: sum(_LOBACHEVSKY_24[x] for x in a) for options in _ARRANGEMENTS.values() for a in options
 }

@@ -8,7 +8,9 @@ import pytest
 from twobridge.angles import (
     _ARRANGEMENTS,
     D,
+    H,
     SHAPES,
+    V,
     _chains,
     _orient_layers,
     _shape_sequence,
@@ -19,17 +21,17 @@ from twobridge.angles import (
     theorem_family,
     verify_angle_structure,
 )
-from twobridge.blocks import decompose
-from twobridge.triangulation import (
-    BOTTOM_DIAGONAL_EVEN,
-    BOTTOM_DIAGONAL_ODD,
-    HORIZONTAL_EDGES,
-    VERTICAL_EDGES,
-    build_sakuma_weeks,
-    edge_classes,
-)
+from twobridge.blocks import B1, Block, decompose
+from twobridge.triangulation import build_sakuma_weeks, edge_classes
 from twobridge.volume import bounds_report
 from twobridge.word import Word, enumerate_words, inner_word, parse_word
+
+# Roles of the in-tetrahedron edges in builder output.
+HORIZONTAL_EDGES = (0, 5)
+VERTICAL_EDGES = (1, 4)
+DIAGONAL_EDGES = (2, 3)
+BOTTOM_DIAGONAL_EVEN = 2  # edge 03 of even tetrahedra
+BOTTOM_DIAGONAL_ODD = 3  # edge 12 of odd tetrahedra
 
 
 def family(max_n):
@@ -50,11 +52,11 @@ def test_catalog_contents():
 def test_rl2r_theorem_assignment():
     a = assign_angles(parse_word("RL^2R"))
     assert [la.shape for la in a.layers] == ["II", "X2", "II"]
-    assert a.layers[0].triple == (F(5, 12), F(1, 4), F(1, 3))
-    assert a.layers[1].triple == (F(1, 6), F(2, 3), F(1, 6))
+    assert a.layers[0].triple == (F(1, 4), F(5, 12), F(1, 3))
+    assert a.layers[1].triple == (F(2, 3), F(1, 6), F(1, 6))
     assert a.layers[2].triple == a.layers[0].triple
     # the squared-run angle 2pi/3 sits on the horizontal pair
-    assert a.layers[1].h == F(2, 3)
+    assert a.layers[1].triple[H] == F(2, 3)
 
 
 def test_rl2r_general_pattern_variant():
@@ -78,25 +80,25 @@ def test_end_layer_orientation():
     # R-ending words put pi/2 on the vertical pair of the last layer,
     # L-ending words on the horizontal pair.
     a = assign_angles(parse_word("RLRLR"))
-    assert a.layers[-1].triple == (F(1, 2), F(1, 6), F(1, 3))
-    a = assign_angles(parse_word("RLRL"))
     assert a.layers[-1].triple == (F(1, 6), F(1, 2), F(1, 3))
+    a = assign_angles(parse_word("RLRL"))
+    assert a.layers[-1].triple == (F(1, 2), F(1, 6), F(1, 3))
 
 
 def test_b3_at_word_end_golden():
     # the final block's last two layers absorb the fold as III, VIII
     a = assign_angles(parse_word("RLR^2LR"))
     assert [la.shape for la in a.layers] == ["V", "I", "VI", "III", "VIII"]
-    assert a.layers[1].triple == (F(3, 8), F(7, 24), F(1, 3))
-    assert a.layers[2].triple == (F(7, 12), F(1, 6), F(1, 4))
+    assert a.layers[1].triple == (F(7, 24), F(3, 8), F(1, 3))
+    assert a.layers[2].triple == (F(1, 6), F(7, 12), F(1, 4))
 
 
 def test_b3_mid_word_golden():
     # away from the fold the same block closes with IV, II
     a = assign_angles(parse_word("RLR^2LRLR"))
     assert [la.shape for la in a.layers][:5] == ["V", "I", "VI", "IV", "II"]
-    assert a.layers[3].triple == (F(7, 24), F(5, 24), F(1, 2))
-    assert a.layers[4].triple == (F(5, 12), F(1, 4), F(1, 3))
+    assert a.layers[3].triple == (F(5, 24), F(7, 24), F(1, 2))
+    assert a.layers[4].triple == (F(1, 4), F(5, 12), F(1, 3))
 
 
 def test_assign_errors():
@@ -147,16 +149,17 @@ def test_expand_total_angle_mass():
 
 def test_expand_pair_order_follows_the_edge_roles():
     # Pair p holds edges p and 5 - p: in builder output the horizontal,
-    # vertical and diagonal pair, read off the layer's (v, h, d) triple.
+    # vertical and diagonal pair, the layer's (h, v, d) triple as it is.
     w = parse_word("RL^2RLR")
     tri = build_sakuma_weeks(w)
     a = assign_angles(w)
     angles = expand_to_tetrahedra(a, tri)
     for t, triple in enumerate(angles):
-        v, h, d = a.layers[tri.layer_of[t]].triple
-        for e in range(6):
-            role = v if e in VERTICAL_EDGES else h if e in HORIZONTAL_EDGES else d
-            assert triple[min(e, 5 - e)] == role, (t, e)
+        assert triple is a.layers[tri.layer_of[t]].triple
+        h, v, d = triple
+        for edges, angle in ((HORIZONTAL_EDGES, h), (VERTICAL_EDGES, v), (DIAGONAL_EDGES, d)):
+            for e in edges:
+                assert triple[min(e, 5 - e)] == angle, (t, e)
     assert all(angles[2 * k] is angles[2 * k + 1] for k in range(len(a.layers)))  # one tuple per layer
 
 
@@ -214,11 +217,11 @@ def test_verify_exact_for_denominators_outside_24():
     # On RL the edge equations 4h + 2d = 4v + 2d = 2 hold for v = h = (1 - d)/2.
     tri = build_sakuma_weeks(parse_word("RL"))
 
-    def layer_map(v, h, d):  # pairs 0/5, 1/4, 2/3: horizontal, vertical, diagonal
-        return [(h, v, d)] * tri.tet_count
+    def layer_map(*triple):  # pairs 0/5, 1/4, 2/3: horizontal, vertical, diagonal
+        return [triple] * tri.tet_count
 
     assert verify_angle_structure(tri, layer_map(F(2, 5), F(2, 5), F(1, 5))).passed
-    report = verify_angle_structure(tri, layer_map(F(3, 7), F(13, 35), F(1, 5)))
+    report = verify_angle_structure(tri, layer_map(F(13, 35), F(3, 7), F(1, 5)))
     assert report.range_ok and report.tet_sums_ok
     assert not report.edge_sums_ok and len(report.bad_edge_classes) == 2
 
@@ -391,6 +394,7 @@ def test_boundary_deficit_tables():
     (b,) = decompose(inner_word(w)).blocks
     delta, _ = boundary_deficits(b, a)
     assert tuple(delta) == (F(1, 3), F(1, 1), F(5, 3))
+    assert repr(delta) == "DeficitTriple(horizontal=Fraction(1, 3), vertical=Fraction(1, 1), diagonal=Fraction(5, 3))"
     # B3 starting L and ending L, mid-word
     w = parse_word("RLRLR^2LRLR")
     a = assign_angles(w)
@@ -407,6 +411,17 @@ def test_boundary_deficit_tables():
     delta, eps = boundary_deficits(b3, a)
     assert tuple(delta) == (F(1, 1), F(1, 3), F(5, 3))
     assert tuple(eps) == (F(1, 3), F(1, 1), F(5, 3))
+
+
+def test_boundary_deficits_reject_blocks_outside_the_inner_word():
+    w = parse_word("RLRLR")  # inner word LRL: syllables 0..3
+    a = assign_angles(w)
+    (b,) = decompose(inner_word(w)).blocks
+    assert (b.start, b.end) == (0, 3)
+    boundary_deficits(b, a)
+    for start, end in ((0, 9), (2, 1), (1, 1), (-1, 2), (0, 4), (3, 3)):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            boundary_deficits(Block(B1, start, end, 0, 0, 0), a)
 
 
 def test_junction_compatibility_everywhere():
@@ -479,7 +494,7 @@ def chain_classes(w):
         assert target in (24, 48)
         counts = Counter()
         for i, (layer, slot, weight) in enumerate(terms):
-            role = "vhd"[slot]
+            role = "hvd"[slot]
             if slot == D:
                 # Up a layer a chain meets the bottom diagonal, then h or v,
                 # then the top diagonal, so the neighbouring term tells which.
@@ -502,11 +517,12 @@ def test_chains_match_union_find(words_ell10):
 
 def test_orientation_and_deficits_unchanged_n9():
     # Digests recorded from the recursive Fraction search and the letter-scan
-    # deficits that the chain model replaced.
+    # deficits that the chain model replaced; the triples print in the
+    # (v, h, d) order they were then stored in.
     triples, deficits = [], []
     for w in family(9):
         a = assign_angles(w)
-        triples.append(f"{w}:" + ";".join(f"{la.shape},{la.v},{la.h},{la.d}" for la in a.layers))
+        triples.append(f"{w}:" + ";".join(f"{la.shape},{la.triple[V]},{la.triple[H]},{la.triple[D]}" for la in a.layers))
         for b in decompose(inner_word(w)).blocks:
             delta, eps = boundary_deficits(b, a)
             deficits.append(f"{w} {b.kind} {b.start} {b.end}: {tuple(map(str, delta))} {tuple(map(str, eps))}")
@@ -519,11 +535,15 @@ def test_orientation_and_deficits_unchanged_n9():
 
 def test_survey_layer_triples_unchanged():
     # Every word of `twobridge survey --max-n 11`: each layer's shape and its
-    # (v, h, d) in units of pi/24, the Fractions of LayerAngles.triple being
+    # angles in units of pi/24, the Fractions of LayerAngles.triple being
     # read from the same shared table.  Digest recorded before the
-    # check-before-apply search on integer chain slots.
+    # check-before-apply search on integer chain slots, when the units were
+    # stored, and are still printed, in (v, h, d) order.
     words = family(11)
-    lines = [f"{w}: {[(la.shape, la.units) for la in assign_angles(w).layers]}" for w in words]
+    lines = [
+        f"{w}: {[(la.shape, (la.units[V], la.units[H], la.units[D])) for la in assign_angles(w).layers]}"
+        for w in words
+    ]
     assert len(words) == 4094
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "5e34ab0bb1cd674241851e37a61b60068663e56e1ba89984c725a6a267a69c39"

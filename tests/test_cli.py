@@ -181,7 +181,8 @@ def test_survey_deterministic(capsys):
 
 def test_survey_csv_bytes_pinned(capsys):
     # The bytes depend on float summation order: explicit volumes must sum
-    # each layer's angles in (v, h, d) order.
+    # each layer's angles in triple order, (h, v, d), or in (v, h, d), which
+    # only swaps the first two addends and sums alike.
     code, out, _ = run_cli(["survey", "--max-n", "8"], capsys)
     assert code == 0
     assert out.count("\n") == 511

@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import all_normalized_words, random_gluing
 from twobridge import isosig
-from twobridge.isosig import (
-    ALPHABET,
+from twobridge.isosig import ALPHABET, are_isomorphic, decode_isosig, encode_isosig
+from twobridge.moves import simplify
+from twobridge.triangulation import (
     ORDERED_S4,
     ORDERED_S4_INDEX,
-    are_isomorphic,
-    decode_isosig,
-    encode_isosig,
+    Triangulation,
+    build_sakuma_weeks,
+    compose,
+    invert,
 )
-from twobridge.moves import simplify
-from twobridge.triangulation import Triangulation, build_sakuma_weeks, compose, invert
 from twobridge.word import Word, enumerate_words, normalize, parse_word
 
 GOLDEN = [

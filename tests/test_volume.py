@@ -525,7 +525,7 @@ def test_cusp_relations_leave_independent_rows():
 
 def seed_angles(seed):
     """The angle vector of an explicit assignment, in maximize_volume's order."""
-    return np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in (la.h, la.v, la.d)])
+    return np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in la.triple])
 
 
 def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):

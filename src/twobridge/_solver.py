@@ -7,8 +7,8 @@ solves the banded Schur complement of the edge equations, after dropping
 the one dependent edge equation per cusp, by LAPACK's band Cholesky.  The
 equations are one integer table of the rows each angle appears in, so
 scipy.optimize, and scipy.sparse with it, load only for the linear program
-that decides input where the loop does not end at a converged interior
-point.
+that decides input where an unseeded loop does not end at a converged
+interior point.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
 
 def _interior_point(rows: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """A strictly positive solution of A x = b via slack maximisation, or
-    None: maximize_volume's verdict when its Newton loop does not converge.
+    None: maximize_volume's verdict when its unseeded Newton loop does not converge.
 
     With x = s + t 1 and s >= 0 the linear program maximises t subject to
     [A | A 1] [s; t] = b.  The bounds x <= pi - t need no rows: the
@@ -270,6 +270,6 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         gnorm = gradient_norm(g)
     converged = gnorm <= tolerance and float(np.max(np.abs(residual))) <= _ON_PLANE
     result = MaximizeResult(x.reshape(-1, 3), fx, gnorm, it, converged)
-    if not result.converged and _interior_point(rows, b) is None:
+    if seed is None and not result.converged and _interior_point(rows, b) is None:
         raise ValueError("no strict angle structure: constraint system infeasible")
     return result

@@ -9,8 +9,8 @@ from a file with --words-file, one word per line):
     blocks     block decomposition of the inner word (JSON)
     angles     explicit angle structure and its verification report
     volume     explicit and maximised volumes
-    bounds     complexity bounds report (text or --json)
-    survey     CSV of bounds reports over the enumerated word family
+    bounds     complexity bounds report (text, --json, or --csv)
+    survey     bounds reports over the enumerated word family (CSV, or --json)
 
 Exit status: 0 on success, 1 on bad input, 2 on an internal verification
 failure.
@@ -210,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-10, help="projected-gradient stopping tolerance")
     p.add_argument("--max-iters", type=int, default=200, help="maximum ascent iterations")
     add("bounds", "complexity bounds for given words", fn=_cmd_bounds, with_csv=True)
-    p = add("survey", "bounds over the enumerated family (CSV)", fn=_cmd_survey, words=False)
+    p = add("survey", "bounds over the enumerated family (CSV, or --json)", fn=_cmd_survey, words=False)
     p.add_argument("--max-n", type=int, required=True, help="largest inner syllable count")
     p.add_argument("--C", type=int, default=None, help="restrict to words with this many squared syllables")
     p.add_argument(

@@ -32,9 +32,10 @@ from .triangulation import (
     compose,
     edge_classes,
     invert,
+    _labels,
 )
 
-# Symbols of the ends of an edge walked around by _edge_fan; the other
+# Symbols of the ends of an edge walked around by _walk; the other
 # vertices of the fan are numbered 0, 1, ... in walk order.
 U, V = "U", "V"
 
@@ -123,12 +124,16 @@ def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], 
 
     The k-th tetrahedron names the ends of the edge U and V and its other
     vertices k and k + 1 (modulo the degree n), and the walk leaves it
-    through face U V k+1 into the next.  It starts at the smallest
+    through face U V k+1 into the next.  It fails before the first step
+    unless the n tetrahedra are distinct.  It starts at the smallest
     embedding, with U at its smaller vertex, and fails at a boundary face or
     unless n steps bring it back there with U and V in place.
     """
     n = cls.degree
-    t0, e0 = min(cls.embeddings)
+    if len({t for t, _ in cls.embeddings}) != n:
+        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
+        return [], f"{move} distinct tetrahedra around the edge"
+    t0, e0 = cls.embeddings[0]  # embeddings ascend
     u, v = EDGE_VERTS[e0]
     a, b = (x for x in range(4) if x not in (u, v))
     t, c = t0, (u, v, a, b)  # the vertices named U, V, k and k + 1
@@ -146,19 +151,16 @@ def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], 
 
 
 def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
-    """The _walk around a degree-n edge class on n distinct tetrahedra; ValueError unless it closes."""
+    """The _walk around a degree-n edge class; ValueError unless it closes."""
     classes = edge_classes(tri).classes
     if edge_class not in range(len(classes)):
         raise ValueError(f"no edge class {edge_class}")
     cls = classes[edge_class]
     if cls.degree != n:
         raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need {n}")
-    if len({t for t, _ in cls.embeddings}) != n:
-        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
-        raise ValueError(f"{move} distinct tetrahedra around the edge")
-    fan, failure = _walk(tri, cls)
-    if failure:
-        raise ValueError(failure)
+    fan, why = _walk(tri, cls)
+    if why:
+        raise ValueError(why)
     return fan
 
 
@@ -231,30 +233,27 @@ class SimplificationTrace:
         )
 
 
-def _movable(tri: Triangulation, cls: EdgeClass, n: int) -> bool:
-    """Whether cls has degree n, n distinct tetrahedra and a _walk that closes, so no boundary face."""
-    return cls.degree == n and len({t for t, _ in cls.embeddings}) == n and _walk(tri, cls)[1] is None
-
-
 def _applicable_32(tri: Triangulation) -> int | None:
     """Smallest edge class admitting a 3-2 move, if any."""
-    return next((cls.index for cls in edge_classes(tri).classes if _movable(tri, cls, 3)), None)
+    return next((cls.index for cls in edge_classes(tri).classes
+                 if cls.degree == 3 and _walk(tri, cls)[1] is None), None)
 
 
-def _degrees_after_44(tri: Triangulation, edge_class: int, axis: int) -> dict[int, int]:
-    """Degree after move_44(tri, edge_class, axis) of each class the octahedron touches.
+def _degrees_after_44(tri: Triangulation, fan: list[tuple[int, tuple]], axis: int) -> dict[int, int]:
+    """Degree after the 4-4 move on `fan`, the _walk of a degree-4 class, of
+    each class the octahedron touches.
 
     Changes add up per class, so identified edges count with multiplicity;
     the central class loses all four tetrahedra.
     """
-    table = edge_classes(tri)
-    fan = _edge_fan(tri, edge_class, 4)
+    label = _labels(tri, "edge")[0]
+    classes = edge_classes(tri).classes
     delta: dict[int, int] = {}
     for k, a, b, change in _DEGREE_CHANGES[axis]:
         t, syms = fan[k]
-        x = table.class_of[(t, EDGE_INDEX[(syms.index(a), syms.index(b))])]
+        x = label[6 * t + EDGE_INDEX[(syms.index(a), syms.index(b))]]
         delta[x] = delta.get(x, 0) + change
-    return {x: table.classes[x].degree + d for x, d in delta.items()}
+    return {x: classes[x].degree + d for x, d in delta.items()}
 
 
 def simplify(tri: Triangulation) -> SimplificationTrace:
@@ -279,9 +278,11 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
         trials = (
             (cls.index, axis)
             for cls in edge_classes(current).classes
-            if _movable(current, cls, 4)
+            if cls.degree == 4
+            for fan, why in (_walk(current, cls),)
+            if why is None
             for axis in (0, 1)
-            if 3 in _degrees_after_44(current, cls.index, axis).values()
+            if 3 in _degrees_after_44(current, fan, axis).values()
         )
         for target, axis in trials:
             candidate = move_44(current, target, axis)

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, permutations
-from types import MappingProxyType
 
 from .word import Word, is_hyperbolic
 
@@ -293,7 +291,7 @@ class EdgeClass:
     """One edge of the quotient complex, as a set of in-tetrahedron edges."""
 
     index: int
-    embeddings: tuple[tuple[int, int], ...]  # (tetrahedron, edge 0..5)
+    embeddings: tuple[tuple[int, int], ...]  # (tetrahedron, edge 0..5), ascending
 
     @property
     def degree(self) -> int:
@@ -305,7 +303,6 @@ class EdgeClassTable:
     """The edge classes of one triangulation, shared until its next glue, hence read-only."""
 
     classes: tuple[EdgeClass, ...]
-    class_of: Mapping[tuple[int, int], int] = field(repr=False)  # (tet, edge) -> class
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -321,9 +318,7 @@ def edge_classes(tri: Triangulation) -> EdgeClassTable:
         members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
         for x, c in enumerate(label):
             members[c].append(divmod(x, 6))
-        classes = tuple(EdgeClass(i, tuple(m)) for i, m in enumerate(members))
-        class_of = MappingProxyType({emb: c.index for c in classes for emb in c.embeddings})
-        tri._classes["table"] = EdgeClassTable(classes, class_of)
+        tri._classes["table"] = EdgeClassTable(tuple(EdgeClass(i, tuple(m)) for i, m in enumerate(members)))
     return tri._classes["table"]
 
 

@@ -141,8 +141,9 @@ def maximize_volume(
     residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
     Convex Optimization 10.3): a step of length alpha shrinks it by the
     factor 1 - alpha.
-    Unless the loop ends at a converged interior point, a linear program
-    decides: ValueError if no strictly positive solution exists.  Raises
+    A seed is checked to be a strict solution; without one, unless the
+    loop ends at a converged interior point, a linear program decides:
+    ValueError if no strictly positive solution exists.  Raises
     VerificationError if the equations keep a dependent row after the
     cusp relations are dropped.
     """
@@ -191,7 +192,7 @@ def bounds_report(w: Word) -> BoundsReport:
     upper bound and the syllable-count lower bound.
     """
     if w.n < 2:
-        raise ValueError(f"{w} is not hyperbolic")
+        raise ValueError(f"{w} is not hyperbolic (needs at least two syllables)")
     tet_count = 2 * (w.ell - 1)
     exps = w.exponents
     ishikawa = w.ell + 2 * (w.n - 1) - exps.count(1)

@@ -157,10 +157,10 @@ def enumerate_words(
         raise ValueError("exponents must be >= 1")
     if max_inner_syllables < 1:
         raise ValueError("max_inner_syllables must be >= 1")
-    for n in range(1, max_inner_syllables + 1):
-        inner_letters = ("LR" * n)[:n]
-        terminal = ("R" if inner_letters[-1] == "L" else "L", 1)
-        for combo in product(exps, repeat=n):
-            if fixed_C is not None and sum(combo) != n + fixed_C:
-                continue
-            yield Word((("R", 1), *zip(inner_letters, combo), terminal))
+    # A generator expression, so that the checks above run on the call.
+    return (
+        Word((("R", 1), *zip(("LR" * n)[:n], combo), ("R" if n % 2 else "L", 1)))
+        for n in range(1, max_inner_syllables + 1)
+        for combo in product(exps, repeat=n)
+        if fixed_C is None or sum(combo) == n + fixed_C
+    )

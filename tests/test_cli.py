@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twobridge
 from twobridge.cli import main
+from twobridge.triangulation import VerificationError
 from twobridge.word import enumerate_words
 
 
@@ -291,3 +293,31 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "hLLMPkbcdfggfgmvfafwkf"
+
+
+def test_verification_failure_exits_2_without_a_record(capsys, monkeypatch):
+    def broken(tri, w):
+        raise VerificationError("degree predicates disagree")
+
+    monkeypatch.setattr(twobridge.cli, "degree_predicates", broken)
+    code, out, err = run_cli(["edges", "R^2LR", "--json"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "verification failure: degree predicates disagree\n"
+
+
+def test_unverified_angles_record_is_printed_and_exits_2(capsys, monkeypatch):
+    real = twobridge.cli.verify_angle_structure
+
+    def off_by_a_24th(tri, angles):  # the first angle of tetrahedron 0 raised by pi/24
+        return real(tri, [[angles[0][0] + Fraction(1, 24), *angles[0][1:]], *angles[1:]])
+
+    monkeypatch.setattr(twobridge.cli, "verify_angle_structure", off_by_a_24th)
+    code, out, err = run_cli(["angles", "RL^2R", "--json"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (2, "")
+    assert doc["verified"] is False and doc["bad_edge_classes"]
+
+
+def test_no_words_is_bad_input(capsys):
+    code, out, err = run_cli(["build"], capsys)
+    assert (code, out, err) == (1, "", "error: no words given\n")

@@ -106,6 +106,31 @@ def test_pachner_32_preconditions():
         pachner_32(tri, bad)
 
 
+def test_moves_stop_at_a_boundary_face():
+    # Each face pair of small words left unglued in turn: a class of the
+    # move's degree on distinct tetrahedra with an unglued facet around it
+    # passes the degree and distinctness checks, and its walk stops there.
+    found = {3: 0, 4: 0}
+    for text in ("RLR", "R^2L", "RL^2R", "R^2LR"):
+        tri = build_sakuma_weeks(parse_word(text))
+        pairs = triangle_pairs(tri)
+        for cut, _ in pairs:
+            copy = Triangulation(tri.tet_count)
+            for face, _ in pairs:
+                if face != cut:
+                    copy.glue(*face, *tri.gluing(*face))
+            for c in edge_classes(copy).classes:
+                n = c.degree
+                if n not in found or len({t for t, _ in c.embeddings}) != n or all(
+                    copy.gluing(t, f) is not None for t, e in c.embeddings for f in set(range(4)) - set(EDGE_VERTS[e])
+                ):
+                    continue
+                with pytest.raises(ValueError, match="boundary face"):
+                    pachner_32(copy, c.index) if n == 3 else move_44(copy, c.index, 0)
+                found[n] += 1
+    assert found[3] and found[4]
+
+
 def test_pachner_23_rejects_self_gluing():
     tri = Triangulation(1)
     tri.glue(0, 0, 0, (1, 0, 3, 2))  # face glued within one tetrahedron
@@ -314,7 +339,7 @@ def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
                 if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
                     continue
                 for axis in (0, 1):
-                    after = _degrees_after_44(state, cls.index, axis)
+                    after = _degrees_after_44(state, moves._edge_fan(state, cls.index, 4), axis)
                     assert after[cls.index] == 0, name
                     predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
                     moved = moves.move_44(state, cls.index, axis)

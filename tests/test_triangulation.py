@@ -224,7 +224,6 @@ def assert_matches_union_find(tri):
         expected[c].append(divmod(x, 6))
     table = edge_classes(tri)
     assert [(c.index, list(c.embeddings)) for c in table.classes] == list(enumerate(expected))
-    assert table.class_of == {divmod(x, 6): c for x, c in enumerate(edge)}
     assert triangulation._labels(tri, "vertex")[0] == oracle_vertex_labels(tri)
     components = oracle_components(tri)
     assert triangulation._labels(tri, "tet") == (components, len(set(components)))
@@ -378,8 +377,6 @@ def test_shared_edge_class_table_is_read_only():
     assert edge_classes(tri) is table
     with pytest.raises(FrozenInstanceError):
         table.classes = ()
-    with pytest.raises(TypeError):
-        table.class_of[(0, 0)] = 1
     assert edge_classes(tri) == edge_classes(build_sakuma_weeks(parse_word("R^2LR")))
 
 

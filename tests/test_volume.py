@@ -339,6 +339,23 @@ def test_maximize_rejects_bad_seed():
         maximize_volume(build_sakuma_weeks(other), seed=assign_angles(w))
 
 
+def test_maximize_rejects_a_seed_of_another_word_of_the_same_length():
+    # RLRLR spreads over RL^2RL's 8 tetrahedra but misses its edge equations
+    with pytest.raises(ValueError, match="seed assignment is not a strict angle structure"):
+        maximize_volume(build_sakuma_weeks(parse_word("RL^2RL")), seed=assign_angles(parse_word("RLRLR")))
+
+
+def test_seeded_run_cut_short_skips_the_lp(monkeypatch):
+    # the seed was checked to be a strict solution, so feasibility is decided
+    def no_lp(rows, b):
+        raise AssertionError("the linear program ran on a seeded run")
+
+    monkeypatch.setattr(solver, "_interior_point", no_lp)
+    w = parse_word("RL^2R")
+    res = maximize_volume(build_sakuma_weeks(w), seed=assign_angles(w), max_iters=0)
+    assert not res.converged and res.iterations == 0
+
+
 def dense_system(tri):
     """Dense A and b of the angle equations, built from the edge-class table.
 
@@ -350,8 +367,9 @@ def dense_system(tri):
     A = np.zeros((n + len(table), 3 * n))
     for t in range(n):
         A[t, 3 * t : 3 * t + 3] = 1.0
-        for e in range(6):
-            A[n + table.class_of[(t, e)], 3 * t + min(e, 5 - e)] += 1.0
+    for c in table.classes:
+        for t, e in c.embeddings:
+            A[n + c.index, 3 * t + min(e, 5 - e)] += 1.0
     b = np.concatenate([np.full(n, math.pi), np.full(len(table), 2.0 * math.pi)])
     return A, b
 

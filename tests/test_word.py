@@ -160,3 +160,13 @@ def test_enumerate_errors():
         list(enumerate_words(0, {1}))
     with pytest.raises(ValueError):
         list(enumerate_words(2, {0, 1}))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((0, {1, 2}), "max_inner_syllables"), ((3, set()), "non-empty"), ((2, {0, 1}), ">= 1")],
+)
+def test_enumerate_checks_its_arguments_on_the_call(args, message):
+    # no item is pulled: the error comes from the call itself
+    with pytest.raises(ValueError, match=message):
+        enumerate_words(*args)

@@ -56,7 +56,7 @@ angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
 vertical, diagonal: its layer's triple as it is), as expand_to_tetrahedra
 returns it and MaximizeResult.angles holds it.  verify_angle_structure
 checks it against the triangulation itself, over edge classes found by a
-search over the gluings, and is kept independent of the synthesis above.
+walk over the gluings, and is kept independent of the synthesis above.
 """
 
 from __future__ import annotations

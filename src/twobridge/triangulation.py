@@ -18,9 +18,10 @@ pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 03/12 the diagonal pair (in even tetrahedra 03 faces the previous layer and
 12 the next, in odd ones the other way round).
 
-Edge classes, vertex classes (cusps), the corners of the vertex links and
-the components are all found by one search over the gluings (_closure),
-run once per cell kind and triangulation: each Triangulation keeps the
+Vertex classes (cusps) and components are found by a search over the
+gluings (_closure); edge classes, and the ends of each edge that become
+vertices of the vertex links, by one oriented walk around each edge
+(_walk_edges).  Each runs once per triangulation: a Triangulation keeps the
 classes found until glue, its only mutator, clears them, and hands them
 out read-only.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 
 from .word import Word, is_hyperbolic
 
@@ -222,7 +223,7 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
     return tri
 
 
-def _cells(cells, key=tuple):
+def _cells(cells):
     """(cells per tetrahedron, steps of each cell) for cells given by their
     tuples of vertices: steps[c] pairs each facet holding cell c with the
     cell it becomes under each ORDERED_S4 index.
@@ -230,9 +231,9 @@ def _cells(cells, key=tuple):
     A cell lies in facet f iff f is none of its vertices, and a gluing
     permutation maps it to the cell on the permuted vertices.
     """
-    index = {key(c): i for i, c in enumerate(cells)}
+    index = {c: i for i, c in enumerate(cells)}
     steps = tuple(
-        tuple((f, tuple(index[key(p[v] for v in c)] for p in ORDERED_S4)) for f in range(4) if f not in c)
+        tuple((f, tuple(index[tuple(p[v] for v in c)] for p in ORDERED_S4)) for f in range(4) if f not in c)
         for c in cells
     )
     return len(cells), steps
@@ -240,10 +241,6 @@ def _cells(cells, key=tuple):
 
 _CELLS = {
     "vertex": _cells([(v,) for v in range(4)]),
-    "edge": _cells(EDGE_VERTS, key=lambda vs: tuple(sorted(vs))),
-    # Link corners: corner 3v + j is the end at vertex v of the j-th edge
-    # from v, so the corners of vertex v are 3v, 3v + 1 and 3v + 2.
-    "corner": _cells([(v, w) for v in range(4) for w in range(4) if w != v]),
     # A cell with no vertices lies in every facet: one class per component.
     "tet": _cells([()]),
 }
@@ -279,10 +276,59 @@ def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
     return label, count
 
 
-def _labels(tri: Triangulation, kind: str) -> tuple[list[int], int]:
-    """The _closure of tri's "vertex", "edge", "corner" or "tet" cells, searched once; shared, not to be mutated."""
+# Edge walk states: the ordering (a, b, f, g) of the four vertices, by its
+# ORDERED_S4 index, stands at edge ab oriented from a to b, about to leave by
+# facet f.  Crossing f by gluing permutation p enters facet p[f] of the next
+# tetrahedron at edge p[a]p[b], to be left by facet p[g].
+_STATE = tuple((s[2], EDGE_INDEX[s[:2]], s[0]) for s in ORDERED_S4)  # (facet, edge, tail)
+_NEXT = tuple(tuple(ORDERED_S4_INDEX[(p[a], p[b], p[g], p[f])] for p in ORDERED_S4) for a, b, f, g in ORDERED_S4)
+# The two states of edge e = ab, a < b: one per facet that holds it.
+_START = tuple(tuple(s for s, p in enumerate(ORDERED_S4) if p[:2] == ab) for ab in EDGE_VERTS)
+
+
+def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int]]:
+    """((label, count), ends): edge e of tetrahedron t in class label[6t + e],
+    numbered by smallest member, and 4t + v for each link vertex at vertex v.
+
+    Each edge lies in two facets, so a class is a cycle, or a path that the
+    walk finishes from its start the other way.  Stopping at the first cell
+    labelled, it reads one gluing per cell of a closed triangulation and ends
+    on any table.  A class back at its start reversed has one link vertex.
+    """
+    glue = tri._glue
+    label = [-1] * (6 * tri.tet_count)
+    ends: list[int] = []
+    count = 0
+    for x in range(len(label)):
+        if label[x] >= 0:
+            continue
+        label[x] = count
+        t0, e = divmod(x, 6)
+        y = -1
+        for s in _START[e]:
+            t = t0
+            while (g := glue[t][_STATE[s][0]]) is not None:
+                t, s = g[0], _NEXT[s][g[1]]
+                y = 6 * t + _STATE[s][1]
+                if label[y] >= 0:
+                    break
+                label[y] = count
+            if g is not None:  # else an unglued facet: walk the other way from the start
+                break
+        a, b = EDGE_VERTS[e]
+        ends += (4 * t0 + a,) if y == x and _STATE[s][2] == b else (4 * t0 + a, 4 * t0 + b)
+        count += 1
+    return (label, count), ends
+
+
+def _labels(tri: Triangulation, kind: str):
+    """tri's "vertex" or "tet" _closure, or its "edge" labels or link-vertex
+    "ends" from _walk_edges, each found once; shared, not to be mutated."""
     if kind not in tri._classes:
-        tri._classes[kind] = _closure(tri, _CELLS[kind])
+        if kind in _CELLS:
+            tri._classes[kind] = _closure(tri, _CELLS[kind])
+        else:
+            tri._classes["edge"], tri._classes["ends"] = _walk_edges(tri)
     return tri._classes[kind]
 
 
@@ -363,14 +409,11 @@ def validate(tri: Triangulation) -> ValidationReport:
     links_ok = True
     if all_glued and tri.tet_count:
         # The link of an ideal vertex is glued from one triangle per
-        # (tetrahedron, vertex) incidence, with one corner per edge at
-        # that vertex.  Each link edge is shared by two triangles, so the
-        # Euler characteristic V - E + F is corners - F/2.
+        # (tetrahedron, vertex) incidence, whose corners are the ends of
+        # edges.  Each link edge is shared by two triangles, so the Euler
+        # characteristic V - E + F is the number of link vertices - F/2.
         vertex, count = _labels(tri, "vertex")
-        corner, _ = _labels(tri, "corner")
-        # Corner 12t + 3v + j lies at vertex 4t + v.
-        at_vertex = dict(zip(corner, chain.from_iterable(zip(vertex, vertex, vertex))))
-        corners = Counter(at_vertex.values())
+        corners = Counter(vertex[x] for x in _labels(tri, "ends"))
         faces = Counter(vertex)
         eulers = [corners[v] - faces[v] // 2 for v in range(count)]
         links_ok = all(x == 0 for x in eulers)

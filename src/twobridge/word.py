@@ -157,6 +157,8 @@ def enumerate_words(
         raise ValueError("exponents must be >= 1")
     if max_inner_syllables < 1:
         raise ValueError("max_inner_syllables must be >= 1")
+    if fixed_C is not None and fixed_C < 0:
+        raise ValueError("fixed_C must be >= 0")
     # A generator expression, so that the checks above run on the call.
     return (
         Word((("R", 1), *zip(("LR" * n)[:n], combo), ("R" if n % 2 else "L", 1)))

@@ -40,6 +40,53 @@ def random_gluing(n, rng, unglued=0):
     return tri
 
 
+class UnionFind:
+    """Plain union-find; the root of each set is its smallest member."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        a, b = self.find(a), self.find(b)
+        self.parent[max(a, b)] = min(a, b)
+
+
+def union_find_labels(tri, size, cell_pairs):
+    """Class label of every cell size*t + c, numbered by smallest member.
+
+    cell_pairs(f, perm) lists the (cell, image) pairs that a gluing of
+    facet f by perm identifies.
+    """
+    uf = UnionFind(size * tri.tet_count)
+    for t in range(tri.tet_count):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is not None:
+                for a, b in cell_pairs(f, g[1]):
+                    uf.union(size * t + a, size * g[0] + b)
+    number = {}
+    return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))], uf
+
+
+def link_corners(tri):
+    """Union-find over the link corners: corner 16t + 4v + w is the end at
+    vertex v of edge vw of tetrahedron t, and a gluing of facet f identifies
+    the corners whose edges lie in the facet."""
+
+    def pairs(f, perm):
+        for v in range(4):
+            for w in range(4):
+                if f not in (v, w) and v != w:
+                    yield 4 * v + w, 4 * perm[v] + perm[w]
+
+    return union_find_labels(tri, 16, pairs)[1]
+
+
 @pytest.fixture(scope="session")
 def words_ell8():
     return all_normalized_words(8)

@@ -175,6 +175,15 @@ def test_survey_row_count(capsys):
     assert len(lines) == len(list(enumerate_words(3, {1, 2}, fixed_C=0))) + 1
 
 
+def test_survey_rejects_a_negative_C(capsys):
+    # Every exponent is at least 1, so no word has fewer than zero squared
+    # syllables: an empty table would hide the mistake.
+    code, out, err = run_cli(["survey", "--max-n", "2", "--C", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "fixed_C must be >= 0" in err
+
+
 def test_survey_deterministic(capsys):
     _, out1, _ = run_cli(["survey", "--max-n", "2"], capsys)
     _, out2, _ = run_cli(["survey", "--max-n", "2"], capsys)

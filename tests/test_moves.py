@@ -3,27 +3,23 @@ import random
 
 import pytest
 
-from conftest import random_gluing
-from twobridge import moves, triangulation
+from conftest import link_corners, random_gluing
+from twobridge import moves
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
 from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
 from twobridge.word import Word, enumerate_words, parse_word
 
 
-# Link corner 3v + j is the end at vertex v of the j-th edge from v.
-CORNERS = [(v, w) for v in range(4) for w in range(4) if w != v]
-
-
 def movable_classes(tri, n):
     """Degree-n edge classes on n distinct tetrahedra with no boundary face
     around them, whose two ends lie in different link-corner classes (an
     edge identified with itself reversed has them in one)."""
-    corner = triangulation._labels(tri, "corner")[0]
+    corners = link_corners(tri)
 
     def ends_apart(t, e):
         a, b = EDGE_VERTS[e]
-        return corner[12 * t + CORNERS.index((a, b))] != corner[12 * t + CORNERS.index((b, a))]
+        return corners.find(16 * t + 4 * a + b) != corners.find(16 * t + 4 * b + a)
 
     return [
         c.index

@@ -10,7 +10,7 @@ import pytest
 import twobridge
 import twobridge.angles as angles
 import twobridge.triangulation as triangulation
-from conftest import random_gluing
+from conftest import link_corners, random_gluing, union_find_labels
 from test_isosig import open_copy
 from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import are_isomorphic, encode_isosig
@@ -138,39 +138,6 @@ def test_validate_builder_output(words_ell8):
         assert report.vertex_link_eulers and all(x == 0 for x in report.vertex_link_eulers)
 
 
-class UnionFind:
-    """Plain union-find; the root of each set is its smallest member."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        a, b = self.find(a), self.find(b)
-        self.parent[max(a, b)] = min(a, b)
-
-
-def union_find_labels(tri, size, cell_pairs):
-    """Class label of every cell size*t + c, numbered by smallest member.
-
-    cell_pairs(f, perm) lists the (cell, image) pairs that a gluing of
-    facet f by perm identifies.
-    """
-    uf = UnionFind(size * tri.tet_count)
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is not None:
-                for a, b in cell_pairs(f, g[1]):
-                    uf.union(size * t + a, size * g[0] + b)
-    number = {}
-    return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))], uf
-
-
 def oracle_edge_labels(tri):
     def pairs(f, perm):
         for a, b in combinations([v for v in range(4) if v != f], 2):
@@ -184,19 +151,8 @@ def oracle_vertex_labels(tri):
 
 
 def oracle_link_eulers(tri):
-    """Euler characteristic of each vertex link, from its triangles and corners.
-
-    Corner 4v + w is the end at vertex v of edge vw; a gluing of facet f
-    identifies the corners whose edges lie in the facet.
-    """
-
-    def pairs(f, perm):
-        for v in range(4):
-            for w in range(4):
-                if f not in (v, w) and v != w:
-                    yield 4 * v + w, 4 * perm[v] + perm[w]
-
-    _, corners = union_find_labels(tri, 16, pairs)
+    """Euler characteristic of each vertex link, from its triangles and corners."""
+    corners = link_corners(tri)
     vertex = oracle_vertex_labels(tri)
     eulers = []
     for cls in range(max(vertex, default=-1) + 1):
@@ -382,18 +338,56 @@ def test_shared_edge_class_table_is_read_only():
 
 def test_one_gluing_search_per_cell_kind(monkeypatch):
     # The analyses of one word share the classes of its triangulation: one
-    # search each over vertices, edges and link corners (7 searches when
-    # every query searched afresh).
-    sizes = []
-    search = triangulation._closure
-    monkeypatch.setattr(triangulation, "_closure", lambda tri, cells: sizes.append(cells[0]) or search(tri, cells))
+    # search over vertices and one walk around the edges, which also gives
+    # the vertices of the links.
+    searches = []
+    search, walk = triangulation._closure, triangulation._walk_edges
+    monkeypatch.setattr(triangulation, "_closure", lambda tri, cells: searches.append(cells[0]) or search(tri, cells))
+    monkeypatch.setattr(triangulation, "_walk_edges", lambda tri: searches.append("edge walk") or walk(tri))
     w = parse_word("RL^2RLR")
     tri = build_sakuma_weeks(w)
     assert validate(tri).passed
     degree_predicates(tri, w)
     assert verify_angle_structure(tri, expand_to_tetrahedra(assign_angles(w), tri)).passed
     assert maximize_volume(tri, seed=assign_angles(w)).converged
-    assert sorted(sizes) == [4, 6, 12]  # cells per tetrahedron: vertices, edges, corners
+    assert sorted(searches, key=str) == [4, "edge walk"]  # 4 cells per tetrahedron: vertices
+
+
+class CountingRow(list):
+    """A row of Triangulation._glue that counts its reads."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.reads = 0
+
+    def __getitem__(self, f):
+        self.reads += 1
+        return super().__getitem__(f)
+
+
+@pytest.mark.parametrize("word", ["RL", "R^2LR", "RL^2RLR", "RL^3R^2L^2R"])
+def test_edge_walk_reads_one_gluing_per_edge_embedding(word):
+    # A closed triangulation has 6n edge embeddings; the walk reads the
+    # gluing that leaves each one once.
+    tri = build_sakuma_weeks(parse_word(word))
+    rows = tri._glue = [CountingRow(row) for row in tri._glue]
+    label, count = triangulation._labels(tri, "edge")
+    assert sum(row.reads for row in rows) == 6 * tri.tet_count
+    assert count == tri.tet_count and label == oracle_edge_labels(tri)
+
+
+def test_edge_walk_ends_on_a_gluing_table_that_is_not_an_involution():
+    # Every one-sided edit of one facet: the walk stops at the first cell
+    # it has labelled, so it ends even where no walk comes back to its start.
+    base = build_sakuma_weeks(parse_word("RL^2R"))
+    for t2 in range(base.tet_count):
+        for i in range(24):
+            tri = Triangulation.from_json(base.to_json())
+            tri._glue[0][2] = (t2, i)
+            label, count = triangulation._labels(tri, "edge")
+            assert min(label) == 0 and max(label) == count - 1
+            report = validate(tri)
+            assert report.involution_ok == (tri._glue == base._glue) and report.edge_class_count == count
 
 
 def test_only_triangulation_methods_assign_into_glue():

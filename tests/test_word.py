@@ -164,7 +164,12 @@ def test_enumerate_errors():
 
 @pytest.mark.parametrize(
     "args, message",
-    [((0, {1, 2}), "max_inner_syllables"), ((3, set()), "non-empty"), ((2, {0, 1}), ">= 1")],
+    [
+        ((0, {1, 2}), "max_inner_syllables"),
+        ((3, set()), "non-empty"),
+        ((2, {0, 1}), ">= 1"),
+        ((2, {1, 2}, -1), "fixed_C must be >= 0"),
+    ],
 )
 def test_enumerate_checks_its_arguments_on_the_call(args, message):
     # no item is pulled: the error comes from the call itself

@@ -84,8 +84,6 @@ from .blocks import (
 from .triangulation import Triangulation, VerificationError, _labels
 from .word import Word, inner_word
 
-F = Fraction
-
 
 @dataclass(frozen=True)
 class Shape:
@@ -111,7 +109,7 @@ _UNITS: dict[str, tuple[int, int, int]] = {
 }
 
 # Fraction(k, 24) for k = 0..24, shared by every angle the synthesis returns.
-_PI_24 = tuple(F(k, 24) for k in range(25))
+_PI_24 = tuple(Fraction(k, 24) for k in range(25))
 
 SHAPES: dict[str, Shape] = {
     name: Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
@@ -456,4 +454,4 @@ def boundary_deficits(
                 after[layer, slot] = sum(values[i + 1 :])
     delta = (before[first, H], before[first, V], 48 - units[first][D])
     epsilon = (after[last, H], after[last, V], 48 - units[last][D])
-    return DeficitTriple(*(F(x, 24) for x in delta)), DeficitTriple(*(F(x, 24) for x in epsilon))
+    return DeficitTriple(*(Fraction(x, 24) for x in delta)), DeficitTriple(*(Fraction(x, 24) for x in epsilon))

@@ -12,7 +12,8 @@ the ball it retriangulates by a symbol, in every removed and every new
 tetrahedron, and each gluing maps a vertex to the vertex with the same
 symbol: a face of two new tetrahedra is glued between them, and a face of
 one new tetrahedron lies on the ball's boundary and keeps the outside
-gluing of the old facet with the same symbols.
+gluing of the old facet with the same symbols.  The 3-2 and 4-4 moves read
+the tetrahedra around their edge off the walk that finds the edge classes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import json
 
 from .triangulation import (
     EDGE_INDEX,
-    EDGE_VERTS,
     IDENTITY,
+    ORDERED_S4,
     EdgeClass,
     Perm,
     Triangulation,
@@ -120,34 +121,24 @@ def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
 
 
 def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], str | None]:
-    """The walk once around cls, as (fan, None), or as (part, why it fails).
+    """The walk once around cls, as (fan, None), or as ([], why it fails).
 
     The k-th tetrahedron names the ends of the edge U and V and its other
     vertices k and k + 1 (modulo the degree n), and the walk leaves it
-    through face U V k+1 into the next.  It fails before the first step
-    unless the n tetrahedra are distinct.  It starts at the smallest
-    embedding, with U at its smaller vertex, and fails at a boundary face or
-    unless n steps bring it back there with U and V in place.
+    through face U V k+1 into the next: it is the k-th state (a, b, f, g)
+    of the class's walk from _walk_edges, with a named U, b V, f k and
+    g k + 1.  It fails unless the n tetrahedra are distinct, and where that
+    walk meets a boundary face or does not come back to its start.
     """
     n = cls.degree
     if len({t for t, _ in cls.embeddings}) != n:
         move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
         return [], f"{move} distinct tetrahedra around the edge"
-    t0, e0 = cls.embeddings[0]  # embeddings ascend
-    u, v = EDGE_VERTS[e0]
-    a, b = (x for x in range(4) if x not in (u, v))
-    t, c = t0, (u, v, a, b)  # the vertices named U, V, k and k + 1
-    fan = []
-    for k in range(n):
-        syms = [U] * 4
-        syms[c[1]], syms[c[2]], syms[c[3]] = V, k, (k + 1) % n
-        fan.append((t, tuple(syms)))
-        g = tri.gluing(t, c[2])
-        if g is None:
-            return fan, "edge has a boundary face; cannot walk around it"
-        t, perm = g
-        c = (perm[c[0]], perm[c[1]], perm[c[3]], perm[c[2]])
-    return fan, None if (t, c[:3]) == (t0, (u, v, a)) else "edge walk failed to close"
+    walk = _labels(tri, "walks")[cls.index]
+    if isinstance(walk, str):
+        return [], walk
+    return [(t, tuple((U, V, k, (k + 1) % n)[i] for i in invert(ORDERED_S4[s])))
+            for k, (t, s) in enumerate(walk)], None
 
 
 def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:

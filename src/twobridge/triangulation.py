@@ -19,11 +19,11 @@ pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 12 the next, in odd ones the other way round).
 
 Vertex classes (cusps) and components are found by a search over the
-gluings (_closure); edge classes, and the ends of each edge that become
-vertices of the vertex links, by one oriented walk around each edge
-(_walk_edges).  Each runs once per triangulation: a Triangulation keeps the
-classes found until glue, its only mutator, clears them, and hands them
-out read-only.
+gluings (_closure); edge classes, the ends of each edge that become link
+vertices, and the fan of tetrahedra around each edge that the moves read,
+by one oriented walk around each edge (_walk_edges).  Each runs once per
+triangulation: a Triangulation keeps the classes found until glue, its only
+mutator, clears them, and hands them out read-only.
 """
 
 from __future__ import annotations
@@ -286,9 +286,11 @@ _NEXT = tuple(tuple(ORDERED_S4_INDEX[(p[a], p[b], p[g], p[f])] for p in ORDERED_
 _START = tuple(tuple(s for s, p in enumerate(ORDERED_S4) if p[:2] == ab) for ab in EDGE_VERTS)
 
 
-def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int]]:
-    """((label, count), ends): edge e of tetrahedron t in class label[6t + e],
-    numbered by smallest member, and 4t + v for each link vertex at vertex v.
+def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], list]:
+    """((label, count), ends, walks): edge e of tetrahedron t in class
+    label[6t + e], numbered by smallest member; 4t + v for each link vertex
+    at vertex v; per class, the states (t, s) of the walk from its smallest
+    member by _START[e][0], in order, or why it does not come back there.
 
     Each edge lies in two facets, so a class is a cycle, or a path that the
     walk finishes from its start the other way.  Stopping at the first cell
@@ -298,6 +300,7 @@ def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int]]:
     glue = tri._glue
     label = [-1] * (6 * tri.tet_count)
     ends: list[int] = []
+    walks: list[list[tuple[int, int]] | str] = []
     count = 0
     for x in range(len(label)):
         if label[x] >= 0:
@@ -305,30 +308,34 @@ def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int]]:
         label[x] = count
         t0, e = divmod(x, 6)
         y = -1
-        for s in _START[e]:
-            t = t0
+        for start in _START[e]:
+            t, s, walk = t0, start, [(t0, start)]
             while (g := glue[t][_STATE[s][0]]) is not None:
                 t, s = g[0], _NEXT[s][g[1]]
                 y = 6 * t + _STATE[s][1]
                 if label[y] >= 0:
                     break
                 label[y] = count
+                walk.append((t, s))
             if g is not None:  # else an unglued facet: walk the other way from the start
                 break
         a, b = EDGE_VERTS[e]
         ends += (4 * t0 + a,) if y == x and _STATE[s][2] == b else (4 * t0 + a, 4 * t0 + b)
+        walks.append("edge has a boundary face; cannot walk around it" if start != _START[e][0]
+                     else walk if s == start and t == t0 else "edge walk failed to close")
         count += 1
-    return (label, count), ends
+    return (label, count), ends, walks
 
 
 def _labels(tri: Triangulation, kind: str):
-    """tri's "vertex" or "tet" _closure, or its "edge" labels or link-vertex
-    "ends" from _walk_edges, each found once; shared, not to be mutated."""
+    """tri's "vertex" or "tet" _closure, or its "edge" labels, link-vertex
+    "ends" or class "walks" from _walk_edges, each found once; shared, not
+    to be mutated."""
     if kind not in tri._classes:
         if kind in _CELLS:
             tri._classes[kind] = _closure(tri, _CELLS[kind])
         else:
-            tri._classes["edge"], tri._classes["ends"] = _walk_edges(tri)
+            tri._classes["edge"], tri._classes["ends"], tri._classes["walks"] = _walk_edges(tri)
     return tri._classes[kind]
 
 
@@ -399,15 +406,17 @@ def validate(tri: Triangulation) -> ValidationReport:
         failures.append("not all faces are glued")
 
     edge_count = _labels(tri, "edge")[1]
-    edge_count_ok = edge_count == tri.tet_count
-    if not edge_count_ok:
+    edge_count_ok = involution_ok and edge_count == tri.tet_count
+    if not involution_ok:
+        failures.append("edge classes and vertex links not checked: gluing map is not an involution")
+    elif not edge_count_ok:
         failures.append(
             f"edge class count {edge_count} differs from tetrahedron count {tri.tet_count}"
         )
 
     eulers: list[int] = []
-    links_ok = True
-    if all_glued and tri.tet_count:
+    links_ok = involution_ok
+    if involution_ok and all_glued and tri.tet_count:
         # The link of an ideal vertex is glued from one triangle per
         # (tetrahedron, vertex) incidence, whose corners are the ends of
         # edges.  Each link edge is shared by two triangles, so the Euler
@@ -419,7 +428,7 @@ def validate(tri: Triangulation) -> ValidationReport:
         links_ok = all(x == 0 for x in eulers)
         if not links_ok:
             failures.append(f"vertex links have Euler characteristics {eulers}, expected all 0")
-    elif tri.tet_count:
+    elif involution_ok and tri.tet_count:
         links_ok = False
         failures.append("vertex links not checked: triangulation has unglued faces")
 

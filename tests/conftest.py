@@ -56,6 +56,18 @@ class UnionFind:
         self.parent[max(a, b)] = min(a, b)
 
 
+class CountingRow(list):
+    """A row of Triangulation._glue that counts its reads."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.reads = 0
+
+    def __getitem__(self, f):
+        self.reads += 1
+        return super().__getitem__(f)
+
+
 def union_find_labels(tri, size, cell_pairs):
     """Class label of every cell size*t + c, numbered by smallest member.
 

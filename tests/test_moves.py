@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import link_corners, random_gluing
+from conftest import CountingRow, link_corners, random_gluing
 from twobridge import moves
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
@@ -358,11 +360,15 @@ def test_simplify_digest_over_ell8(words_ell8):
     assert digest.hexdigest() == "cb026784b95c37c20c98ba75a4e15e32178c6d66d5b1e5831f0cb499d47203a2"
 
 
-def test_simplify_builds_no_trial_on_long_word(monkeypatch):
-    # R (L^2 R^2 ..., 60 inner syllables) L: 242 tetrahedra, no move applies,
-    # and no trial 4-4 move gets past the degree screen.
+def long_word_triangulation():
+    """R (L^2 R^2 ..., 60 inner syllables) L: 242 tetrahedra, and no move applies."""
     inner = tuple(("LR"[i % 2], 2) for i in range(60))
-    tri = build_sakuma_weeks(Word((("R", 1),) + inner + (("L", 1),)))
+    return build_sakuma_weeks(Word((("R", 1),) + inner + (("L", 1),)))
+
+
+def test_simplify_builds_no_trial_on_long_word(monkeypatch):
+    # No trial 4-4 move gets past the degree screen.
+    tri = long_word_triangulation()
     calls = []
     core = moves.move_44
     monkeypatch.setattr(moves, "move_44", lambda *args: calls.append(args[1:]) or core(*args))
@@ -371,6 +377,26 @@ def test_simplify_builds_no_trial_on_long_word(monkeypatch):
     # RL^3R: the one trial built is the 4-4 move kept.
     trace = simplify(build_sakuma_weeks(parse_word("RL^3R")))
     assert calls == [(trace.moves[0].target, trace.moves[0].axis)]
+
+
+def test_simplify_reads_each_gluing_once_on_long_word():
+    # The moves read their fans off the edge walk of the triangulation, so
+    # the pass reads one gluing per edge embedding and walks no class again.
+    tri = long_word_triangulation()
+    rows = tri._glue = [CountingRow(row) for row in tri._glue]
+    assert simplify(tri).moves == []
+    assert sum(row.reads for row in rows) == 6 * tri.tet_count == 1452
+
+
+def test_only_the_ball_builders_read_gluings():
+    # Every other function of moves reads the edge walk of the triangulation.
+    readers = {
+        top.name
+        for top in ast.parse(Path(moves.__file__).read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gluing"
+    }
+    assert readers <= {"_retriangulate", "triangle_pairs", "pachner_23"}
 
 
 def every_move(tri):

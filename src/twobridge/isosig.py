@@ -61,7 +61,8 @@ def _smaller_candidate(
     `gluings[t][f]` is (adjacent tet, 4 * adjacent tet + adjacent facet,
     permutation index) or None for a boundary facet.  The candidate labels
     `start` as 0 with vertex relabelling `start_perm` and grows the
-    labelling breadth first.
+    labelling breadth first, through the component of `start` only: a
+    candidate that finishes with tetrahedra unlabelled raises ValueError.
     """
     n = len(gluings)
     image = [-1] * n
@@ -109,6 +110,8 @@ def _smaller_candidate(
                 out.append(rank)
                 packed = shift = 0
 
+    if len(preimage) < n:
+        raise ValueError("triangulation is disconnected")
     # A tie so far is settled by the rest: the final partial action
     # character, then destinations, then permutations.
     if shift:
@@ -147,14 +150,16 @@ _FIRST: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
 
 def encode_isosig(tri: Triangulation) -> str:
-    """Canonical signature: the smallest candidate over all starts."""
+    """Canonical signature: the smallest candidate over all starts.
+
+    The first candidate is never abandoned, so it labels the whole
+    triangulation or finds it disconnected.
+    """
     n = tri.tet_count
     if n == 0:
         raise ValueError("cannot encode an empty triangulation")
     if n >= 63:
         raise ValueError("signatures for >= 63 tetrahedra are not supported")
-    if not tri.is_connected():
-        raise ValueError("triangulation is disconnected")
     gluings = [
         [None if g is None else (g[0], 4 * g[0] + ORDERED_S4[g[1]][f], g[1]) for f, g in enumerate(row)]
         for row in tri._glue

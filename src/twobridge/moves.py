@@ -126,9 +126,10 @@ def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], 
     The k-th tetrahedron names the ends of the edge U and V and its other
     vertices k and k + 1 (modulo the degree n), and the walk leaves it
     through face U V k+1 into the next: it is the k-th state (a, b, f, g)
-    of the class's walk from _walk_edges, with a named U, b V, f k and
-    g k + 1.  It fails unless the n tetrahedra are distinct, and where that
-    walk meets a boundary face or does not come back to its start.
+    of the class's walk from _walk_edges, stored as 24t + s, with a named
+    U, b V, f k and g k + 1.  It fails unless the n tetrahedra are
+    distinct, and where that walk meets a boundary face or does not come
+    back to its start.
     """
     n = cls.degree
     if len({t for t, _ in cls.embeddings}) != n:
@@ -138,7 +139,7 @@ def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], 
     if isinstance(walk, str):
         return [], walk
     return [(t, tuple((U, V, k, (k + 1) % n)[i] for i in invert(ORDERED_S4[s])))
-            for k, (t, s) in enumerate(walk)], None
+            for k, (t, s) in enumerate(divmod(x, 24) for x in walk)], None
 
 
 def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:

@@ -18,12 +18,14 @@ pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 03/12 the diagonal pair (in even tetrahedra 03 faces the previous layer and
 12 the next, in odd ones the other way round).
 
-Vertex classes (cusps) and components are found by a search over the
-gluings (_closure); edge classes, the ends of each edge that become link
+Vertex classes (cusps) are found by a search over the gluings
+(_closure); edge classes, the ends of each edge that become link
 vertices, and the fan of tetrahedra around each edge that the moves read,
 by one oriented walk around each edge (_walk_edges).  Each runs once per
 triangulation: a Triangulation keeps the classes found until glue, its only
-mutator, clears them, and hands them out read-only.
+mutator, clears them, and hands them out read-only.  No search finds
+components: the isosig labelling reaches exactly the component of its
+start, so encode_isosig rejects disconnected input by itself.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class Triangulation:
 
     def is_closed(self) -> bool:
         return all(g is not None for row in self._glue for g in row)
-
-    def is_connected(self) -> bool:
-        return _labels(self, "tet")[1] <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,55 +222,36 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
     return tri
 
 
-def _cells(cells):
-    """(cells per tetrahedron, steps of each cell) for cells given by their
-    tuples of vertices: steps[c] pairs each facet holding cell c with the
-    cell it becomes under each ORDERED_S4 index.
-
-    A cell lies in facet f iff f is none of its vertices, and a gluing
-    permutation maps it to the cell on the permuted vertices.
-    """
-    index = {c: i for i, c in enumerate(cells)}
-    steps = tuple(
-        tuple((f, tuple(index[tuple(p[v] for v in c)] for p in ORDERED_S4)) for f in range(4) if f not in c)
-        for c in cells
-    )
-    return len(cells), steps
+# The vertex search's steps: per vertex v, each facet f that holds it
+# (f != v), with the vertex that v becomes under each ORDERED_S4 index.
+_VERTEX_STEPS = tuple(tuple((f, tuple(p[v] for p in ORDERED_S4)) for f in range(4) if f != v) for v in range(4))
 
 
-_CELLS = {
-    "vertex": _cells([(v,) for v in range(4)]),
-    # A cell with no vertices lies in every facet: one class per component.
-    "tet": _cells([()]),
-}
+def _closure(tri: Triangulation) -> tuple[list[int], int]:
+    """Vertex classes (cusps), as (label, count).
 
-
-def _closure(tri: Triangulation, cells) -> tuple[list[int], int]:
-    """Classes of cells identified across glued faces, as (label, count).
-
-    Cell c of tetrahedron t gets label[size*t + c]; a search over the
-    gluings, growing each class's list of (t, c) members, numbers the
+    Vertex v of tetrahedron t gets label[4t + v]; a search over the
+    gluings, growing each class's list of (t, v) members, numbers the
     classes in order of their smallest member.
     """
-    size, steps = cells
     glue = tri._glue
-    label = [-1] * (size * tri.tet_count)
+    label = [-1] * (4 * tri.tet_count)
     count = 0
     for start in range(len(label)):
         if label[start] >= 0:
             continue
         label[start] = count
-        members = [divmod(start, size)]
-        for t, c in members:  # members grows while it is walked
+        members = [divmod(start, 4)]
+        for t, v in members:  # members grows while it is walked
             row = glue[t]
-            for f, image in steps[c]:
+            for f, image in _VERTEX_STEPS[v]:
                 g = row[f]
                 if g is not None:
-                    t2, c2 = g[0], image[g[1]]
-                    x = size * t2 + c2
+                    t2, v2 = g[0], image[g[1]]
+                    x = 4 * t2 + v2
                     if label[x] < 0:
                         label[x] = count
-                        members.append((t2, c2))
+                        members.append((t2, v2))
         count += 1
     return label, count
 
@@ -289,7 +269,7 @@ _START = tuple(tuple(s for s, p in enumerate(ORDERED_S4) if p[:2] == ab) for ab 
 def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], list]:
     """((label, count), ends, walks): edge e of tetrahedron t in class
     label[6t + e], numbered by smallest member; 4t + v for each link vertex
-    at vertex v; per class, the states (t, s) of the walk from its smallest
+    at vertex v; per class, the states 24t + s of the walk from its smallest
     member by _START[e][0], in order, or why it does not come back there.
 
     Each edge lies in two facets, so a class is a cycle, or a path that the
@@ -300,7 +280,7 @@ def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], l
     glue = tri._glue
     label = [-1] * (6 * tri.tet_count)
     ends: list[int] = []
-    walks: list[list[tuple[int, int]] | str] = []
+    walks: list[list[int] | str] = []
     count = 0
     for x in range(len(label)):
         if label[x] >= 0:
@@ -309,14 +289,14 @@ def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], l
         t0, e = divmod(x, 6)
         y = -1
         for start in _START[e]:
-            t, s, walk = t0, start, [(t0, start)]
+            t, s, walk = t0, start, [24 * t0 + start]
             while (g := glue[t][_STATE[s][0]]) is not None:
                 t, s = g[0], _NEXT[s][g[1]]
                 y = 6 * t + _STATE[s][1]
                 if label[y] >= 0:
                     break
                 label[y] = count
-                walk.append((t, s))
+                walk.append(24 * t + s)
             if g is not None:  # else an unglued facet: walk the other way from the start
                 break
         a, b = EDGE_VERTS[e]
@@ -328,12 +308,12 @@ def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], l
 
 
 def _labels(tri: Triangulation, kind: str):
-    """tri's "vertex" or "tet" _closure, or its "edge" labels, link-vertex
-    "ends" or class "walks" from _walk_edges, each found once; shared, not
-    to be mutated."""
+    """tri's "vertex" classes from _closure, or its "edge" labels,
+    link-vertex "ends" or class "walks" from _walk_edges, each found once;
+    shared, not to be mutated."""
     if kind not in tri._classes:
-        if kind in _CELLS:
-            tri._classes[kind] = _closure(tri, _CELLS[kind])
+        if kind == "vertex":
+            tri._classes[kind] = _closure(tri)
         else:
             tri._classes["edge"], tri._classes["ends"], tri._classes["walks"] = _walk_edges(tri)
     return tri._classes[kind]

@@ -85,6 +85,15 @@ def union_find_labels(tri, size, cell_pairs):
     return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))], uf
 
 
+def oracle_components(tri):
+    """Component label of every tetrahedron: a gluing joins its two tetrahedra."""
+    return union_find_labels(tri, 1, lambda f, perm: [(0, 0)])[0]
+
+
+def is_connected(tri):
+    return len(set(oracle_components(tri))) <= 1
+
+
 def link_corners(tri):
     """Union-find over the link corners: corner 16t + 4v + w is the end at
     vertex v of edge vw of tetrahedron t, and a gluing of facet f identifies

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_normalized_words, random_gluing
-from twobridge import isosig
+from conftest import all_normalized_words, is_connected, random_gluing
+from twobridge import isosig, triangulation
 from twobridge.isosig import ALPHABET, are_isomorphic, decode_isosig, encode_isosig
 from twobridge.moves import simplify
 from twobridge.triangulation import (
@@ -146,18 +146,48 @@ def test_edited_golden_signatures_decode_or_raise_value_error():
     assert decoded > 100
 
 
-def test_encode_rejects_disconnected():
-    tri = Triangulation(4)
-    # two separate copies of the figure-eight complex
-    fig8 = build_sakuma_weeks(parse_word("RL"))
-    for base in (0, 2):
-        for t in range(2):
+def side_by_side(*parts):
+    """The disjoint union of the parts, numbered in order."""
+    out = Triangulation(sum(p.tet_count for p in parts))
+    base = 0
+    for part in parts:
+        for t in range(part.tet_count):
             for f in range(4):
-                t2, perm = fig8.gluing(t, f)
-                if tri.gluing(base + t, f) is None:
-                    tri.glue(base + t, f, base + t2, perm)
-    with pytest.raises(ValueError):
-        encode_isosig(tri)
+                g = part.gluing(t, f)
+                if g is not None and out.gluing(base + t, f) is None:
+                    out.glue(base + t, f, base + g[0], g[1])
+        base += part.tet_count
+    return out
+
+
+def test_encode_rejects_disconnected(monkeypatch):
+    # The first candidate labels the component of its start and raises:
+    # no search for components, vertex or edge classes runs.
+    for name in ("_closure", "_walk_edges"):
+        monkeypatch.setattr(triangulation, name, lambda tri, name=name: pytest.fail(f"{name} called"))
+    starts, search = [], isosig._smaller_candidate
+    monkeypatch.setattr(isosig, "_smaller_candidate", lambda g, t, *rest: starts.append(t) or search(g, t, *rest))
+    fig8 = build_sakuma_weeks(parse_word("RL"))
+    assert encode_isosig(fig8) == "cPcbbbiht"
+    lone = Triangulation(1)
+    folded = Triangulation(1)  # closed by gluing its facets in two pairs
+    folded.glue(0, 0, 0, (1, 0, 2, 3))
+    folded.glue(0, 2, 0, (0, 1, 3, 2))
+    # The smallest first character picks the start: in the figure-eight
+    # complex beside the lone tetrahedron, in the lone one beside the folded.
+    cases = [
+        (side_by_side(fig8, fig8), {0, 1, 2, 3}),
+        (side_by_side(fig8, lone), {0, 1}),
+        (side_by_side(lone, fig8), {1, 2}),
+        (side_by_side(folded, lone), {1}),
+        (side_by_side(lone, folded), {0}),
+        (Triangulation(2), {0, 1}),
+    ]
+    for tri, first_starts in cases:
+        starts.clear()
+        with pytest.raises(ValueError, match="^triangulation is disconnected$"):
+            encode_isosig(tri)
+        assert len(starts) == 1 and starts[0] in first_starts, tri.to_json()
 
 
 def brute_force_isosig(tri):
@@ -220,7 +250,7 @@ def random_connected():
     unglued: boundary and self-glued facets, and single tetrahedra."""
     rng = random.Random(5)
     tris = [random_gluing(rng.randint(1, 4), rng, unglued) for unglued in (0, 2) for _ in range(150)]
-    return [tri for tri in tris if tri.is_connected()]
+    return [tri for tri in tris if is_connected(tri)]
 
 
 def test_oracle_agrees_on_random_gluings(random_connected):
@@ -301,7 +331,7 @@ def open_copy(tri, rng):
             if (t, f) not in dropped:
                 t2, perm = tri.gluing(t, f)
                 out.glue(t, f, t2, perm)
-        if out.is_connected():
+        if is_connected(out):
             return out
 
 

@@ -4,7 +4,7 @@ The 2-bridge link of the word with exponents a_1, ..., a_n is the link
 p/q = [a_1 + 1, a_2, ..., a_{n-1}, a_n + 1], a continued fraction, and two
 such links are equal iff they have the same p and q' = +-q^{+-1} mod p
 (Schubert 1956).  The layered triangulation is canonical (Gueritaud 2006),
-so equal links must give isomorphic triangulations.
+so equal links must give isomorphic triangulations, and equal volumes.
 """
 
 import math
@@ -55,6 +55,17 @@ def test_one_signature_per_schubert_class(words_ell10):
         key, sig = schubert_class(w), encode_isosig(build_sakuma_weeks(w))
         assert signature_of.setdefault(key, sig) == sig, str(w)
     assert len(signature_of) == len(set(signature_of.values())) == 548
+
+
+def test_volumes_agree_within_each_schubert_class(words_ell8):
+    # Equal links have equal hyperbolic volumes, whichever word gives them.
+    volumes = {}
+    for w in words_ell8:
+        result = maximize_volume(build_sakuma_weeks(w))
+        assert result.converged, str(w)
+        volumes.setdefault(schubert_class(w), []).append(result.volume)
+    assert (len(words_ell8), len(volumes), sum(len(v) >= 2 for v in volumes.values())) == (247, 142, 105)
+    assert max(max(v) - min(v) for v in volumes.values()) <= 1e-12
 
 
 def test_closed_form_volumes():

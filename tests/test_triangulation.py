@@ -10,8 +10,8 @@ import pytest
 import twobridge
 import twobridge.angles as angles
 import twobridge.triangulation as triangulation
-from conftest import CountingRow, link_corners, random_gluing, union_find_labels
-from test_isosig import open_copy
+from conftest import CountingRow, is_connected, link_corners, oracle_components, random_gluing, union_find_labels
+from test_isosig import open_copy, side_by_side
 from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import are_isomorphic, encode_isosig
 from twobridge.moves import pachner_23, simplify, triangle_pairs
@@ -168,11 +168,6 @@ def oracle_link_eulers(tri):
     return eulers
 
 
-def oracle_components(tri):
-    """Component label of every tetrahedron: a gluing joins its two tetrahedra."""
-    return union_find_labels(tri, 1, lambda f, perm: [(0, 0)])[0]
-
-
 def assert_matches_union_find(tri):
     edge = oracle_edge_labels(tri)
     expected = [[] for _ in range(max(edge, default=-1) + 1)]
@@ -181,9 +176,12 @@ def assert_matches_union_find(tri):
     table = edge_classes(tri)
     assert [(c.index, list(c.embeddings)) for c in table.classes] == list(enumerate(expected))
     assert triangulation._labels(tri, "vertex")[0] == oracle_vertex_labels(tri)
-    components = oracle_components(tri)
-    assert triangulation._labels(tri, "tet") == (components, len(set(components)))
-    assert tri.is_connected() == (len(set(components)) <= 1)
+    if 0 < tri.tet_count < 63:  # encode_isosig rejects exactly the disconnected ones
+        if is_connected(tri):
+            encode_isosig(tri)
+        else:
+            with pytest.raises(ValueError, match="^triangulation is disconnected$"):
+                encode_isosig(tri)
     report = validate(tri)
     assert report.edge_class_count == len(expected)
     assert report.vertex_link_eulers == (oracle_link_eulers(tri) if tri.is_closed() else [])
@@ -218,30 +216,20 @@ def test_classes_match_union_find_on_random_closed_gluings():
         tri = random_gluing(rng.randint(1, 4), rng)
         assert_matches_union_find(tri)
         mixed_links += len(set(validate(tri).vertex_link_eulers)) > 1
-        disconnected += not tri.is_connected()
+        disconnected += not is_connected(tri)
     assert mixed_links  # links that tell the vertex classes apart
     assert disconnected == 16
 
 
 def test_components_match_union_find_on_disconnected_gluings():
-    # Opened copies of builder output side by side, one tetrahedron left
-    # alone, and the empty triangulation.
+    # Opened copies of builder output side by side with one tetrahedron left
+    # alone; the empty triangulation, and one and two lone tetrahedra.
     rng = random.Random(3)
     parts = [open_copy(build_sakuma_weeks(parse_word(w)), rng) for w in ("RL", "R^2LR", "RLR")]
-    tri = Triangulation(sum(p.tet_count for p in parts) + 1)
-    base = 0
-    for part in parts:
-        for t in range(part.tet_count):
-            for f in range(4):
-                g = part.gluing(t, f)
-                if g is not None and tri.gluing(base + t, f) is None:
-                    tri.glue(base + t, f, base + g[0], g[1])
-        base += part.tet_count
-    assert triangulation._labels(tri, "tet") == ([0] * 2 + [1] * 6 + [2] * 4 + [3], 4)
-    assert not tri.is_connected()
-    assert_matches_union_find(tri)
-    assert Triangulation(0).is_connected() and Triangulation(1).is_connected()
-    assert not Triangulation(2).is_connected()
+    tri = side_by_side(*parts, Triangulation(1))
+    assert oracle_components(tri) == [0] * 2 + [1] * 6 + [2] * 4 + [3]
+    for t in (tri, Triangulation(0), Triangulation(1), Triangulation(2)):
+        assert_matches_union_find(t)
 
 
 def test_validate_rejects_doubled_tetrahedron():
@@ -348,7 +336,7 @@ def test_one_gluing_search_per_cell_kind(monkeypatch):
     # the vertices of the links.
     searches = []
     search, walk = triangulation._closure, triangulation._walk_edges
-    monkeypatch.setattr(triangulation, "_closure", lambda tri, cells: searches.append(cells[0]) or search(tri, cells))
+    monkeypatch.setattr(triangulation, "_closure", lambda tri: searches.append("vertex search") or search(tri))
     monkeypatch.setattr(triangulation, "_walk_edges", lambda tri: searches.append("edge walk") or walk(tri))
     w = parse_word("RL^2RLR")
     tri = build_sakuma_weeks(w)
@@ -356,7 +344,7 @@ def test_one_gluing_search_per_cell_kind(monkeypatch):
     degree_predicates(tri, w)
     assert verify_angle_structure(tri, expand_to_tetrahedra(assign_angles(w), tri)).passed
     assert maximize_volume(tri, seed=assign_angles(w)).converged
-    assert sorted(searches, key=str) == [4, "edge walk"]  # 4 cells per tetrahedron: vertices
+    assert sorted(searches) == ["edge walk", "vertex search"]
 
 
 @pytest.mark.parametrize("word", ["RL", "R^2LR", "RL^2RLR", "RL^3R^2L^2R"])

@@ -15,7 +15,6 @@ from .angles import (
     assign_angles,
     boundary_deficits,
     expand_to_tetrahedra,
-    shape_catalog,
     verify_angle_structure,
 )
 from .blocks import Block, BlockDecomposition, decompose
@@ -76,7 +75,6 @@ __all__ = [
     "pachner_32",
     "parse_word",
     "render",
-    "shape_catalog",
     "simplify",
     "tet_volume",
     "theorem_ratio_table",

@@ -36,20 +36,24 @@ A chain that touches a fold (opened at the outer fold or closed by the end
 fold) is one edge class with doubled multiplicities, so its terms sum to
 pi; every other chain is two edge classes and sums to 2 pi.
 
-_orient_layers searches the layers in order, keeping one running integer
-sum per chain, and forward-checks every chain a candidate touches: what
-the chain still needs must lie within what its later terms can add
-(Haralick and Elliott, Artificial Intelligence 14, 1980).  One backward
-pass over the chains gives each layer one row per chain it touches: the
-chain's weights on h, v and d in that layer and the bounds of its later
-terms.  A candidate is checked against every row before anything is
-written, and the running sums change only when a candidate is taken and
-when it is taken back.  What a row subtracts is what the chain's terms in
-that layer would subtract one by one, so a candidate passes exactly when
-applying its terms and then checking would pass it; with the candidates,
-their order and the bounds unchanged, the search visits the same
-branches as apply, check and undo.  It prunes dead branches only, so it
-finds the first orientation in catalogue order.
+_orient_layers restates these rules as a walk over chain states.  Above
+each layer one horizontal and one vertical chain are open, so the state
+after layer k is three integers in units of pi/24: what the open
+horizontal chain still needs, what the open vertical chain still needs,
+and d_k, the first term of the chain that letter k+1 opens.  Layer 0 leads
+to (24 - d - 2h, 48 - 2v, d).  An interior L at layer j needs d_j equal to
+what the horizontal chain needs, which closes it, and leads to
+(48 - d_(j-1) - 2h, need_v - 2v, d_j); an R is the mirror.  At the end the
+letter's chain closes as a fold chain, needing d_(N-1) + 24 (d_(N-1) alone
+for the first horizontal chain under an R end, whose target is pi), and
+the other chain needs 0.  Every open chain gains a positive term at the
+next layer, so a state with a need <= 0 before the last layer is dead; so
+is every (layer, state) the walk has left without an orientation, which
+keeps a failing walk linear in the layers.  The walk tries each layer's
+arrangements in catalogue order and prunes dead branches only, so it finds
+the first orientation in that order.  _chains remains the model: the
+tests check it against the gluings and the walk against a plain search
+over it, and boundary_deficits reads it.
 
 On a triangulation an angle structure is one triple per tetrahedron, the
 angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
@@ -66,6 +70,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -125,12 +130,6 @@ _ARRANGEMENTS = {
     name: tuple(dict.fromkeys((h, v, d) for v, h, d in permutations(units)))
     for name, units in _UNITS.items()
 }
-_RANGE = {name: (min(units), max(units)) for name, units in _UNITS.items()}
-
-
-def shape_catalog() -> list[Shape]:
-    """The shapes used by the explicit angle structures."""
-    return list(SHAPES.values())
 
 
 def angle_str(q: Fraction) -> str:
@@ -269,61 +268,60 @@ def _chains(letters: str) -> list[tuple[list[tuple[int, int, int]], int]]:
     return chains
 
 
+# Cached: states are small integers, so few distinct keys occur (62 over
+# the 4094 words of `survey --max-n 11`).
+@cache
+def _steps(letter: str, shape: str, need_h: int, need_v: int, last_d: int):
+    """The arrangements (h, v, d) of shape that an interior letter admits at
+    its layer after the state (need_h, need_v, last_d), each with the state
+    it leads to: the letter's chain closes with d and a new one opens with
+    last_d."""
+    out = []
+    for h, v, d in _ARRANGEMENTS[shape]:
+        if letter == "L" and d == need_h:
+            out.append(((h, v, d), (48 - last_d - 2 * h, need_v - 2 * v, d)))
+        elif letter == "R" and d == need_v:
+            out.append(((h, v, d), (need_h - 2 * h, 48 - last_d - 2 * v, d)))
+    return tuple(out)
+
+
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
-    """Distribute each layer's shape angles onto (h, v, d) via chain sums.
+    """Distribute each layer's shape angles onto (h, v, d) so that every
+    chain of _chains reaches its target, by the walk over chain states of
+    the module docstring.
 
     Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
-    explicit stack.  need[c] is chain c's target less its chosen terms.  One
-    backward pass gives layer k a row (c, weight on h, on v, on d, lo, hi)
-    per chain c it touches, lo and hi bounding what c's terms in later
-    layers can add (0 where it closes).  A candidate (a, b, d) stands iff
-    need[c] - (a, b, d) . weights lies in [lo, hi] on every row; need
-    changes only when a candidate stands and when it is taken back.
-    Returns the first consistent orientation as integer triples in units
-    of pi/24, or None.
+    explicit stack of per-layer candidate iterators.  Returns the first
+    consistent orientation as integer triples in units of pi/24, or None.
     """
-    chains = _chains(letters)
-    need = [target for _, target in chains]
-    rows: list[list] = [[] for _ in shapes]  # per layer: [c, weight on h, on v, on d, lo, hi]
-    for c, (terms, _) in enumerate(chains):
-        lo = hi = 0
-        last = -1
-        for layer, slot, weight in reversed(terms):
-            if layer != last:  # c's last term in this layer: lo, hi cover the later layers
-                row = [c, 0, 0, 0, lo, hi]
-                rows[layer].append(row)
-                least, most = _RANGE[shapes[layer]]
-                last = layer
-            row[1 + slot] += weight
-            lo += weight * least
-            hi += weight * most
+    last = len(shapes) - 1
+    # The end letter's chain closes at the end fold with the last diagonal,
+    # needing 24 less unless it is the first horizontal chain (target 24 already).
+    slot = H if letters[-1] == "R" else V
+    fold = 24 if slot == V or "L" in letters[1:-1] else 0
+    first = [((h, v, d), (24 - d - 2 * h, 48 - 2 * v, d)) for h, v, d in _ARRANGEMENTS[shapes[0]]]
+    tries = [iter(first)]
     chosen: list[tuple[int, int, int]] = []
-    resume: list[int] = []  # per chosen layer, the index of its next candidate
-    start = k = 0
-    while k < len(shapes):
-        options = _ARRANGEMENTS[shapes[k]]
-        here = rows[k]
-        for i in range(start, len(options)):
-            a, b, d = option = options[i]
-            for c, wh, wv, wd, lo, hi in here:
-                if not lo <= need[c] - wh * a - wv * b - wd * d <= hi:
-                    break
-            else:
-                for c, wh, wv, wd, _, _ in here:
-                    need[c] -= wh * a + wv * b + wd * d
+    states: list[tuple[int, int, int]] = []  # the state after each chosen layer
+    dead = set()  # (layer, state after it) pairs left without an orientation
+    while tries:
+        k = len(chosen)
+        for option, state in tries[-1]:
+            if k == last:
+                if state[slot] - state[D] == fold and state[1 - slot] == 0:
+                    chosen.append(option)
+                    return chosen
+            elif state[H] > 0 and state[V] > 0 and (k, state) not in dead:
                 chosen.append(option)
-                resume.append(i + 1)
-                start, k = 0, k + 1
+                states.append(state)
+                tries.append(iter(_steps(letters[k + 1], shapes[k + 1], *state)))
                 break
         else:
-            if not chosen:
-                return None
-            k -= 1
-            a, b, d = chosen.pop()
-            for c, wh, wv, wd, _, _ in rows[k]:
-                need[c] += wh * a + wv * b + wd * d
-            start = resume.pop()
-    return chosen
+            tries.pop()
+            if chosen:
+                chosen.pop()
+                dead.add((k - 1, states.pop()))
+    return None
 
 
 def assign_angles(

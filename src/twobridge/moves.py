@@ -88,17 +88,6 @@ def _retriangulate(tri: Triangulation, old: dict[int, tuple], new: list[tuple]) 
     return out
 
 
-def triangle_pairs(tri: Triangulation) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All internal triangles as ((tet, facet), (tet, facet)) pairs, sorted."""
-    pairs = []
-    for t in range(tri.tet_count):
-        for f in range(4):
-            g = tri.gluing(t, f)
-            if g is not None and (g[0], g[1][f]) > (t, f):  # listed at its smaller end
-                pairs.append(((t, f), (g[0], g[1][f])))
-    return pairs
-
-
 def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
     """2-3 move across the internal triangle containing facet `face`.
 

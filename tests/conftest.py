@@ -68,6 +68,17 @@ class CountingRow(list):
         return super().__getitem__(f)
 
 
+def triangle_pairs(tri):
+    """All internal triangles as ((tet, facet), (tet, facet)) pairs, sorted."""
+    pairs = []
+    for t in range(tri.tet_count):
+        for f in range(4):
+            g = tri.gluing(t, f)
+            if g is not None and (g[0], g[1][f]) > (t, f):  # listed at its smaller end
+                pairs.append(((t, f), (g[0], g[1][f])))
+    return pairs
+
+
 def union_find_labels(tri, size, cell_pairs):
     """Class label of every cell size*t + c, numbered by smallest member.
 

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from twobridge import angles
 from twobridge.angles import (
     _ARRANGEMENTS,
     D,
@@ -17,7 +19,6 @@ from twobridge.angles import (
     assign_angles,
     boundary_deficits,
     expand_to_tetrahedra,
-    shape_catalog,
     theorem_family,
     verify_angle_structure,
 )
@@ -39,7 +40,7 @@ def family(max_n):
 
 
 def test_catalog_contents():
-    catalog = shape_catalog()
+    catalog = list(SHAPES.values())
     assert [s.name for s in catalog] == ["0", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X2"]
     for s in catalog:
         assert sum(s.angles) == 1
@@ -549,8 +550,8 @@ def test_survey_layer_triples_unchanged():
 
 
 def reference_orient(letters, shapes):
-    """The plain backtracking search that _orient_layers prunes: every
-    closing chain re-summed for each candidate, no look-ahead."""
+    """Plain backtracking over _chains, the model that _orient_layers walks:
+    every closing chain re-summed for each candidate, no look-ahead."""
     closing = [[] for _ in shapes]
     for terms, target in _chains(letters):
         closing[terms[-1][0]].append((terms, target))
@@ -577,7 +578,7 @@ def reference_orient(letters, shapes):
 
 
 @pytest.mark.parametrize("k1_override", [True, False])
-def test_forward_checked_search_matches_plain_backtracking(words_ell10, k1_override):
+def test_state_walk_matches_plain_backtracking(words_ell10, k1_override):
     family_words = [w for w in words_ell10 if theorem_family(w)]
     assert len(family_words) == 87
     for w in family_words:
@@ -586,13 +587,70 @@ def test_forward_checked_search_matches_plain_backtracking(words_ell10, k1_overr
         assert found is not None and found == reference_orient(w.letters, shapes), str(w)
 
 
+def test_state_walk_matches_plain_backtracking_on_random_shapes():
+    # Random letters and shapes mostly admit no orientation, so this covers
+    # the walk's failing branches, its pruning and its dead-state memory.
+    rng = random.Random(26)
+    names = list(SHAPES)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        letters = "".join(rng.choice("LR") for _ in range(n + 1))
+        shapes = [rng.choice(names) for _ in range(n)]
+        found = _orient_layers(letters, shapes)
+        assert found == reference_orient(letters, shapes), (letters, shapes)
+        outcomes[found is None] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
+
+def test_state_walk_matches_plain_backtracking_on_perturbed_family(words_ell10):
+    rng = random.Random(9)
+    names = list(SHAPES)
+    family_words = [w for w in words_ell10 if w.ell <= 9 and theorem_family(w)]
+    assert len(family_words) == 53
+    for w in family_words:
+        base = _shape_sequence(decompose(inner_word(w)), True)
+        for _ in range(5):
+            shapes = list(base)
+            for _ in range(rng.randint(1, 3)):
+                shapes[rng.randrange(len(shapes))] = rng.choice(names)
+            assert _orient_layers(w.letters, shapes) == reference_orient(w.letters, shapes), (str(w), shapes)
+
+
+def long_family_word():
+    inner = tuple(("LR"[i % 2], 2 if i % 3 == 1 else 1) for i in range(3750))
+    return Word((("R", 1),) + inner + (("R" if inner[-1][0] == "L" else "L", 1),))
+
+
 def test_long_family_word():
     # 5002 letters: far past the depth at which a recursive search overflows.
-    inner = tuple(("LR"[i % 2], 2 if i % 3 == 1 else 1) for i in range(3750))
-    w = Word((("R", 1),) + inner + (("R" if inner[-1][0] == "L" else "L", 1),))
+    w = long_family_word()
     assert w.ell == 5002 and theorem_family(w)
     a = assign_angles(w)
     assert len(a.layers) == w.ell - 1
     assert all(sum(la.triple) == 1 for la in a.layers)
     report = bounds_report(w)
     assert report.explicit_volume is not None and report.tet_count == 2 * (w.ell - 1)
+
+
+@pytest.mark.parametrize("shape", ["0", "X2", "IX"])
+def test_long_word_fails_at_the_last_layer(shape):
+    # Every layer but the last still fits, so the walk fails only at the end
+    # and must back out of 5000 layers without revisiting a dead state.
+    w = long_family_word()
+    shapes = _shape_sequence(decompose(inner_word(w)), True)
+    shapes[-1] = shape
+    assert _orient_layers(w.letters, shapes) is None
+
+
+def test_failing_walk_leaves_each_dead_state_once(monkeypatch):
+    # The V layers of R (LRLR)^k R admit paths that meet again in one state,
+    # and the final II fits none of them: without its memory of dead states
+    # the walk would take 65,530 steps here, doubling with each LRLR.
+    k = 10
+    letters = "R" + "LRLR" * k + "R"
+    shapes = ["II"] + ["V"] * (4 * k - 1) + ["II"]
+    steps, calls = angles._steps, []
+    monkeypatch.setattr(angles, "_steps", lambda *key: calls.append(key) or steps(*key))
+    assert _orient_layers(letters, shapes) is None
+    assert len(calls) < 4 * len(shapes)

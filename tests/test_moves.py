@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingRow, link_corners, random_gluing
+from conftest import CountingRow, link_corners, random_gluing, triangle_pairs
 from twobridge import moves
 from twobridge.isosig import encode_isosig
-from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify, triangle_pairs
+from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify
 from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
 from twobridge.word import Word, enumerate_words, parse_word
 
@@ -396,7 +396,7 @@ def test_only_the_ball_builders_read_gluings():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gluing"
     }
-    assert readers <= {"_retriangulate", "triangle_pairs", "pachner_23"}
+    assert readers <= {"_retriangulate", "pachner_23"}
 
 
 def every_move(tri):

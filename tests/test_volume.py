@@ -12,12 +12,12 @@ import pytest
 from scipy.integrate import quad
 
 import twobridge
-from conftest import all_normalized_words
+from conftest import all_normalized_words, triangle_pairs
 import twobridge._solver as solver
 from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
 from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
-from twobridge.moves import pachner_23, simplify, triangle_pairs
+from twobridge.moves import pachner_23, simplify
 from twobridge.triangulation import (
     Triangulation,
     VerificationError,

@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 
 from .angles import (
     AngleAssignment,
-    Shape,
     assign_angles,
-    boundary_deficits,
     expand_to_tetrahedra,
     verify_angle_structure,
 )
 from .blocks import Block, BlockDecomposition, decompose
-from .isosig import are_isomorphic, decode_isosig, encode_isosig
+from .isosig import decode_isosig, encode_isosig
 from .moves import SimplificationTrace, move_44, pachner_23, pachner_32, simplify
 from .triangulation import (
     EdgeClassTable,
@@ -35,8 +33,6 @@ from .volume import (
     bounds_report,
     lobachevsky,
     maximize_volume,
-    tet_volume,
-    theorem_ratio_table,
     v3,
 )
 from .word import Word, enumerate_words, inner_word, is_hyperbolic, normalize, parse_word, render
@@ -47,14 +43,11 @@ __all__ = [
     "BlockDecomposition",
     "BoundsReport",
     "EdgeClassTable",
-    "Shape",
     "SimplificationTrace",
     "Triangulation",
     "ValidationReport",
     "Word",
-    "are_isomorphic",
     "assign_angles",
-    "boundary_deficits",
     "bounds_report",
     "build_sakuma_weeks",
     "decode_isosig",
@@ -76,8 +69,6 @@ __all__ = [
     "parse_word",
     "render",
     "simplify",
-    "tet_volume",
-    "theorem_ratio_table",
     "v3",
     "validate",
     "verify_angle_structure",

@@ -4,8 +4,8 @@ Every layer's two tetrahedra share one triple (h, v, d): the angle on the
 horizontal pair, the vertical pair and the diagonal pair of opposite edges
 (volume is maximised with the two tetrahedra of a layer agreeing, so
 nothing is lost).  Internally angles are integers in units of pi/24 (every
-catalogue angle is a multiple of pi/24); Shape, LayerAngles and
-DeficitTriple carry them as Fractions in units of pi.
+catalogue angle is a multiple of pi/24); LayerAngles carries them as
+Fractions in units of pi.
 
 The assignment is built in two steps.  First the block decomposition of
 the inner word fixes the hyperbolic shape of every layer: B1 blocks are
@@ -14,10 +14,10 @@ and last layers get substitute shapes that absorb the folds at the two
 ends.  Second, each shape triple is oriented onto (h, v, d) so that the
 angle sums around the edge classes hold.
 
-Those sums come from one chain model of the layered complex (_chains).
-For a word with letters 0..N and layers 0..N-1, each edge class is a chain
-of (layer, slot, weight) terms, read from the letters alone; the slot is
-h, v or d (the integers H, V, D = 0, 1, 2, the positions in a layer's
+Those sums come from one chain model of the layered complex.  For a word
+with letters 0..N and layers 0..N-1, each edge class is a chain of
+(layer, slot, weight) terms, read from the letters alone; the slot is h,
+v or d (the integers H, V, D = 0, 1, 2, the positions in a layer's
 triple):
 
 * a horizontal chain opens at the outer fold with (0, d, 1), the layer's
@@ -36,7 +36,7 @@ A chain that touches a fold (opened at the outer fold or closed by the end
 fold) is one edge class with doubled multiplicities, so its terms sum to
 pi; every other chain is two edge classes and sums to 2 pi.
 
-_orient_layers restates these rules as a walk over chain states.  Above
+_orient_layers applies these rules as a walk over chain states.  Above
 each layer one horizontal and one vertical chain are open, so the state
 after layer k is three integers in units of pi/24: what the open
 horizontal chain still needs, what the open vertical chain still needs,
@@ -51,9 +51,9 @@ next layer, so a state with a need <= 0 before the last layer is dead; so
 is every (layer, state) the walk has left without an orientation, which
 keeps a failing walk linear in the layers.  The walk tries each layer's
 arrangements in catalogue order and prunes dead branches only, so it finds
-the first orientation in that order.  _chains remains the model: the
-tests check it against the gluings and the walk against a plain search
-over it, and boundary_deficits reads it.
+the first orientation in that order.  The tests spell the chains out
+term by term, check them against the gluings, and check the walk against
+a plain search over them.
 
 On a triangulation an angle structure is one triple per tetrahedron, the
 angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
@@ -72,7 +72,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from typing import NamedTuple
 
 from .blocks import (
     ALL_B2,
@@ -82,20 +81,11 @@ from .blocks import (
     B3,
     INNER_EXPONENTS,
     UNFINISHED_B3,
-    Block,
     BlockDecomposition,
     decompose,
 )
 from .triangulation import Triangulation, VerificationError, _labels
 from .word import Word, inner_word
-
-
-@dataclass(frozen=True)
-class Shape:
-    """An ideal tetrahedron shape: dihedral angles as multiples of pi."""
-
-    name: str
-    angles: tuple[Fraction, Fraction, Fraction]
 
 
 # Catalogue angles in units of pi/24.
@@ -115,10 +105,6 @@ _UNITS: dict[str, tuple[int, int, int]] = {
 
 # Fraction(k, 24) for k = 0..24, shared by every angle the synthesis returns.
 _PI_24 = tuple(Fraction(k, 24) for k in range(25))
-
-SHAPES: dict[str, Shape] = {
-    name: Shape(name, tuple(_PI_24[x] for x in units)) for name, units in _UNITS.items()
-}
 
 # Chain slots: the horizontal, vertical and diagonal angle of a layer.
 H, V, D = 0, 1, 2
@@ -171,14 +157,6 @@ class AngleAssignment:
         )
 
 
-class DeficitTriple(NamedTuple):
-    """Angle deficits on the three boundary edge classes of a block end."""
-
-    horizontal: Fraction
-    vertical: Fraction
-    diagonal: Fraction
-
-
 def theorem_family(w: Word) -> bool:
     """True iff w is normalised and hyperbolic, with end exponents 1 and
     inner exponents in {1, 2}: the words assign_angles accepts."""
@@ -188,7 +166,7 @@ def theorem_family(w: Word) -> bool:
     return INNER_EXPONENTS.issuperset(exps)  # the end exponents 1 are in it too
 
 
-def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
+def _shape_sequence(dec: BlockDecomposition) -> list[str]:
     """Shape name per layer (layer 0 under the outer fold, one per inner letter)."""
     exps = dec.inner.exponents
 
@@ -220,7 +198,8 @@ def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
         elif b.kind == B2_END:
             body = ["IX"] + ["III", "V"] * (b.k - 2) + ["V", "V", "V"]
         elif b.kind == ALL_B2:
-            body = ["X2", "II"] if b.k == 1 and k1_override else ["III"] * (2 * b.k - 1) + ["VII"]
+            # k = 1 takes the revised, higher-volume layers through the obtuse X2.
+            body = ["X2", "II"] if b.k == 1 else ["III"] * (2 * b.k - 1) + ["VII"]
         else:  # pragma: no cover
             raise AssertionError(b.kind)
         if len(body) != n_letters:
@@ -230,42 +209,13 @@ def _shape_sequence(dec: BlockDecomposition, k1_override: bool) -> list[str]:
         seq.extend(body)
 
     first = dec.blocks[0]
-    if first.kind == B2_START or (first.kind == ALL_B2 and first.k >= 2):
+    if first.kind == ALL_B2 and first.k == 1:
+        delta1 = "II"
+    elif first.kind in (B2_START, ALL_B2):
         delta1 = "VII"
-    elif first.kind == ALL_B2:  # k == 1
-        delta1 = "II" if k1_override else "VII"
     else:
         delta1 = "V"
     return [delta1] + seq
-
-
-def _chains(letters: str) -> list[tuple[list[tuple[int, int, int]], int]]:
-    """Every edge class of the layered complex as a chain of terms.
-
-    Returns (terms, target) pairs: terms are (layer, slot, weight) with slot
-    one of H, V, D, in order up the layers, and target is the sum the
-    weighted angles must reach, in units of pi/24.  The rules are in the
-    module docstring.
-    """
-    n = len(letters) - 1
-    chains = []
-    open_terms = [[(0, D, 1)], []]  # the open horizontal and vertical chains
-    target = [24, 48]  # theirs in units of pi/24: 24 once a chain touches a fold
-    for k in range(n):
-        if k:
-            slot = H if letters[k] == "L" else V
-            terms = open_terms[slot]
-            terms.append((k, D, 1))
-            chains.append((terms, target[slot]))
-            open_terms[slot], target[slot] = [(k - 1, D, 1)], 48
-        open_terms[H].append((k, H, 2))
-        open_terms[V].append((k, V, 2))
-    slot = H if letters[-1] == "R" else V
-    open_terms[slot].append((n - 1, D, 1))
-    target[slot] = 24
-    chains.append((open_terms[H], target[H]))
-    chains.append((open_terms[V], target[V]))
-    return chains
 
 
 # Cached: states are small integers, so few distinct keys occur (62 over
@@ -287,7 +237,7 @@ def _steps(letter: str, shape: str, need_h: int, need_v: int, last_d: int):
 
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
     """Distribute each layer's shape angles onto (h, v, d) so that every
-    chain of _chains reaches its target, by the walk over chain states of
+    edge-class chain reaches its target, by the walk over chain states of
     the module docstring.
 
     Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
@@ -324,17 +274,12 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
     return None
 
 
-def assign_angles(
-    w: Word,
-    dec: BlockDecomposition | None = None,
-    *,
-    k1_override: bool = True,
-) -> AngleAssignment:
+def assign_angles(w: Word, dec: BlockDecomposition | None = None) -> AngleAssignment:
     """The explicit angle structure for a word in the theorem family.
 
-    With k1_override (default) the single-squared-syllable word gets the
-    higher-volume three-layer assignment through the obtuse shape X2
-    instead of the generic squared-run pattern.
+    The single-squared-syllable word RL^2R gets the higher-volume
+    three-layer assignment through the obtuse shape X2 rather than the
+    generic squared-run pattern.
     """
     if not theorem_family(w):
         raise ValueError(
@@ -346,7 +291,7 @@ def assign_angles(
     elif dec.inner.syllables != w.syllables[1:-1]:  # the inner word, as end exponents are 1
         raise ValueError(f"decomposition is for {dec.inner}, not the inner word of {w}")
 
-    shapes = _shape_sequence(dec, k1_override)
+    shapes = _shape_sequence(dec)
     letters = w.letters
     if len(shapes) != len(letters) - 1:
         raise VerificationError("shape sequence length mismatch")
@@ -423,33 +368,3 @@ def verify_angle_structure(
         bad_tets=bad_tets,
         bad_edge_classes=bad_classes,
     )
-
-
-def boundary_deficits(
-    block: Block, assignment: AngleAssignment
-) -> tuple[DeficitTriple, DeficitTriple]:
-    """Angle deficits on the three boundary classes at each end of a block.
-
-    Deficits are what the rest of the complex must contribute for the edge
-    sums through the block boundary to reach 2*pi.  At the block's first
-    layer the horizontal and vertical deficits are the sums of the chains
-    through that layer's h and v terms up to those terms; at its last layer
-    they are the sums after them.  Ordered (horizontal, vertical, diagonal).
-    Raises ValueError unless the block lies within the inner word.
-    """
-    exps = inner_word(assignment.word).exponents
-    if not 0 <= block.start < block.end <= len(exps):
-        raise ValueError(f"block spans syllables {block.start}..{block.end}, outside 0..{len(exps)}")
-    first = 1 + sum(exps[: block.start])  # first and last layer of the block
-    last = sum(exps[: block.end])
-    units = [la.units for la in assignment.layers]
-    before, after = {}, {}
-    for terms, _ in _chains(assignment.word.letters):
-        values = [weight * units[layer][slot] for layer, slot, weight in terms]
-        for i, (layer, slot, _) in enumerate(terms):
-            if slot != D and layer in (first, last):
-                before[layer, slot] = sum(values[:i])
-                after[layer, slot] = sum(values[i + 1 :])
-    delta = (before[first, H], before[first, V], 48 - units[first][D])
-    epsilon = (after[last, H], after[last, V], 48 - units[last][D])
-    return DeficitTriple(*(Fraction(x, 24) for x in delta)), DeficitTriple(*(Fraction(x, 24) for x in epsilon))

@@ -237,10 +237,3 @@ def decode_isosig(sig: str) -> Triangulation:
                     raise ValueError("permutation index out of range")
                 tri.glue(lab, f, dest, ORDERED_S4[perm])
     return tri
-
-
-def are_isomorphic(a: Triangulation, b: Triangulation) -> bool:
-    """True iff the two triangulations are combinatorially isomorphic."""
-    if a.tet_count != b.tet_count:
-        return False
-    return encode_isosig(a) == encode_isosig(b)

@@ -141,29 +141,6 @@ class Triangulation:
             doc["layer_of"] = list(self.layer_of)
         return json.dumps(doc)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Triangulation":
-        """Read a document written by to_json; any other document is a ValueError."""
-        doc = json.loads(text)
-        n, rows = (doc.get("tet_count"), doc.get("gluings")) if isinstance(doc, dict) else (None, None)
-        if type(n) is not int or not isinstance(rows, list) or len(rows) != n or any(
-            not isinstance(row, list) or len(row) != 4 for row in rows
-        ):
-            raise ValueError("a triangulation needs an integer tet_count and that many rows of 4 gluings")
-        layer_of = doc.get("layer_of")
-        tri = cls(n, layer_of if isinstance(layer_of, list) else None)
-        for t, row in enumerate(rows):
-            for f, g in enumerate(row):
-                if g is None or tri.gluing(t, f) is not None:
-                    continue  # unglued, or glued from its partner entry
-                if not (isinstance(g, list) and len(g) == 2 and type(g[0]) is int and isinstance(g[1], str)):
-                    raise ValueError(f"gluing {g!r} of facet ({t}, {f}) is not [tetrahedron, permutation]")
-                tri.glue(t, f, g[0], tuple(int(c) for c in g[1]))
-        # Partner entries, key set and value types must be the ones to_json writes.
-        if json.dumps(doc, sort_keys=True) != json.dumps(json.loads(tri.to_json()), sort_keys=True):
-            raise ValueError("document differs from the to_json form of its gluings")
-        return tri
-
 
 # Junction and folding rules for the layered builder, fitted to the
 # standard construction.  Within layer i the even tetrahedron E = 2i and

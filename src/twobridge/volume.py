@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .angles import _ARRANGEMENTS, AngleAssignment, SHAPES, Shape, assign_angles, theorem_family
+from .angles import _ARRANGEMENTS, AngleAssignment, assign_angles, theorem_family
 from .blocks import decompose
 from .triangulation import Triangulation
 from .word import Word, inner_word
@@ -72,11 +72,6 @@ def lobachevsky(theta: float) -> float:
 def v3() -> float:
     """Volume of the regular ideal tetrahedron, 3 L(pi/3)."""
     return 3.0 * lobachevsky(math.pi / 3.0)
-
-
-def tet_volume(shape: Shape) -> float:
-    """Volume of the ideal tetrahedron with the given shape."""
-    return sum(lobachevsky(float(a) * math.pi) for a in shape.angles)
 
 
 # lobachevsky(k pi/24) for k = 0..24: every catalogue angle is a multiple
@@ -232,35 +227,3 @@ def bounds_report(w: Word) -> BoundsReport:
         best_upper=best_upper,
         crossover=crossover,
     )
-
-
-def theorem_ratio_table() -> list[tuple[str, float]]:
-    """The eleven block-family volume ratios from the 0.8 lower bound.
-
-    Each entry is (label, ratio) with ratio = V / (|T| v3) evaluated from
-    full-precision shape volumes at the stated block parameters.
-    """
-
-    def over(shapes, layers):
-        return sum(tet_volume(SHAPES[s]) for s in shapes) / (layers * _V3)
-
-    entries = [
-        ("start B2, k=1", over(["VII", "I", "VI"], 3)),
-        ("start B3, m=1", over(["V", "I", "II", "IV", "VI"], 5)),
-        ("middle B3, m=1", over(["I", "VI", "IV", "II"], 4)),
-        ("end B2, k=2", over(["V", "V", "V", "IX"], 4)),
-        ("end B2, k=3", over(["V", "V", "V", "V", "IX", "III"], 6)),
-        (
-            "B3 + end B2, m=1",
-            over(["V", "I", "II", "IV", "VI"] + ["V", "V", "V", "IX"], 9),
-        ),
-        (
-            "B2 + B3 + end B2, k=m=1",
-            over(["VII", "I", "VI"] + ["I", "VI", "IV", "II"] + ["V", "V", "V", "IX"], 11),
-        ),
-        ("unfinished B3, m=2", over(["I", "VI", "III", "III", "III", "VIII"], 6)),
-        ("all B2, k=2", over(["VII", "VII", "III", "III", "III"], 5)),
-        ("all B2, k=1", over(["VII", "VII", "III"], 3)),
-        ("all B2, k=1, revised", over(["II", "II", "X2"], 3)),
-    ]
-    return entries

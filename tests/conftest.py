@@ -1,9 +1,15 @@
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
 
+from twobridge.angles import _UNITS
 from twobridge.triangulation import Triangulation
 from twobridge.word import Word
+
+# The catalogue shapes' angles as Fractions of pi, from the synthesis's units of pi/24.
+SHAPES = {name: tuple(Fraction(x, 24) for x in units) for name, units in _UNITS.items()}
 
 
 def all_normalized_words(max_ell):
@@ -77,6 +83,17 @@ def triangle_pairs(tri):
             if g is not None and (g[0], g[1][f]) > (t, f):  # listed at its smaller end
                 pairs.append(((t, f), (g[0], g[1][f])))
     return pairs
+
+
+def triangulation_from_json(text):
+    """The triangulation that Triangulation.to_json wrote, glued again entry by entry."""
+    doc = json.loads(text)
+    tri = Triangulation(doc["tet_count"], doc.get("layer_of"))
+    for t, row in enumerate(doc["gluings"]):
+        for f, g in enumerate(row):
+            if g is not None and tri.gluing(t, f) is None:  # each gluing once, from its first entry
+                tri.glue(t, f, g[0], tuple(map(int, g[1])))
+    return tri
 
 
 def union_find_labels(tri, size, cell_pairs):

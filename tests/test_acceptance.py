@@ -14,22 +14,16 @@ import random
 
 import pytest
 
-from twobridge.angles import SHAPES, assign_angles, expand_to_tetrahedra, verify_angle_structure
+from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import move_44, simplify
 from twobridge.triangulation import build_sakuma_weeks, edge_classes
-from twobridge.volume import (
-    assignment_volume,
-    lobachevsky,
-    maximize_volume,
-    tet_volume,
-    theorem_ratio_table,
-    v3,
-)
+from twobridge.volume import assignment_volume, lobachevsky, maximize_volume, v3
 from twobridge.word import Word, enumerate_words, normalize, parse_word
 
+from conftest import SHAPES
 from test_triangulation import TABLE_R2LR, TABLE_RL3R, triangulation_from_table
-from test_volume import lobachevsky_quadrature
+from test_volume import PRINTED_RATIOS, SHAPE_RATIOS, lobachevsky_quadrature, tet_volume, theorem_ratios
 
 
 def criterion(number, description):
@@ -141,37 +135,14 @@ def test_criterion_5_angle_structures():
 def test_criterion_6_shape_volumes():
     V3 = v3()
     assert abs(V3 - 1.0149) <= 5e-4
-    expected = {
-        "I": 0.9902,
-        "II": 0.9604,
-        "III": 0.9024,
-        "IV": 0.8855,
-        "V": 0.8333,
-        "VI": 0.7754,
-        "VII": 0.7417,
-        "VIII": 0.6768,
-        "IX": 0.5833,
-    }
-    for name, ratio in expected.items():
+    for name, ratio in SHAPE_RATIOS.items():
         assert abs(tet_volume(SHAPES[name]) / V3 - ratio) <= 5e-4, name
 
 
 @criterion(7, "reference block-family ratios to 1e-3; 0.8|T| <= V/v3 on the family")
 def test_criterion_7_theorem_ratios():
-    printed = {
-        "start B2, k=1": 0.8357,
-        "start B3, m=1": 0.8889,
-        "middle B3, m=1": 0.9028,
-        "end B2, k=2": 0.7708,
-        "end B2, k=3": 0.8031,
-        "B3 + end B2, m=1": 0.8364,
-        "B2 + B3 + end B2, k=m=1": 0.8365,
-        "unfinished B3, m=2": 0.8582,
-        "all B2, k=2": 0.8381,
-        "all B2, k=1": 0.7952,
-    }
-    table = dict(theorem_ratio_table())
-    for label, value in printed.items():
+    table = theorem_ratios()
+    for label, value in PRINTED_RATIOS.items():
         assert abs(table[label] - value) <= 1e-3, label
     V3 = v3()
     for w in family(6):
@@ -186,8 +157,7 @@ def test_criterion_7_theorem_ratios():
     "formula (2*0.9604 + 0.6666)/3 evaluates to 0.8625",
 )
 def test_criterion_7_revised_ratio_as_printed():
-    table = dict(theorem_ratio_table())
-    assert abs(table["all B2, k=1, revised"] - 0.8720) <= 1e-3
+    assert abs(theorem_ratios()["all B2, k=1, revised"] - 0.8720) <= 1e-3
 
 
 @criterion(8, "minimal family certified: 2n+1.3332 <= c <= 2n+2 for n <= 8")

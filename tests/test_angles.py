@@ -3,21 +3,21 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
+from conftest import SHAPES
 from twobridge import angles
 from twobridge.angles import (
     _ARRANGEMENTS,
+    _UNITS,
     D,
     H,
-    SHAPES,
     V,
-    _chains,
     _orient_layers,
     _shape_sequence,
     assign_angles,
-    boundary_deficits,
     expand_to_tetrahedra,
     theorem_family,
     verify_angle_structure,
@@ -40,14 +40,13 @@ def family(max_n):
 
 
 def test_catalog_contents():
-    catalog = list(SHAPES.values())
-    assert [s.name for s in catalog] == ["0", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X2"]
-    for s in catalog:
-        assert sum(s.angles) == 1
-        assert all(0 < a < 1 for a in s.angles)
-    assert SHAPES["0"].angles == (F(1, 3), F(1, 3), F(1, 3))
-    assert SHAPES["IX"].angles == (F(1, 12), F(7, 12), F(1, 3))
-    assert SHAPES["X2"].angles == (F(2, 3), F(1, 6), F(1, 6))
+    assert list(SHAPES) == ["0", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X2"]
+    for triple in SHAPES.values():
+        assert sum(triple) == 1
+        assert all(0 < a < 1 for a in triple)
+    assert SHAPES["0"] == (F(1, 3), F(1, 3), F(1, 3))
+    assert SHAPES["IX"] == (F(1, 12), F(7, 12), F(1, 3))
+    assert SHAPES["X2"] == (F(2, 3), F(1, 6), F(1, 6))
 
 
 def test_rl2r_theorem_assignment():
@@ -61,10 +60,15 @@ def test_rl2r_theorem_assignment():
 
 
 def test_rl2r_general_pattern_variant():
-    a = assign_angles(parse_word("RL^2R"), k1_override=False)
-    assert [la.shape for la in a.layers] == ["VII", "III", "VII"]
-    tri = build_sakuma_weeks(parse_word("RL^2R"))
-    assert verify_angle_structure(tri, expand_to_tetrahedra(a, tri)).passed
+    # The generic squared-run pattern that X2 replaces on RL^2R is an angle
+    # structure too, of lower volume.
+    w = parse_word("RL^2R")
+    shapes = ["VII", "III", "VII"]
+    oriented = _orient_layers(w.letters, shapes)
+    assert [sorted(units) for units in oriented] == [sorted(_UNITS[s]) for s in shapes]
+    tri = build_sakuma_weeks(w)
+    triples = [tuple(F(x, 24) for x in oriented[k]) for k in tri.layer_of]
+    assert verify_angle_structure(tri, triples).passed
 
 
 def test_all_ones_words_are_nearly_regular():
@@ -127,7 +131,7 @@ def test_exhaustive_verification_n6():
 def test_assigned_triples_are_catalog_shapes():
     for w in family(5):
         for la in assign_angles(w).layers:
-            assert sorted(la.triple) == sorted(SHAPES[la.shape].angles)
+            assert sorted(la.triple) == sorted(SHAPES[la.shape])
 
 
 def test_expand_shape_zero_regular():
@@ -387,14 +391,49 @@ def test_printed_b2_end_pattern_is_realisable():
     assert _orient_layers(w.letters, shapes) is not None
 
 
+class DeficitTriple(NamedTuple):
+    """Angle deficits on the three boundary edge classes of a block end."""
+
+    horizontal: F
+    vertical: F
+    diagonal: F
+
+
+def boundary_deficits(block, assignment):
+    """Angle deficits on the three boundary classes at each end of a block.
+
+    Deficits are what the rest of the complex must contribute for the edge
+    sums through the block boundary to reach 2*pi.  At the block's first
+    layer the horizontal and vertical deficits are the sums of the chains
+    through that layer's h and v terms up to those terms; at its last layer
+    they are the sums after them.  Raises ValueError unless the block lies
+    within the inner word.
+    """
+    exps = inner_word(assignment.word).exponents
+    if not 0 <= block.start < block.end <= len(exps):
+        raise ValueError(f"block spans syllables {block.start}..{block.end}, outside 0..{len(exps)}")
+    first = 1 + sum(exps[: block.start])  # first and last layer of the block
+    last = sum(exps[: block.end])
+    units = [la.units for la in assignment.layers]
+    before, after = {}, {}
+    for terms, _ in chains(assignment.word.letters):
+        values = [weight * units[layer][slot] for layer, slot, weight in terms]
+        for i, (layer, slot, _) in enumerate(terms):
+            if slot != D and layer in (first, last):
+                before[layer, slot] = sum(values[:i])
+                after[layer, slot] = sum(values[i + 1 :])
+    delta = (before[first, H], before[first, V], 48 - units[first][D])
+    epsilon = (after[last, H], after[last, V], 48 - units[last][D])
+    return DeficitTriple(*(F(x, 24) for x in delta)), DeficitTriple(*(F(x, 24) for x in epsilon))
+
+
 def test_boundary_deficit_tables():
     # single B1 starting with L
     w = parse_word("RLRLRLR")
     a = assign_angles(w)
     (b,) = decompose(inner_word(w)).blocks
     delta, _ = boundary_deficits(b, a)
-    assert tuple(delta) == (F(1, 3), F(1, 1), F(5, 3))
-    assert repr(delta) == "DeficitTriple(horizontal=Fraction(1, 3), vertical=Fraction(1, 1), diagonal=Fraction(5, 3))"
+    assert delta == DeficitTriple(horizontal=F(1, 3), vertical=F(1, 1), diagonal=F(5, 3))
     # B3 starting L and ending L, mid-word
     w = parse_word("RLRLR^2LRLR")
     a = assign_angles(w)
@@ -486,11 +525,34 @@ def gluing_classes(w):
     return out
 
 
+def chains(letters):
+    """Every edge class of the layered complex as a chain of terms, by the
+    rules of the angles module docstring: (terms, target) pairs, terms
+    (layer, slot, weight) in order up the layers, target the sum the
+    weighted angles must reach in units of pi/24."""
+    n = len(letters) - 1
+    out = []
+    open_terms = [[(0, D, 1)], []]  # the open horizontal and vertical chains
+    target = [24, 48]  # theirs: 24 once a chain touches a fold
+    for k in range(n):
+        if k:
+            slot = H if letters[k] == "L" else V
+            open_terms[slot].append((k, D, 1))
+            out.append((open_terms[slot], target[slot]))
+            open_terms[slot], target[slot] = [(k - 1, D, 1)], 48
+        open_terms[H].append((k, H, 2))
+        open_terms[V].append((k, V, 2))
+    slot = H if letters[-1] == "R" else V
+    open_terms[slot].append((n - 1, D, 1))
+    target[slot] = 24
+    return out + [(open_terms[H], target[H]), (open_terms[V], target[V])]
+
+
 def chain_classes(w):
-    """The same multiset read off _chains: a fold chain (target pi) is one class
+    """The same multiset read off chains: a fold chain (target pi) is one class
     with doubled multiplicities, any other chain (target 2 pi) two classes."""
     out = Counter()
-    for terms, target in _chains(w.letters):
+    for terms, target in chains(w.letters):
         assert target in (24, 48)
         counts = Counter()
         for i, (layer, slot, weight) in enumerate(terms):
@@ -550,10 +612,10 @@ def test_survey_layer_triples_unchanged():
 
 
 def reference_orient(letters, shapes):
-    """Plain backtracking over _chains, the model that _orient_layers walks:
+    """Plain backtracking over chains, the model that _orient_layers walks:
     every closing chain re-summed for each candidate, no look-ahead."""
     closing = [[] for _ in shapes]
-    for terms, target in _chains(letters):
+    for terms, target in chains(letters):
         closing[terms[-1][0]].append((terms, target))
     chosen, resume, start = [], [], 0
     while len(chosen) < len(shapes):
@@ -577,12 +639,11 @@ def reference_orient(letters, shapes):
     return chosen
 
 
-@pytest.mark.parametrize("k1_override", [True, False])
-def test_state_walk_matches_plain_backtracking(words_ell10, k1_override):
+def test_state_walk_matches_plain_backtracking(words_ell10):
     family_words = [w for w in words_ell10 if theorem_family(w)]
     assert len(family_words) == 87
     for w in family_words:
-        shapes = _shape_sequence(decompose(inner_word(w)), k1_override)
+        shapes = _shape_sequence(decompose(inner_word(w)))
         found = _orient_layers(w.letters, shapes)
         assert found is not None and found == reference_orient(w.letters, shapes), str(w)
 
@@ -609,7 +670,7 @@ def test_state_walk_matches_plain_backtracking_on_perturbed_family(words_ell10):
     family_words = [w for w in words_ell10 if w.ell <= 9 and theorem_family(w)]
     assert len(family_words) == 53
     for w in family_words:
-        base = _shape_sequence(decompose(inner_word(w)), True)
+        base = _shape_sequence(decompose(inner_word(w)))
         for _ in range(5):
             shapes = list(base)
             for _ in range(rng.randint(1, 3)):
@@ -638,7 +699,7 @@ def test_long_word_fails_at_the_last_layer(shape):
     # Every layer but the last still fits, so the walk fails only at the end
     # and must back out of 5000 layers without revisiting a dead state.
     w = long_family_word()
-    shapes = _shape_sequence(decompose(inner_word(w)), True)
+    shapes = _shape_sequence(decompose(inner_word(w)))
     shapes[-1] = shape
     assert _orient_layers(w.letters, shapes) is None
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import all_normalized_words, is_connected, random_gluing
 from twobridge import isosig, triangulation
-from twobridge.isosig import ALPHABET, are_isomorphic, decode_isosig, encode_isosig
+from twobridge.isosig import ALPHABET, decode_isosig, encode_isosig
 from twobridge.moves import simplify
 from twobridge.triangulation import (
     ORDERED_S4,
@@ -34,7 +34,6 @@ def test_decode_encode_roundtrip(sig):
 def test_figure_eight_matches_census_signature():
     fig8 = build_sakuma_weeks(parse_word("RL"))
     assert encode_isosig(fig8) == "cPcbbbiht"
-    assert are_isomorphic(fig8, decode_isosig("cPcbbbiht"))
 
 
 def relabel(tri, rng):
@@ -68,13 +67,7 @@ def test_signature_invariant_under_relabelling(word):
 @settings(max_examples=25, deadline=None)
 def test_relabelling_isomorphic_property(seed):
     tri = build_sakuma_weeks(parse_word("R^2LR"))
-    assert are_isomorphic(tri, relabel(tri, random.Random(seed)))
-
-
-def test_are_isomorphic_different_sizes():
-    a = build_sakuma_weeks(parse_word("R^2LR"))
-    b = build_sakuma_weeks(parse_word("RL^3R"))
-    assert not are_isomorphic(a, b)
+    assert encode_isosig(relabel(tri, random.Random(seed))) == encode_isosig(tri)
 
 
 def test_signature_length_linear():

@@ -12,10 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 import twobridge
-from conftest import all_normalized_words, triangle_pairs
+from conftest import SHAPES, all_normalized_words, triangle_pairs
 import twobridge._solver as solver
 from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
-from twobridge.angles import SHAPES, assign_angles, theorem_family, verify_angle_structure
+from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify
 from twobridge.triangulation import (
@@ -33,8 +33,6 @@ from twobridge.volume import (
     bounds_report,
     lobachevsky,
     maximize_volume,
-    tet_volume,
-    theorem_ratio_table,
     v3,
 )
 from twobridge.word import Word, enumerate_words, normalize, parse_word
@@ -114,6 +112,11 @@ SHAPE_RATIOS = {
 }
 
 
+def tet_volume(angles):
+    """Volume of the ideal tetrahedron with these angles, in units of pi."""
+    return sum(lobachevsky(float(a) * math.pi) for a in angles)
+
+
 def test_shape_volume_table():
     V3 = v3()
     assert abs(tet_volume(SHAPES["0"]) - V3) < 1e-15
@@ -139,13 +142,12 @@ def test_all_ones_volume_formula():
 
 
 def test_rl2r_volume_ratio():
-    # (2 v_II + v_X2) / (3 v3); the low-volume variant gives 0.7952.
+    # (2 v_II + v_X2) / (3 v3); the generic squared-run pattern would give
+    # 0.7952 (PRINTED_RATIOS["all B2, k=1"]).
     w = parse_word("RL^2R")
     tri = build_sakuma_weeks(w)
     ratio = assignment_volume(assign_angles(w)) / (tri.tet_count * v3())
     assert abs(ratio - 0.86247) < 1e-4
-    base = assignment_volume(assign_angles(w, k1_override=False)) / (tri.tet_count * v3())
-    assert abs(base - 0.7952) < 1e-3
 
 
 PRINTED_RATIOS = {
@@ -162,8 +164,33 @@ PRINTED_RATIOS = {
 }
 
 
+# The layer shapes of each block family behind the 0.8 lower bound, at the
+# stated block parameters.
+BLOCK_SHAPES = {
+    "start B2, k=1": ["VII", "I", "VI"],
+    "start B3, m=1": ["V", "I", "II", "IV", "VI"],
+    "middle B3, m=1": ["I", "VI", "IV", "II"],
+    "end B2, k=2": ["V", "V", "V", "IX"],
+    "end B2, k=3": ["V", "V", "V", "V", "IX", "III"],
+    "B3 + end B2, m=1": ["V", "I", "II", "IV", "VI"] + ["V", "V", "V", "IX"],
+    "B2 + B3 + end B2, k=m=1": ["VII", "I", "VI"] + ["I", "VI", "IV", "II"] + ["V", "V", "V", "IX"],
+    "unfinished B3, m=2": ["I", "VI", "III", "III", "III", "VIII"],
+    "all B2, k=2": ["VII", "VII", "III", "III", "III"],
+    "all B2, k=1": ["VII", "VII", "III"],
+    "all B2, k=1, revised": ["II", "II", "X2"],
+}
+
+
+def theorem_ratios():
+    """Each block family's volume ratio V / (|T| v3), from full-precision shape volumes."""
+    return {
+        label: sum(tet_volume(SHAPES[s]) for s in shapes) / (len(shapes) * v3())
+        for label, shapes in BLOCK_SHAPES.items()
+    }
+
+
 def test_theorem_ratio_values():
-    table = dict(theorem_ratio_table())
+    table = theorem_ratios()
     for label, printed in PRINTED_RATIOS.items():
         assert abs(table[label] - printed) < 1e-3, label
     # The revised single-squared-syllable assignment: its reference value

@@ -2,13 +2,16 @@
 
 volume.py imports this module on the first maximize_volume call, so that
 ``import twobridge`` and every path that needs no maximiser stay on the
-standard library.  A Newton step eliminates one angle per tetrahedron and
-solves the banded Schur complement of the edge equations, after dropping
-the one dependent edge equation per cusp, by LAPACK's band Cholesky.  The
-equations are one integer table of the rows each angle appears in, so
-scipy.optimize, and scipy.sparse with it, load only for the linear program
-that decides input where an unseeded loop does not end at a converged
-interior point.
+standard library.  V sums the series of volume.lobachevsky over all angles
+at once: its 40 terms in r = (t/pi)^2 are five blocks of eight, one matrix
+product with r .. r^8, summed by Horner's rule in r^8.  A seed starts from
+its layers' integer angles in units of pi/24.  A Newton step eliminates
+one angle per tetrahedron and solves the banded Schur complement of the
+edge equations, after dropping the one dependent edge equation per cusp,
+by LAPACK's band Cholesky.  The equations are one integer table of the
+rows each angle appears in, so scipy.optimize, and scipy.sparse with it,
+load only for the linear program that decides input where an unseeded
+loop does not end at a converged interior point.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .angles import AngleAssignment, expand_to_tetrahedra
 from .triangulation import EDGE_VERTS, Triangulation, VerificationError, _labels
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
-# The series of volume.lobachevsky as coefficients of (t/pi)^(2m).
-_SERIES = np.array([z / (m * (2 * m + 1)) for m, z in enumerate(_ZETA_EVEN, start=1)])
+# The series of volume.lobachevsky: coefficients of r^m, r = (t/pi)^2, m = 8j + 1 .. 8j + 8 in row j.
+_SERIES = np.array([z / (m * (2 * m + 1)) for m, z in enumerate(_ZETA_EVEN, start=1)]).reshape(5, 8)
 
 
 def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
@@ -32,9 +35,14 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     a = np.abs(t)
     nonzero = a > 0.0
     a_safe = np.where(nonzero, a, 1.0)
-    ratio = (a_safe / math.pi) ** 2
-    powers = np.multiply.accumulate(np.broadcast_to(ratio[:, None], (len(ratio), len(_SERIES))), axis=1)
-    value = a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * (powers @ _SERIES)
+    powers = np.empty((8, len(a)))  # r^(m + 1) in row m
+    powers[0] = (a_safe / math.pi) ** 2
+    for m in (1, 2, 4):  # r^(m + 1) .. r^(2m) from r .. r^m
+        powers[m : 2 * m] = powers[:m] * powers[m - 1]
+    series = 0.0
+    for block in (_SERIES @ powers)[::-1]:  # Horner's rule in r^8
+        series = series * powers[7] + block
+    value = a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * series
     return np.where(nonzero, np.copysign(value, t), 0.0)
 
 
@@ -131,16 +139,15 @@ _ON_PLANE = 1e-12
 # N: the angle step of a tetrahedron from its reduced variables (d1, d2).
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 # N G^-1 N^T = adj(h) / det G: entry (i, i) is the sum of the other two h,
-# entry (i, j) minus the third.  Row k holds the coefficients of h_k, each
-# entry repeated over the pair's two edge ends.
+# entry (i, j) minus the third.  Row k holds the coefficients of h_k.
 _ADJ = np.array([[[float(k != i) if i == j else -float(k not in (i, j)) for j in range(3)] for i in range(3)]
-                 for k in range(3)]).repeat(2, axis=1).repeat(2, axis=2).reshape(3, 36)
+                 for k in range(3)]).reshape(3, 9)
 
 
-def _end_blocks(h: np.ndarray) -> np.ndarray:
-    """N G^-1 N^T of each tetrahedron, over its pair ends, as (tets, 6, 6)."""
+def _pair_blocks(h: np.ndarray) -> np.ndarray:
+    """N G^-1 N^T of each tetrahedron, over its pairs, as (tets, 3, 3)."""
     h1, h2, h3 = h.reshape(-1, 3).T
-    return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 6, 6)
+    return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 3, 3)
 
 
 def _schur_solver(rows: np.ndarray, keep: np.ndarray):
@@ -160,14 +167,17 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[rows[:, 1:]].reshape(tets, 6)
     at, var = row[row >= 0], np.flatnonzero(row >= 0) // 2  # S row and angle of each kept end
     i, j = row[:, :, None], row[:, None, :]
-    lower = (j >= 0) & (i >= j)
-    width = int((i - j)[lower].max(initial=0))
-    band_at = ((i - j) * k + j)[lower]
+    # The end pairs (e, f) of tetrahedron t in the lower band, at 36t + 6e + f, their
+    # places in it, and their entries 9t + 3(e // 2) + f // 2 of the pair blocks.
+    lower = np.flatnonzero((j >= 0) & (i >= j))
+    band_at = ((i - j) * k + j).take(lower)
+    width = int(band_at.max(initial=0)) // max(k, 1)  # band_at is (i - j) k + j, 0 <= j < k
+    block_at = lower // 36 * 9 + lower // 12 % 3 * 3 + lower % 6 // 2
 
     def factor(h):
-        per_end = _end_blocks(h)
-        inverse = per_end[:, :4:2, :4:2]  # G^-1, the top left block, as N's top rows are the identity
-        band = np.bincount(band_at, -per_end[lower], (width + 1) * k).reshape(width + 1, k)
+        blocks = _pair_blocks(h)
+        inverse = blocks[:, :2, :2]  # G^-1, the top left block, as N's top rows are the identity
+        band = np.bincount(band_at, -blocks.take(block_at), (width + 1) * k).reshape(width + 1, k)
         cholesky, info = dpbtrf(band, lower=1)
         pivots = cholesky[0] ** 2
         if info or not pivots.min(initial=np.inf) > 1e-12 * pivots.max(initial=0.0):  # NaN fails too
@@ -177,17 +187,22 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
             return np.einsum("tij,tj->ti", inverse, v.reshape(tets, 3) @ _REDUCE)
 
         def solve(ascent, residual, refine=True):
-            offset, z, lam = np.zeros(n), np.zeros((tets, 2)), np.zeros(k)
+            offset = np.zeros(n)
             offset[2::3] = -residual[:tets]
+            edge_rows = -residual[keep][tets:]
 
             def step():  # d = N z + offset: the tetrahedron rows hold exactly
                 return (z @ _REDUCE.T).ravel() + offset
 
-            for _ in range(1 + refine):  # solve, then refine once, on the stationarity and the edge rows
-                z += reduced(-ascent - h * step() - np.bincount(var, lam[at], n))
-                delta = dpbtrs(cholesky, -residual[keep][tets:] - np.bincount(at, step()[var], k), lower=1)[0]
-                lam += delta
-                z -= reduced(np.bincount(var, delta[at], n))
+            def correct():  # the multiplier step that puts the kept edge rows right, and z after it
+                delta = dpbtrs(cholesky, edge_rows - np.bincount(at, step()[var], k), lower=1)[0]
+                return delta, z - reduced(np.bincount(var, delta[at], n))
+
+            z = reduced(-ascent - h * offset)  # solve from z = 0 and lambda = 0
+            lam, z = correct()
+            if refine:  # then refine once, on the stationarity and the edge rows
+                z = z + reduced(-ascent - h * step() - np.bincount(var, lam[at], n))
+                z = correct()[1]
             return step()
 
         return solve
@@ -204,9 +219,8 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         return np.bincount(rows.ravel(), np.repeat(v, 3), len(b)) - b
 
     if seed is not None:
-        angles = [a for triple in expand_to_tetrahedra(seed, tri) for a in triple]
-        radians = {i: float(a) * math.pi for i, a in {id(a): a for a in angles}.items()}  # each object once
-        x = np.array([radians[id(a)] for a in angles])
+        expand_to_tetrahedra(seed, tri)  # for its checks: tri has layer metadata, one layer per two tetrahedra
+        x = (np.array([la.units for la in seed.layers]) / 24 * math.pi).take(tri.layer_of, axis=0).ravel()
         if np.max(np.abs(residual_at(x))) > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:

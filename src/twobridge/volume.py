@@ -129,13 +129,14 @@ def maximize_volume(
 
     Concavity makes the interior critical point unique; on a geometric
     triangulation it computes the hyperbolic volume.  One damped Newton
-    loop runs from the seed (spread by expand_to_tetrahedra, so tri needs
-    its layer_of), else from x = pi/3, which satisfies every
-    tetrahedron equation.  Each step solves the banded Schur complement of
-    the edge equations, in time linear in the size, and also corrects the
-    residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
+    loop runs from the seed, else from x = pi/3, which satisfies every
+    tetrahedron equation.  The seed's layer angles are read from their
+    integer units of pi/24 and spread by tri's layer_of, under the checks
+    of expand_to_tetrahedra.  Each step solves the banded Schur complement
+    of the edge equations, in time linear in the size, and also corrects
+    the residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
     Convex Optimization 10.3): a step of length alpha shrinks it by the
-    factor 1 - alpha.
+    factor 1 - alpha.  V sums lobachevsky's series in blocks of 8 powers.
     A seed is checked to be a strict solution; without one, unless the
     loop ends at a converged interior point, a linear program decides:
     ValueError if no strictly positive solution exists.  Raises

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -16,7 +17,7 @@ from conftest import SHAPES, all_normalized_words, triangle_pairs
 import twobridge._solver as solver
 from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
 from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
-from twobridge.isosig import encode_isosig
+from twobridge.isosig import decode_isosig, encode_isosig
 from twobridge.moves import pachner_23, simplify
 from twobridge.triangulation import (
     Triangulation,
@@ -130,6 +131,28 @@ def test_lobachevsky_array_matches_scalar():
     grid = np.linspace(-7.0, 7.0, 4001)[1:-1]
     scalar = np.array([lobachevsky(t) for t in grid])
     assert np.max(np.abs(_lobachevsky_array(grid) - scalar)) <= 1e-15
+
+
+def test_lobachevsky_array_against_mpmath():
+    # The blocked series against L(t) = Cl_2(2 t) / 2 at 50 digits where it
+    # runs unreduced, |t| <= pi/2: its worst case |t| -> pi/2 (r = 1/4), t
+    # near 0 and negative t.  Exact multiples of pi give 0.0, and arrays of
+    # length 0 and 1 keep their shape.  The bound is under two units in the
+    # last place of pi/2: near pi/2, t - t log 2t + t * series cancels to
+    # about 0, and over 10,000 points there its roundings reach 3.8e-16
+    # (3.5e-16 with the series summed term by term), while the series
+    # itself is within 8e-17 either way.
+    rng = np.random.default_rng(17)
+    half, near = math.pi / 2, np.logspace(-16, -1, 40)
+    tiny = np.logspace(-300, -2, 30)
+    theta = np.concatenate([rng.uniform(-half, half, 120), half - near, near - half, tiny, -tiny, [half, -half]])
+    with mpmath.workdps(50):
+        for t, value in zip(theta.tolist(), _lobachevsky_array(theta).tolist()):
+            assert abs(mpmath.mpf(value) - mpmath.clsin(2, 2 * mpmath.mpf(t)) / 2) <= 4e-16, t
+        one = _lobachevsky_array(np.array([-0.3]))
+        assert one.shape == (1,) and abs(mpmath.mpf(one[0]) + mpmath.clsin(2, mpmath.mpf(0.6)) / 2) <= 4e-16
+    assert np.array_equal(_lobachevsky_array(np.arange(-6, 7) * math.pi), np.zeros(13))
+    assert _lobachevsky_array(np.empty(0)).shape == (0,)
 
 
 def test_all_ones_volume_formula():
@@ -651,15 +674,15 @@ def test_projection_needs_no_refinement():
             assert np.linalg.norm(step - reference) <= 1e-13 * np.linalg.norm(g), str(w)
 
 
-def test_end_blocks_match_the_reduced_inverse():
-    # The closed form adj(h) / det of N G^-1 N^T, each entry repeated over
-    # the pair's two edge ends, against the product of the matrices in
-    # exact arithmetic, on h < 0 over 14 orders of magnitude.
+def test_pair_blocks_match_the_reduced_inverse():
+    # The closed form adj(h) / det of N G^-1 N^T, per tetrahedron over its
+    # three pairs, against the product of the matrices in exact arithmetic,
+    # on h < 0 over 14 orders of magnitude.
     h = -np.exp(np.random.default_rng(11).uniform(-16.0, 16.0, 3 * 300))
-    blocks = solver._end_blocks(h)
-    assert np.array_equal(blocks, blocks[:, ::2, ::2].repeat(2, axis=1).repeat(2, axis=2))
+    blocks = solver._pair_blocks(h)
+    assert blocks.shape == (300, 3, 3)
     N = [[Fraction(int(x)) for x in row] for row in solver._REDUCE]
-    for block, (h1, h2, h3) in zip(blocks[:, ::2, ::2], h.reshape(-1, 3).tolist()):
+    for block, (h1, h2, h3) in zip(blocks, h.reshape(-1, 3).tolist()):
         a, b, c = Fraction(h1), Fraction(h2), Fraction(h3)
         det = (a + c) * (b + c) - c * c
         inverse = [[(b + c) / det, -c / det], [-c / det, (a + c) / det]]  # G^-1, G = N^T diag(h) N
@@ -695,6 +718,78 @@ def test_newton_step_is_accurate_near_flat_tetrahedra():
     reference = np.linalg.solve(kkt, np.concatenate([-g, -residual[keep]]))[: len(x)]
     step = _schur_solver(_constraint_system(t)[0], keep)(h)(g, residual)
     assert np.max(np.abs(step - reference)) <= 5e-15
+
+
+@pytest.fixture(scope="module")
+def newton_runs():
+    """(word, triangulation, maximum) of the 247 normalised words with
+    ell <= 8, seeded by the explicit structure where theorem_family holds."""
+    runs = []
+    for w in all_normalized_words(8):
+        tri = build_sakuma_weeks(w)
+        runs.append((w, tri, maximize_volume(tri, seed=assign_angles(w) if theorem_family(w) else None)))
+    return runs
+
+
+def test_newton_trajectories_are_pinned(newton_runs):
+    # Pinned iteration counts and flags: a change that only makes Newton
+    # iterations cheaper keeps them; one that moves the step control, the
+    # series or the accuracy of the solve shows here.
+    runs = [(str(w), res.iterations, res.converged) for w, _, res in newton_runs]
+    assert len(runs) == 247 and all(converged for _, _, converged in runs)
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "c66162956f69c9aeaf3372db1f3f1e13cd23bbbc38d64dc5ea4337449afa910a"
+
+
+def gluing_orientation(tri):
+    """s_t = +-1 per tetrahedron, with s_t' = -s_t sgn(perm) across every
+    gluing, s_0 = 1; asserts that the gluings agree on it."""
+    s, stack = [0] * tri.tet_count, [0]
+    s[0] = 1
+    while stack:
+        t = stack.pop()
+        for f in range(4):
+            t2, perm = tri.gluing(t, f)
+            sign = -s[t] * (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            if not s[t2]:
+                s[t2] = sign
+                stack.append(t2)
+            assert s[t2] == sign, "the gluings reverse an orientation"
+    return np.array(s)
+
+
+def edge_moduli(tri, angles):
+    """Per edge class, the sum over its edges of s_t (log sin a_{p-1} -
+    log sin a_{p+1}), a_q the angle on pair q of tetrahedron t and p the
+    edge's pair: minus the log-modulus of its gluing equation.  The edge
+    equations hold at the hyperbolic structure, so these are 0 there."""
+    s = gluing_orientation(tri)
+    logs = np.log(np.sin(np.asarray(angles, dtype=float).reshape(-1, 3)))
+    moduli = np.zeros(len(edge_classes(tri)))
+    for c in edge_classes(tri).classes:
+        for t, e in c.embeddings:
+            p = min(e, 5 - e)
+            moduli[c.index] += s[t] * (logs[t, (p - 1) % 3] - logs[t, (p + 1) % 3])
+    return moduli
+
+
+def test_maximum_solves_the_edge_equations(newton_runs):
+    # Casson-Rivin: the critical point of V is the hyperbolic structure, so
+    # the log-moduli of Thurston's edge equations, read off the gluings and
+    # the angles alone, are 0 there.  An explicit structure is strict but
+    # not critical: on RL^2R^2LR its worst edge is off by log 4.
+    for w, tri, res in newton_runs:
+        assert res.converged and np.max(np.abs(edge_moduli(tri, res.angles))) <= 1e-9, str(w)
+    # The builder orients every tetrahedron alike; the isosig copies mix
+    # both orientations, so there the check needs the gluing parity.
+    for w in all_normalized_words(6):
+        tri = decode_isosig(encode_isosig(build_sakuma_weeks(w)))
+        res = maximize_volume(tri)
+        assert set(gluing_orientation(tri)) == {-1, 1}, str(w)
+        assert res.converged and np.max(np.abs(edge_moduli(tri, res.angles))) <= 1e-9, str(w)
+    w = parse_word("RL^2R^2LR")
+    explicit = edge_moduli(build_sakuma_weeks(w), seed_angles(assign_angles(w)))
+    assert abs(np.max(np.abs(explicit)) - math.log(4)) <= 1e-12
 
 
 def test_dependent_rows_raise_verification_error(monkeypatch):

@@ -36,24 +36,26 @@ A chain that touches a fold (opened at the outer fold or closed by the end
 fold) is one edge class with doubled multiplicities, so its terms sum to
 pi; every other chain is two edge classes and sums to 2 pi.
 
-_orient_layers applies these rules as a walk over chain states.  Above
-each layer one horizontal and one vertical chain are open, so the state
-after layer k is three integers in units of pi/24: what the open
-horizontal chain still needs, what the open vertical chain still needs,
-and d_k, the first term of the chain that letter k+1 opens.  Layer 0 leads
-to (24 - d - 2h, 48 - 2v, d).  An interior L at layer j needs d_j equal to
-what the horizontal chain needs, which closes it, and leads to
-(48 - d_(j-1) - 2h, need_v - 2v, d_j); an R is the mirror.  At the end the
-letter's chain closes as a fold chain, needing d_(N-1) + 24 (d_(N-1) alone
-for the first horizontal chain under an R end, whose target is pi), and
-the other chain needs 0.  Every open chain gains a positive term at the
-next layer, so a state with a need <= 0 before the last layer is dead; so
-is every (layer, state) the walk has left without an orientation, which
-keeps a failing walk linear in the layers.  The walk tries each layer's
-arrangements in catalogue order and prunes dead branches only, so it finds
-the first orientation in that order.  The tests spell the chains out
-term by term, check them against the gluings, and check the walk against
-a plain search over them.
+_orient_layers applies these rules in one forward sweep over chain
+states.  Above each layer one horizontal and one vertical chain are open,
+so the state after layer k is three integers in units of pi/24: what the
+open horizontal chain still needs, what the open vertical chain still
+needs, and d_k, the first term of the chain that letter k+1 opens.
+Layer 0 leads to (24 - d - 2h, 48 - 2v, d).  An interior L at layer j
+needs d_j equal to what the horizontal chain needs, which closes it, and
+leads to (48 - d_(j-1) - 2h, need_v - 2v, d_j); an R is the mirror.  At
+the end the letter's chain closes as a fold chain, needing d_(N-1) + 24
+(d_(N-1) alone for the first horizontal chain under an R end, whose
+target is pi), and the other chain needs 0.  Every open chain gains a
+positive term at the next layer, so a state with a need <= 0 before the
+last layer is dead.  After each layer the sweep keeps the frontier of
+reachable states, each with the first (previous state, arrangement)
+reaching it, in the order of the first arrangement sequences reaching
+them, so it is linear in the layers.  A completion depends on the state
+alone, so the first state that closes at the end leads back to the first
+orientation in catalogue order, the one plain backtracking finds.  The
+tests spell the chains out term by term, check them against the gluings,
+and check the sweep against a plain search over them.
 
 On a triangulation an angle structure is one triple per tetrahedron, the
 angles on its edge pairs 0/5, 1/4 and 2/3 (in builder output horizontal,
@@ -218,60 +220,52 @@ def _shape_sequence(dec: BlockDecomposition) -> list[str]:
     return [delta1] + seq
 
 
-# Cached: states are small integers, so few distinct keys occur (62 over
-# the 4094 words of `survey --max-n 11`).
+# Cached: a frontier holds a few small integer chain states, so few distinct
+# keys occur (75 over the 4094 words of `survey --max-n 11`).
 @cache
-def _steps(letter: str, shape: str, need_h: int, need_v: int, last_d: int):
-    """The arrangements (h, v, d) of shape that an interior letter admits at
-    its layer after the state (need_h, need_v, last_d), each with the state
-    it leads to: the letter's chain closes with d and a new one opens with
-    last_d."""
-    out = []
-    for h, v, d in _ARRANGEMENTS[shape]:
-        if letter == "L" and d == need_h:
-            out.append(((h, v, d), (48 - last_d - 2 * h, need_v - 2 * v, d)))
-        elif letter == "R" and d == need_v:
-            out.append(((h, v, d), (need_h - 2 * h, 48 - last_d - 2 * v, d)))
-    return tuple(out)
+def _advance(letter: str, shape: str, frontier: tuple[tuple[int, int, int], ...]):
+    """The frontier after an interior letter's layer, and for each of its
+    states the first (previous state, arrangement (h, v, d)) reaching it:
+    the letter's chain closes with d and a new one opens with last_d.  Dead
+    states are not expanded.  The dict is shared, so it is never mutated."""
+    reached = {}
+    for state in frontier:
+        need_h, need_v, last_d = state
+        if need_h <= 0 or need_v <= 0:
+            continue
+        for h, v, d in _ARRANGEMENTS[shape]:
+            if letter == "L" and d == need_h:
+                reached.setdefault((48 - last_d - 2 * h, need_v - 2 * v, d), (state, (h, v, d)))
+            elif letter == "R" and d == need_v:
+                reached.setdefault((need_h - 2 * h, 48 - last_d - 2 * v, d), (state, (h, v, d)))
+    return tuple(reached), reached
 
 
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
     """Distribute each layer's shape angles onto (h, v, d) so that every
-    edge-class chain reaches its target, by the walk over chain states of
-    the module docstring.
+    edge-class chain reaches its target, by the forward sweep over chain
+    states of the module docstring.
 
-    Depth-first over each layer's arrangements in _ARRANGEMENTS order, on an
-    explicit stack of per-layer candidate iterators.  Returns the first
-    consistent orientation as integer triples in units of pi/24, or None.
+    Returns the first consistent orientation in _ARRANGEMENTS order as
+    integer triples in units of pi/24, or None.
     """
-    last = len(shapes) - 1
     # The end letter's chain closes at the end fold with the last diagonal,
     # needing 24 less unless it is the first horizontal chain (target 24 already).
     slot = H if letters[-1] == "R" else V
     fold = 24 if slot == V or "L" in letters[1:-1] else 0
-    first = [((h, v, d), (24 - d - 2 * h, 48 - 2 * v, d)) for h, v, d in _ARRANGEMENTS[shapes[0]]]
-    tries = [iter(first)]
-    chosen: list[tuple[int, int, int]] = []
-    states: list[tuple[int, int, int]] = []  # the state after each chosen layer
-    dead = set()  # (layer, state after it) pairs left without an orientation
-    while tries:
-        k = len(chosen)
-        for option, state in tries[-1]:
-            if k == last:
-                if state[slot] - state[D] == fold and state[1 - slot] == 0:
-                    chosen.append(option)
-                    return chosen
-            elif state[H] > 0 and state[V] > 0 and (k, state) not in dead:
-                chosen.append(option)
-                states.append(state)
-                tries.append(iter(_steps(letters[k + 1], shapes[k + 1], *state)))
-                break
-        else:
-            tries.pop()
-            if chosen:
-                chosen.pop()
-                dead.add((k - 1, states.pop()))
-    return None
+    first = {(24 - d - 2 * h, 48 - 2 * v, d): (None, (h, v, d)) for h, v, d in _ARRANGEMENTS[shapes[0]]}
+    frontier, back = tuple(first), [first]
+    for letter, shape in zip(letters[1:], shapes[1:]):
+        frontier, reached = _advance(letter, shape, frontier)
+        back.append(reached)
+    state = next((s for s in frontier if s[slot] - s[D] == fold and s[1 - slot] == 0), None)
+    if state is None:
+        return None
+    oriented = []
+    for reached in reversed(back):
+        state, units = reached[state]
+        oriented.append(units)
+    return oriented[::-1]
 
 
 def assign_angles(w: Word, dec: BlockDecomposition | None = None) -> AngleAssignment:

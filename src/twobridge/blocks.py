@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .word import Word
 
@@ -40,8 +41,7 @@ ALL_B2 = "AllB2"
 INNER_EXPONENTS = frozenset((1, 2))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A block of consecutive syllables [start, end) of the inner word.
 
     Length bookkeeping: B1 and B2 blocks have length 2m + p syllables with

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 from typing import NamedTuple
 
 import pytest
@@ -35,8 +36,9 @@ BOTTOM_DIAGONAL_EVEN = 2  # edge 03 of even tetrahedra
 BOTTOM_DIAGONAL_ODD = 3  # edge 12 of odd tetrahedra
 
 
+@cache
 def family(max_n):
-    return list(enumerate_words(max_n, {1, 2}))
+    return tuple(enumerate_words(max_n, {1, 2}))
 
 
 def test_catalog_contents():
@@ -650,7 +652,7 @@ def test_state_walk_matches_plain_backtracking(words_ell10):
 
 def test_state_walk_matches_plain_backtracking_on_random_shapes():
     # Random letters and shapes mostly admit no orientation, so this covers
-    # the walk's failing branches, its pruning and its dead-state memory.
+    # the sweep's emptied frontiers, its pruning and its merging of paths.
     rng = random.Random(26)
     names = list(SHAPES)
     outcomes = Counter()
@@ -696,22 +698,40 @@ def test_long_family_word():
 
 @pytest.mark.parametrize("shape", ["0", "X2", "IX"])
 def test_long_word_fails_at_the_last_layer(shape):
-    # Every layer but the last still fits, so the walk fails only at the end
-    # and must back out of 5000 layers without revisiting a dead state.
+    # Every layer but the last still fits, so the sweep carries its frontier
+    # through 5000 layers and fails only at the end.
     w = long_family_word()
     shapes = _shape_sequence(decompose(inner_word(w)))
     shapes[-1] = shape
     assert _orient_layers(w.letters, shapes) is None
 
 
-def test_failing_walk_leaves_each_dead_state_once(monkeypatch):
+def count_advances(monkeypatch):
+    advance, calls = angles._advance, []
+    monkeypatch.setattr(angles, "_advance", lambda *key: calls.append(key) or advance(*key))
+    return calls
+
+
+def test_failing_sweep_advances_once_per_layer(monkeypatch):
     # The V layers of R (LRLR)^k R admit paths that meet again in one state,
-    # and the final II fits none of them: without its memory of dead states
-    # the walk would take 65,530 steps here, doubling with each LRLR.
+    # and the final II fits none of them: a search that forgot the states it
+    # had left would take 65,530 steps here, doubling with each LRLR.
     k = 10
     letters = "R" + "LRLR" * k + "R"
     shapes = ["II"] + ["V"] * (4 * k - 1) + ["II"]
-    steps, calls = angles._steps, []
-    monkeypatch.setattr(angles, "_steps", lambda *key: calls.append(key) or steps(*key))
+    calls = count_advances(monkeypatch)
     assert _orient_layers(letters, shapes) is None
-    assert len(calls) < 4 * len(shapes)
+    assert len(calls) <= len(shapes) - 1
+
+
+def test_family_sweep_advances_once_per_interior_layer(monkeypatch):
+    # Each call is one cached lookup on the survey path: one per layer after
+    # the first, whatever the frontier holds, over few distinct keys.
+    calls, keys = count_advances(monkeypatch), set()
+    for w in family(11):  # the words of test_survey_layer_triples_unchanged
+        shapes = _shape_sequence(decompose(inner_word(w)))
+        calls.clear()
+        assert _orient_layers(w.letters, shapes) is not None, str(w)
+        assert len(calls) == len(shapes) - 1, str(w)
+        keys.update(calls)
+    assert len(keys) == 75

@@ -4,21 +4,27 @@ The 2-3 move subdivides the bipyramid around an internal triangle shared
 by two distinct tetrahedra into three tetrahedra around a new degree-3
 edge; the 3-2 move is its inverse.  The 4-4 move retriangulates the
 octahedron around a degree-4 edge along one of the two alternative main
-diagonals.  All moves return new triangulations; survivors keep their
-relative order and new tetrahedra are appended at the end.
+diagonals.
 
-Every move follows one rule (_retriangulate).  It names each vertex of
-the ball it retriangulates by a symbol, in every removed and every new
-tetrahedron, and each gluing maps a vertex to the vertex with the same
-symbol: a face of two new tetrahedra is glued between them, and a face of
-one new tetrahedron lies on the ball's boundary and keeps the outside
-gluing of the old facet with the same symbols.  The 3-2 and 4-4 moves read
-the tetrahedra around their edge off the walk that finds the edge classes.
+Every move follows one rule (_retriangulate), in place on gluing rows.  It
+names each vertex of the ball it retriangulates by a symbol, in every
+removed and every new tetrahedron, and each gluing maps a vertex to the
+vertex with the same symbol: a face of two new tetrahedra is glued between
+them, and a face of one new tetrahedron lies on the ball's boundary and
+keeps the outside gluing of the old facet with the same symbols.  Removed
+tetrahedra leave holes and new ones are appended, so survivors keep their
+relative order when the public moves compact a moved copy into a new
+triangulation.  simplify moves one private copy (_Table) and walks again
+only the edge classes that meet the new tetrahedra, so a move costs the
+same at any size.  The 3-2 and 4-4 moves read the tetrahedra around their
+edge off the walk that finds the edge classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import json
@@ -27,16 +33,18 @@ from .triangulation import (
     EDGE_INDEX,
     IDENTITY,
     ORDERED_S4,
-    EdgeClass,
+    ORDERED_S4_INDEX,
     Perm,
     Triangulation,
-    compose,
-    edge_classes,
     invert,
+    _COMPOSE,
+    _INVERSE,
+    _STATE,
     _labels,
+    _walk_classes,
 )
 
-# Symbols of the ends of an edge walked around by _walk; the other
+# Symbols of the ends of an edge walked around by _fan; the other
 # vertices of the fan are numbered 0, 1, ... in walk order.
 U, V = "U", "V"
 
@@ -46,46 +54,54 @@ def _match(a: tuple, fa: int, b: tuple, fb: int) -> Perm:
     return tuple(fb if v == fa else b.index(s) for v, s in enumerate(a))
 
 
-def _retriangulate(tri: Triangulation, old: dict[int, tuple], new: list[tuple]) -> Triangulation:
-    """Swap the tetrahedra of `old` for `new`, glued by matching symbols.
+@cache
+def _faces(syms: tuple, new: tuple[tuple, ...]) -> tuple[list[tuple[int, int, int]], ...]:
+    """Per facet f of a tetrahedron of symbols syms, each other facet g of
+    a tetrahedron new[j] with the same symbols, as (j, g, the ORDERED_S4
+    index of the gluing)."""
+    return tuple([(j, g, ORDERED_S4_INDEX[_match(syms, f, n, g)]) for j, n in enumerate(new) for g in range(4)
+                  if n != syms and set(n) - {n[g]} == set(syms) - {syms[f]}] for f in range(4))
+
+
+def _retriangulate(glue: list, old: dict[int, tuple], new: tuple[tuple, ...]) -> list[tuple]:
+    """Swap the tetrahedra of `old` for `new` in the gluing rows `glue`, in
+    place: their rows become None, and new rows are appended.
 
     `old[t][v]` is the symbol of vertex v of removed tetrahedron t, and each
-    new tetrahedron is the tuple of its vertices' symbols.
+    new tetrahedron is the tuple of its vertices' symbols.  Returns the
+    journal of the entries overwritten, as (list, index, value before).
     """
-    survivors = [t for t in range(tri.tet_count) if t not in old]
-    index = {t: i for i, t in enumerate(survivors)}
-    base = len(survivors)
-    out = Triangulation(base + len(new))
-    faces: dict[frozenset, list[tuple[int, int]]] = {}  # symbols -> (new tet, facet)
-    for j, syms in enumerate(new):
-        for f in range(4):
-            faces.setdefault(frozenset(syms) - {syms[f]}, []).append((j, f))
-
-    def place(t: int, f: int) -> tuple[int, int, Perm] | None:
-        """(tet, facet, t's labels -> its labels) of an old facet, None inside the ball."""
-        if t not in old:
-            return index[t], f, IDENTITY
-        held = faces.get(frozenset(old[t]) - {old[t][f]}, ())
-        if len(held) != 1:
-            return None
-        j, g = held[0]
-        return base + j, g, _match(old[t], f, new[j], g)
-
-    for t in range(tri.tet_count):
-        for f in range(4):
-            glued = tri.gluing(t, f)
-            if glued is None or (glued[0], glued[1][f]) < (t, f):
-                continue  # unglued, or done from its other side
-            t2, perm = glued
-            if t not in old and t2 not in old:
-                out.glue(index[t], f, index[t2], perm)
+    base = len(glue)
+    # Faces of two new tetrahedra now; the others keep outside gluings below.
+    rows = [[None if len(held) != 1 else (base + held[0][0], held[0][2]) for held in _faces(syms, new)]
+            for syms in new]
+    journal = []
+    for t, syms in old.items():
+        for f, (glued, held) in enumerate(zip(glue[t], _faces(syms, new))):
+            if len(held) != 1 or glued is None:  # inside the ball, or unglued
                 continue
-            here, there = place(t, f), place(t2, perm[f])
-            if here is not None:  # else inside the ball
-                out.glue(here[0], here[1], there[0], compose(there[2], compose(perm, invert(here[2]))))
-    for (j, f), (k, g) in (held for held in faces.values() if len(held) == 2):
-        out.glue(base + j, f, base + k, _match(new[j], f, new[k], g))
-    return out
+            (j, g, h), (t2, p) = held[0], glued
+            i = _COMPOSE[p][_INVERSE[h]]  # new[j]'s labels -> t2's
+            f2 = ORDERED_S4[p][f]
+            if t2 in old:  # set from both sides
+                k, _, h2 = _faces(old[t2], new)[f2][0]
+                rows[j][g] = (base + k, _COMPOSE[h2][i])
+            else:
+                rows[j][g] = (t2, i)
+                journal.append((glue[t2], f2, glue[t2][f2]))
+                glue[t2][f2] = (base + j, _INVERSE[i])
+    for t in old:
+        journal.append((glue, t, glue[t]))
+        glue[t] = None
+    glue += rows
+    return journal
+
+
+def _moved(tri: Triangulation, old: dict[int, tuple], new: tuple[tuple, ...]) -> Triangulation:
+    """A new triangulation: tri with the tetrahedra of `old` swapped for `new`."""
+    glue = [list(row) for row in tri._glue]
+    _retriangulate(glue, old, new)
+    return Triangulation._compacted(glue)
 
 
 def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
@@ -106,51 +122,54 @@ def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
         raise ValueError("2-3 move needs the face glued between two distinct tetrahedra")
     c = [v for v in range(4) if v != f0]
     old = {t0: IDENTITY, t1: tuple(4 if v == f0 else v for v in invert(glu))}
-    return _retriangulate(tri, old, [(f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)])
+    return _moved(tri, old, tuple((f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)))
 
 
-def _walk(tri: Triangulation, cls: EdgeClass) -> tuple[list[tuple[int, tuple]], str | None]:
-    """The walk once around cls, as (fan, None), or as ([], why it fails).
+def _fails(walk: tuple[list[int], str | None]) -> str | None:
+    """Why the class of a (states, why) of _walk_classes admits no move of its
+    degree n, or None: unless its n tetrahedra are distinct, and where its
+    walk meets a boundary face or does not come back to its start."""
+    states, why = walk
+    if len({x // 24 for x in states}) != len(states):
+        move = "3-2 move needs three" if len(states) == 3 else "4-4 move needs four"
+        return f"{move} distinct tetrahedra around the edge"
+    return why
 
-    The k-th tetrahedron names the ends of the edge U and V and its other
-    vertices k and k + 1 (modulo the degree n), and the walk leaves it
-    through face U V k+1 into the next: it is the k-th state (a, b, f, g)
-    of the class's walk from _walk_edges, stored as 24t + s, with a named
-    U, b V, f k and g k + 1.  It fails unless the n tetrahedra are
-    distinct, and where that walk meets a boundary face or does not come
-    back to its start.
-    """
-    n = cls.degree
-    if len({t for t, _ in cls.embeddings}) != n:
-        move = "3-2 move needs three" if n == 3 else "4-4 move needs four"
-        return [], f"{move} distinct tetrahedra around the edge"
-    walk = _labels(tri, "walks")[cls.index]
-    if isinstance(walk, str):
-        return [], walk
-    return [(t, tuple((U, V, k, (k + 1) % n)[i] for i in invert(ORDERED_S4[s])))
-            for k, (t, s) in enumerate(divmod(x, 24) for x in walk)], None
+
+# _SYMBOLS[n - 3][k][s]: in state s = (a, b, f, g) of the walk around a
+# class of degree n, its k-th tetrahedron names the ends of the edge U and
+# V and its other vertices k and k + 1 (modulo n), and leaves through face
+# U V k+1 into the next: a is named U, b V, f k and g k + 1.
+_SYMBOLS = tuple(tuple(tuple(tuple((U, V, k, (k + 1) % n)[i] for i in invert(p)) for p in ORDERED_S4)
+                       for k in range(n)) for n in (3, 4))
+
+
+def _fan(states: list[int]) -> list[tuple[int, tuple]]:
+    """(tetrahedron, symbols) around a class of degree 3 or 4 that admits its move."""
+    return [(x // 24, _SYMBOLS[len(states) - 3][k][x % 24]) for k, x in enumerate(states)]
 
 
 def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
-    """The _walk around a degree-n edge class; ValueError unless it closes."""
-    classes = edge_classes(tri).classes
-    if edge_class not in range(len(classes)):
+    """The _fan around a degree-n edge class; ValueError unless it admits the move."""
+    walks = _labels(tri, "walks")
+    if edge_class not in range(len(walks)):
         raise ValueError(f"no edge class {edge_class}")
-    cls = classes[edge_class]
-    if cls.degree != n:
-        raise ValueError(f"edge class {edge_class} has degree {cls.degree}, need {n}")
-    fan, why = _walk(tri, cls)
+    degree = len(walks[edge_class][0])
+    if degree != n:
+        raise ValueError(f"edge class {edge_class} has degree {degree}, need {n}")
+    why = _fails(walks[edge_class])
     if why:
         raise ValueError(why)
-    return fan
+    return _fan(walks[edge_class][0])
+
+
+# The new tetrahedra of the 3-2 move on the symbols of _edge_fan.
+_PAIR = ((0, 1, 2, U), (0, 1, 2, V))
 
 
 def pachner_32(tri: Triangulation, edge_class: int) -> Triangulation:
-    """3-2 move along a degree-3 edge class with three distinct tetrahedra.
-
-    On the symbols of _edge_fan the new tetrahedra are (0, 1, 2, U) and (0, 1, 2, V).
-    """
-    return _retriangulate(tri, dict(_edge_fan(tri, edge_class, 3)), [(0, 1, 2, U), (0, 1, 2, V)])
+    """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
+    return _moved(tri, dict(_edge_fan(tri, edge_class, 3)), _PAIR)
 
 
 # The new tetrahedra of the 4-4 move on the octahedron of _edge_fan's
@@ -171,7 +190,7 @@ def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
     """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    return _retriangulate(tri, dict(_edge_fan(tri, edge_class, 4)), _OCTAHEDRA[axis])
+    return _moved(tri, dict(_edge_fan(tri, edge_class, 4)), _OCTAHEDRA[axis])
 
 
 def _degree_changes(new: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -214,27 +233,108 @@ class SimplificationTrace:
         )
 
 
-def _applicable_32(tri: Triangulation) -> int | None:
-    """Smallest edge class admitting a 3-2 move, if any."""
-    return next((cls.index for cls in edge_classes(tri).classes
-                 if cls.degree == 3 and _walk(tri, cls)[1] is None), None)
+class _Table:
+    """simplify's working triangulation: gluing rows, None where a move
+    removed a tetrahedron; per cell 6t + e the number of its edge class;
+    per class number its (states, why) of _walk_classes; and in movable[n],
+    sorted as (smallest cell, number), the classes of degree n = 3, 4 that
+    admit their move.
+
+    Until the first move it reads the triangulation's own rows and edge
+    walk; own() copies them.  A move numbers the classes it walks on from
+    len(walks), and the numbers of those it drops fall out of use.  Holes
+    and appended tetrahedra order the cells as compaction numbers them, so
+    a class's index is the rank of its smallest cell among those of the
+    live classes, kept sorted in keys.
+    """
+
+    def __init__(self, tri: Triangulation):
+        self.glue = tri._glue
+        self.label = _labels(tri, "edge")[0]
+        self.walks = _labels(tri, "walks")
+        self.keys: list[int] | None = None
+        self.movable: dict[int, list[tuple[int, int]]] = {3: [], 4: []}
+        self.file(range(len(self.walks)))
+
+    def file(self, classes) -> None:
+        """Add each of these classes that admits its move to movable."""
+        for c in classes:
+            if len(self.walks[c][0]) in self.movable and _fails(self.walks[c]) is None:
+                insort(self.movable[len(self.walks[c][0])], (self.first(c), c))
+
+    def first(self, c: int) -> int:
+        """The smallest cell of class c: where its walk starts."""
+        x = self.walks[c][0][0]
+        return 6 * (x // 24) + _STATE[x % 24][1]
+
+    def rank(self, c: int) -> int:
+        """The index of class c in the compacted triangulation."""
+        return c if self.keys is None else bisect_left(self.keys, self.first(c))
+
+    def own(self) -> None:
+        """Copy the triangulation's rows, labels and walks, unless done."""
+        if self.keys is None:
+            self.glue = [list(row) for row in self.glue]
+            self.label = self.label[:]
+            self.walks = self.walks[:]
+            self.keys = [self.first(c) for c in range(len(self.walks))]
+
+    def move(self, fan: list[tuple[int, tuple]], new: tuple[tuple, ...], keep=lambda walks: True) -> bool:
+        """Retriangulate the ball around `fan` by `new`, and walk again each
+        class with a cell in the new tetrahedra: every edge of the ball but
+        the central one.  Unless keep(the walks of those classes), undo it
+        from the journal of the entries it overwrote.  Whether it is kept."""
+        self.own()
+        old = dict(fan)
+        label, walks = self.label, self.walks
+        dropped = {label[6 * t + e] for t in old for e in range(6)}
+        base, count = len(self.glue), len(walks)
+        journal = _retriangulate(self.glue, old, new)
+        cells = [6 * (x // 24) + _STATE[x % 24][1] for c in dropped for x in walks[c][0]]
+        journal += [(label, c, label[c]) for c in cells]
+        # Undone first: cut what was appended.
+        journal += [(held, slice(n, None), []) for held, n in ((self.glue, base), (label, 6 * base), (walks, count))]
+        for c in cells:
+            label[c] = -1
+        label += [-1] * (6 * len(new))
+        # In increasing order, as _walk_edges meets them: each class from its smallest cell.
+        fresh = sorted(c for c in cells if c // 6 not in old) + list(range(6 * base, len(label)))
+        _walk_classes(self.glue, label, fresh, [], walks)
+        if not keep(walks[count:]):
+            for held, i, value in reversed(journal):
+                held[i] = value
+            return False
+        for c in dropped:
+            first = self.first(c)
+            del self.keys[bisect_left(self.keys, first)]
+            for held in self.movable.values():
+                i = bisect_left(held, (first, c))
+                if i < len(held) and held[i] == (first, c):
+                    del held[i]
+        for c in range(count, len(walks)):
+            insort(self.keys, self.first(c))
+        self.file(range(count, len(walks)))
+        return True
 
 
-def _degrees_after_44(tri: Triangulation, fan: list[tuple[int, tuple]], axis: int) -> dict[int, int]:
-    """Degree after the 4-4 move on `fan`, the _walk of a degree-4 class, of
+def _degrees_after_44(table: _Table, fan: list[tuple[int, tuple]], axis: int) -> dict[int, int]:
+    """Degree after the 4-4 move on `fan`, the _fan of a degree-4 class, of
     each class the octahedron touches.
 
     Changes add up per class, so identified edges count with multiplicity;
     the central class loses all four tetrahedra.
     """
-    label = _labels(tri, "edge")[0]
-    classes = edge_classes(tri).classes
     delta: dict[int, int] = {}
     for k, a, b, change in _DEGREE_CHANGES[axis]:
         t, syms = fan[k]
-        x = label[6 * t + EDGE_INDEX[(syms.index(a), syms.index(b))]]
+        x = table.label[6 * t + EDGE_INDEX[(syms.index(a), syms.index(b))]]
         delta[x] = delta.get(x, 0) + change
-    return {x: classes[x].degree + d for x, d in delta.items()}
+    return {x: len(table.walks[x][0]) + d for x, d in delta.items()}
+
+
+def _exposes_32(walks: list[tuple[list[int], str | None]]) -> bool:
+    """Whether one of these walks is of a class that admits a 3-2 move."""
+    return any(len(walk[0]) == 3 and _fails(walk) is None for walk in walks)
 
 
 def simplify(tri: Triangulation) -> SimplificationTrace:
@@ -244,32 +344,34 @@ def simplify(tri: Triangulation) -> SimplificationTrace:
     every degree-4 edge with four distinct tetrahedra is tried with both
     axes; the first 4-4 move whose result admits a 3-2 move is kept.  The
     trace ends when neither kind of step applies; the tetrahedron count
-    never increases.  A 4-4 trial is built only if _degrees_after_44 leaves
+    never increases.  A 4-4 trial is made only if _degrees_after_44 leaves
     a class at degree 3: the other classes keep their tetrahedra, and in
-    this phase none of them admits a 3-2 move.
+    this phase none of them admits a 3-2 move.  So a trial is checked on
+    the classes it walked, and one that exposes no 3-2 move is undone.
     """
+    table = _Table(tri)
     moves: list[MoveRecord] = []
-    current = tri
+    tets = tri.tet_count
     while True:
-        target = _applicable_32(current)
-        if target is not None:
-            current = pachner_32(current, target)
-            moves.append(MoveRecord("3-2", target, None, current.tet_count))
+        if table.movable[3]:
+            c = table.movable[3][0][1]
+            target = table.rank(c)
+            table.move(_fan(table.walks[c][0]), _PAIR)
+            tets -= 1
+            moves.append(MoveRecord("3-2", target, None, tets))
             continue
         trials = (
-            (cls.index, axis)
-            for cls in edge_classes(current).classes
-            if cls.degree == 4
-            for fan, why in (_walk(current, cls),)
-            if why is None
+            (c, fan, axis)
+            for _, c in table.movable[4]
+            for fan in (_fan(table.walks[c][0]),)
             for axis in (0, 1)
-            if 3 in _degrees_after_44(current, fan, axis).values()
+            if 3 in _degrees_after_44(table, fan, axis).values()
         )
-        for target, axis in trials:
-            candidate = move_44(current, target, axis)
-            if _applicable_32(candidate) is not None:
-                moves.append(MoveRecord("4-4", target, axis, candidate.tet_count))
-                current = candidate
+        for c, fan, axis in trials:
+            target = table.rank(c)
+            if table.move(fan, _OCTAHEDRA[axis], _exposes_32):
+                moves.append(MoveRecord("4-4", target, axis, tets))
                 break
         else:
-            return SimplificationTrace(moves, current, tri.tet_count)
+            final = Triangulation._compacted(table.glue) if moves else tri
+            return SimplificationTrace(moves, final, tri.tet_count)

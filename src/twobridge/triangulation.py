@@ -21,7 +21,8 @@ pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
 Vertex classes (cusps) are found by a search over the gluings
 (_closure); edge classes, the ends of each edge that become link
 vertices, and the fan of tetrahedra around each edge that the moves read,
-by one oriented walk around each edge (_walk_edges).  Each runs once per
+by one oriented walk around each edge (_walk_edges, by _walk_classes,
+which simplify reruns on the classes a move touches).  Each runs once per
 triangulation: a Triangulation keeps the classes found until glue, its only
 mutator, clears them, and hands them out read-only.  No search finds
 components: the isosig labelling reaches exactly the component of its
@@ -112,6 +113,14 @@ class Triangulation:
         self._glue[t][f] = (t2, i)
         self._glue[t2][f2] = (t, _INVERSE[i])
         self._classes.clear()
+
+    @classmethod
+    def _compacted(cls, glue: list) -> Triangulation:
+        """The triangulation of rows stored as in _glue, None rows (holes) left out."""
+        index = {t: i for i, t in enumerate(t for t, row in enumerate(glue) if row is not None)}
+        out = cls(len(index))
+        out._glue = [[None if g is None else (index[g[0]], g[1]) for g in glue[t]] for t in index]
+        return out
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm] | None:
         g = self._glue[t][f]
@@ -243,45 +252,51 @@ _NEXT = tuple(tuple(ORDERED_S4_INDEX[(p[a], p[b], p[g], p[f])] for p in ORDERED_
 _START = tuple(tuple(s for s, p in enumerate(ORDERED_S4) if p[:2] == ab) for ab in EDGE_VERTS)
 
 
-def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], list]:
-    """((label, count), ends, walks): edge e of tetrahedron t in class
-    label[6t + e], numbered by smallest member; 4t + v for each link vertex
-    at vertex v; per class, the states 24t + s of the walk from its smallest
-    member by _START[e][0], in order, or why it does not come back there.
+def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: list) -> None:
+    """Walk each class from its first cell x = 6t + e in `cells` that is
+    not labelled, by _START[e][0], labelling it len(walks); none of its
+    cells may be labelled.  Appends its link vertices 4t + v to ends, and
+    (states, why) to walks: the states 24t + s walked, one per cell and
+    x's first, and None if the walk came back to its start, else why not.
 
     Each edge lies in two facets, so a class is a cycle, or a path that the
     walk finishes from its start the other way.  Stopping at the first cell
     labelled, it reads one gluing per cell of a closed triangulation and ends
     on any table.  A class back at its start reversed has one link vertex.
     """
-    glue = tri._glue
-    label = [-1] * (6 * tri.tet_count)
-    ends: list[int] = []
-    walks: list[list[int] | str] = []
-    count = 0
-    for x in range(len(label)):
+    for x in cells:
         if label[x] >= 0:
             continue
-        label[x] = count
+        key = label[x] = len(walks)
         t0, e = divmod(x, 6)
         y = -1
+        walk = [24 * t0 + _START[e][0]]
         for start in _START[e]:
-            t, s, walk = t0, start, [24 * t0 + start]
+            t, s = t0, start
             while (g := glue[t][_STATE[s][0]]) is not None:
                 t, s = g[0], _NEXT[s][g[1]]
                 y = 6 * t + _STATE[s][1]
                 if label[y] >= 0:
                     break
-                label[y] = count
+                label[y] = key
                 walk.append(24 * t + s)
             if g is not None:  # else an unglued facet: walk the other way from the start
                 break
         a, b = EDGE_VERTS[e]
         ends += (4 * t0 + a,) if y == x and _STATE[s][2] == b else (4 * t0 + a, 4 * t0 + b)
-        walks.append("edge has a boundary face; cannot walk around it" if start != _START[e][0]
-                     else walk if s == start and t == t0 else "edge walk failed to close")
-        count += 1
-    return (label, count), ends, walks
+        walks.append((walk, "edge has a boundary face; cannot walk around it" if start != _START[e][0]
+                      else None if s == start and t == t0 else "edge walk failed to close"))
+
+
+def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], list]:
+    """((label, count), ends, walks): edge e of tetrahedron t in class
+    label[6t + e], numbered by smallest member; 4t + v for each link vertex
+    at vertex v; per class, the (states, why) of _walk_classes."""
+    label = [-1] * (6 * tri.tet_count)
+    ends: list[int] = []
+    walks: list[tuple[list[int], str | None]] = []
+    _walk_classes(tri._glue, label, range(len(label)), ends, walks)
+    return (label, len(walks)), ends, walks
 
 
 def _labels(tri: Triangulation, kind: str):

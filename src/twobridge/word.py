@@ -134,7 +134,11 @@ def inner_word(w: Word) -> Word:
             del syllables[end]
         else:
             syllables[end] = (letter, exp - 1)
-    return Word(tuple(syllables))
+    inner = object.__new__(Word)  # unchecked: stripping end letters keeps every invariant
+    object.__setattr__(inner, "syllables", tuple(syllables))
+    object.__setattr__(inner, "exponents", tuple([e for _, e in syllables]))
+    object.__setattr__(inner, "ell", w.ell - 2)
+    return inner
 
 
 def enumerate_words(

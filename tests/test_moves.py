@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingRow, link_corners, random_gluing, triangle_pairs
+from conftest import CountingRow, all_normalized_words, link_corners, random_gluing, triangle_pairs
 from twobridge import moves
+from twobridge.angles import theorem_family
 from twobridge.isosig import encode_isosig
 from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify
 from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
@@ -337,17 +338,42 @@ def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
                 if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
                     continue
                 for axis in (0, 1):
-                    after = _degrees_after_44(state, moves._edge_fan(state, cls.index, 4), axis)
+                    after = _degrees_after_44(moves._Table(state), moves._edge_fan(state, cls.index, 4), axis)
                     assert after[cls.index] == 0, name
                     predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
                     moved = moves.move_44(state, cls.index, axis)
                     rebuilt = edge_classes(moved)
                     assert sorted(predicted) == sorted(rebuilt.degrees()), (name, cls.index, axis)
-                    if moves._applicable_32(moved) is not None:
+                    if moves._Table(moved).movable[3]:
                         assert 3 in after.values(), (name, cls.index, axis)
                         exposing += 1
                     checked += 1
     assert checked > 3000 and exposing > 1000
+
+
+def test_simplify_digest_over_ell10(words_ell10):
+    # Trace JSON and final gluings of every normalised word with at most
+    # 10 letters, as simplify gave them when each move rebuilt the whole
+    # triangulation: 3711 moves.
+    digest = hashlib.sha256()
+    moved = 0
+    for w in words_ell10:
+        trace = simplify(build_sakuma_weeks(w))
+        moved += len(trace.moves)
+        digest.update(f"{trace.to_json()} {trace.final.to_json()}\n".encode())
+    assert len(words_ell10) == 1013 and moved == 3711
+    assert digest.hexdigest() == "02abe5667706044629c7abb57709e9506054598ccdd1bd668f9d5d8c1fcb48bc"
+
+
+def test_simplify_never_shrinks_the_family():
+    # The paper's family admits no simplifying move: simplify leaves each of
+    # the 231 theorem-family words with at most 12 letters as built, in line
+    # with the paper's minimality claim for it.
+    family = [w for w in all_normalized_words(12) if theorem_family(w)]
+    assert len(family) == 231
+    for w in family:
+        tri = build_sakuma_weeks(w)
+        assert simplify(tri).final is tri, str(w)
 
 
 def test_simplify_digest_over_ell8(words_ell8):
@@ -370,13 +396,72 @@ def test_simplify_builds_no_trial_on_long_word(monkeypatch):
     # No trial 4-4 move gets past the degree screen.
     tri = long_word_triangulation()
     calls = []
-    core = moves.move_44
-    monkeypatch.setattr(moves, "move_44", lambda *args: calls.append(args[1:]) or core(*args))
+    core = moves._retriangulate
+    monkeypatch.setattr(moves, "_retriangulate", lambda glue, old, new: calls.append(new) or core(glue, old, new))
     trace = simplify(tri)
     assert tri.tet_count == 242 and trace.moves == [] and calls == []
-    # RL^3R: the one trial built is the 4-4 move kept.
+    # RL^3R: the one trial made is the 4-4 move kept, then the 3-2 move it exposes.
     trace = simplify(build_sakuma_weeks(parse_word("RL^3R")))
-    assert calls == [(trace.moves[0].target, trace.moves[0].axis)]
+    assert [m.kind for m in trace.moves] == ["4-4", "3-2"]
+    assert calls == [moves._OCTAHEDRA[trace.moves[0].axis], moves._PAIR]
+
+
+class CountingRows(list):
+    """simplify's gluing rows, counting each row read or written."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.count = 0
+
+    def __getitem__(self, t):
+        self.count += 1
+        return super().__getitem__(t)
+
+    def __setitem__(self, t, row):
+        self.count += 1
+        super().__setitem__(t, row)
+
+    def __iter__(self):
+        self.count += len(self)
+        return super().__iter__()
+
+
+def test_simplify_work_per_move_does_not_grow(monkeypatch):
+    # On R (L^3 R^3)^k L, half the moves 4-4 and half 3-2, no move reads or
+    # writes more gluing rows, or takes more walk steps, at k = 10 than at
+    # k = 5: each move walks again only the classes around it.  The rows
+    # are counted from the copy that the first move makes.
+    own, move, walk = moves._Table.own, moves._Table.move, moves._walk_classes
+
+    def counting_own(table):
+        own(table)
+        if not isinstance(table.glue, CountingRows):
+            table.glue = CountingRows(table.glue)
+
+    def count(table):
+        return len(steps) + (table.glue.count if isinstance(table.glue, CountingRows) else 0)
+
+    def counting_move(table, *args):
+        before = count(table)
+        kept = move(table, *args)
+        work.append(count(table) - before)
+        return kept
+
+    def counting_walk(glue, label, cells, ends, walks):
+        before = len(walks)
+        walk(glue, label, cells, ends, walks)
+        steps.extend(x for states, _ in walks[before:] for x in states)
+
+    monkeypatch.setattr(moves._Table, "own", counting_own)
+    monkeypatch.setattr(moves._Table, "move", counting_move)
+    monkeypatch.setattr(moves, "_walk_classes", counting_walk)
+    most = []
+    for k in (5, 10):
+        work, steps = [], []
+        trace = simplify(build_sakuma_weeks(Word((("R", 1),) + (("L", 3), ("R", 3)) * k + (("L", 1),))))
+        assert len(trace.moves) == len(work) == 4 * k and sum(m.kind == "4-4" for m in trace.moves) == 2 * k
+        most.append(max(work))
+    assert most[1] <= most[0]
 
 
 def test_simplify_reads_each_gluing_once_on_long_word():

@@ -406,15 +406,16 @@ def test_only_triangulation_methods_assign_into_glue():
     assert offenders == []
 
 
-def test_only_triangulation_and_encode_isosig_read_glue():
+def test_only_triangulation_encode_isosig_and_the_moves_read_glue():
     # The stored gluings hold ORDERED_S4 indices; every other reader goes
-    # through Triangulation.gluing, which returns the permutation tuple.
+    # through Triangulation.gluing, which returns the permutation tuple,
+    # but for the moves, which copy the rows and retriangulate them in place.
     readers = set()
     for path in sorted(Path(twobridge.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if any(isinstance(x, ast.Attribute) and x.attr == "_glue" for x in ast.walk(top)):
                 readers.add(path.name if path.name == "triangulation.py" else f"{path.name}:{getattr(top, 'name', top.lineno)}")
-    assert readers == {"triangulation.py", "isosig.py:encode_isosig"}
+    assert readers == {"triangulation.py", "isosig.py:encode_isosig", "moves.py:_moved", "moves.py:_Table"}
 
 
 def test_no_self_face_gluings(words_ell8):

@@ -8,10 +8,13 @@ product with r .. r^8, summed by Horner's rule in r^8.  A seed starts from
 its layers' integer angles in units of pi/24.  A Newton step eliminates
 one angle per tetrahedron and solves the banded Schur complement of the
 edge equations, after dropping the one dependent edge equation per cusp,
-by LAPACK's band Cholesky.  The equations are one integer table of the
-rows each angle appears in, so scipy.optimize, and scipy.sparse with it,
-load only for the linear program that decides input where an unseeded
-loop does not end at a converged interior point.
+by LAPACK's band Cholesky.  At census sizes a numpy call costs more than
+its arithmetic, so an iteration makes few: one band factorisation, two
+band solves for the step and one for |Pg|, V only on the plane.  The
+equations are one integer table of the rows each angle appears in, so
+scipy.optimize, and scipy.sparse with it, load only for the linear
+program that decides input where an unseeded loop does not end at a
+converged interior point.
 """
 
 from __future__ import annotations
@@ -31,19 +34,19 @@ _SERIES = np.array([z / (m * (2 * m + 1)) for m, z in enumerate(_ZETA_EVEN, star
 
 def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     """lobachevsky of every entry of a 1-d array, by the same series."""
-    t = theta - math.pi * np.round(theta / math.pi)
+    t = theta - math.pi * (theta / math.pi).round()
     a = np.abs(t)
-    nonzero = a > 0.0
-    a_safe = np.where(nonzero, a, 1.0)
+    masked = not a.min(initial=1.0) > 0.0  # masks only where some t is 0 (or NaN)
+    a_safe = np.where(a > 0.0, a, 1.0) if masked else a
     powers = np.empty((8, len(a)))  # r^(m + 1) in row m
     powers[0] = (a_safe / math.pi) ** 2
     for m in (1, 2, 4):  # r^(m + 1) .. r^(2m) from r .. r^m
-        powers[m : 2 * m] = powers[:m] * powers[m - 1]
-    series = 0.0
-    for block in (_SERIES @ powers)[::-1]:  # Horner's rule in r^8
+        np.multiply(powers[:m], powers[m - 1], out=powers[m : 2 * m])
+    *blocks, series = _SERIES @ powers
+    for block in reversed(blocks):  # Horner's rule in r^8
         series = series * powers[7] + block
-    value = a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * series
-    return np.where(nonzero, np.copysign(value, t), 0.0)
+    value = np.copysign(a_safe - a_safe * np.log(2.0 * a_safe) + a_safe * series, t)
+    return np.where(a > 0.0, value, 0.0) if masked else value
 
 
 def _constraint_system(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
@@ -59,9 +62,10 @@ def _constraint_system(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     n = tri.tet_count
     label, count = _labels(tri, "edge")  # class of edge e of tetrahedron t at 6t + e
     edge_row = n + np.array(label, dtype=np.int64).reshape(n, 6)
-    rows = np.stack([np.repeat(np.arange(n), 3), edge_row[:, :3].ravel(), edge_row[:, :2:-1].ravel()], axis=1)
+    rows = np.empty((n, 3, 3), dtype=np.int64)  # rows[t, p] is rows[3t + p]
+    rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = np.arange(n)[:, None], edge_row[:, :3], edge_row[:, :2:-1]
     b = np.concatenate([np.full(n, math.pi), np.full(count, 2.0 * math.pi)])
-    return rows, b
+    return rows.reshape(3 * n, 3), b
 
 
 def _independent_rows(tri: Triangulation) -> np.ndarray:
@@ -90,7 +94,10 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
         for v in EDGE_VERTS[e]:
             column[vertex[4 * t + v]] += 1
         for p, pivot in pivots:
-            column = [pivot[p] * a - column[p] * b for a, b in zip(column, pivot)]
+            if column[p]:  # the gcd keeps the integers small; columns only scale, so zeros stay
+                column = [pivot[p] * a - column[p] * b for a, b in zip(column, pivot)]
+                g = math.gcd(*column) or 1
+                column = [a // g for a in column]
         p = next((v for v, a in enumerate(column) if a), None)
         if p is not None:
             pivots.append((p, column))
@@ -142,11 +149,12 @@ _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 # entry (i, j) minus the third.  Row k holds the coefficients of h_k.
 _ADJ = np.array([[[float(k != i) if i == j else -float(k not in (i, j)) for j in range(3)] for i in range(3)]
                  for k in range(3)]).reshape(3, 9)
+_BLOCK_OF = np.arange(6)[:, None] // 2 * 3 + np.arange(6) // 2  # 3(e // 2) + f // 2 holds end pair (e, f)
 
 
 def _pair_blocks(h: np.ndarray) -> np.ndarray:
     """N G^-1 N^T of each tetrahedron, over its pairs, as (tets, 3, 3)."""
-    h1, h2, h3 = h.reshape(-1, 3).T
+    h1, h2, h3 = h[0::3], h[1::3], h[2::3]
     return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 3, 3)
 
 
@@ -166,17 +174,18 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     # Each of the pair's two edge ends gets its kept edge row or -1.
     row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[rows[:, 1:]].reshape(tets, 6)
     at, var = row[row >= 0], np.flatnonzero(row >= 0) // 2  # S row and angle of each kept end
+    edge = np.flatnonzero(keep)[tets:]  # the kept edge rows; every tetrahedron row is kept
     i, j = row[:, :, None], row[:, None, :]
-    # The end pairs (e, f) of tetrahedron t in the lower band, at 36t + 6e + f, their
-    # places in it, and their entries 9t + 3(e // 2) + f // 2 of the pair blocks.
-    lower = np.flatnonzero((j >= 0) & (i >= j))
-    band_at = ((i - j) * k + j).take(lower)
+    # The end pairs (e, f) of each tetrahedron t in the lower band, their places
+    # in it, and their entries 9t + _BLOCK_OF[e, f] of the pair blocks.
+    lower = (j >= 0) & (i >= j)
+    band_at = ((i - j) * k + j)[lower]
     width = int(band_at.max(initial=0)) // max(k, 1)  # band_at is (i - j) k + j, 0 <= j < k
-    block_at = lower // 36 * 9 + lower // 12 % 3 * 3 + lower % 6 // 2
+    block_at = (np.arange(0, 9 * tets, 9)[:, None, None] + _BLOCK_OF)[lower]
 
     def factor(h):
         blocks = _pair_blocks(h)
-        inverse = blocks[:, :2, :2]  # G^-1, the top left block, as N's top rows are the identity
+        inverse = np.ascontiguousarray(blocks[:, :2, :2])  # G^-1, the top left block, as N's top rows are the identity
         band = np.bincount(band_at, -blocks.take(block_at), (width + 1) * k).reshape(width + 1, k)
         cholesky, info = dpbtrf(band, lower=1)
         pivots = cholesky[0] ** 2
@@ -186,22 +195,23 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
         def reduced(v):  # G^-1 N^T v; N^T first, as G^-1 is large at a flat tetrahedron
             return np.einsum("tij,tj->ti", inverse, v.reshape(tets, 3) @ _REDUCE)
 
-        def solve(ascent, residual, refine=True):
-            offset = np.zeros(n)
-            offset[2::3] = -residual[:tets]
-            edge_rows = -residual[keep][tets:]
+        def solve(ascent, residual=None, refine=True):  # residual None: x is on the plane
+            minus, offset, edge_rows = -ascent, 0.0, 0.0
+            if residual is not None:
+                offset, edge_rows = np.zeros(n), -residual.take(edge)
+                offset[2::3] = -residual[:tets]
 
             def step():  # d = N z + offset: the tetrahedron rows hold exactly
                 return (z @ _REDUCE.T).ravel() + offset
 
             def correct():  # the multiplier step that puts the kept edge rows right, and z after it
-                delta = dpbtrs(cholesky, edge_rows - np.bincount(at, step()[var], k), lower=1)[0]
-                return delta, z - reduced(np.bincount(var, delta[at], n))
+                delta = dpbtrs(cholesky, edge_rows - np.bincount(at, step().take(var), k), lower=1)[0]
+                return delta, z - reduced(np.bincount(var, delta.take(at), n))
 
-            z = reduced(-ascent - h * offset)  # solve from z = 0 and lambda = 0
+            z = reduced(minus if residual is None else minus - h * offset)  # solve from z = 0 and lambda = 0
             lam, z = correct()
             if refine:  # then refine once, on the stationarity and the edge rows
-                z = z + reduced(-ascent - h * step() - np.bincount(var, lam[at], n))
+                z = z + reduced(minus - h * step() - np.bincount(var, lam.take(at), n))
                 z = correct()[1]
             return step()
 
@@ -213,15 +223,15 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
 def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
     """The body of volume.maximize_volume, on checked arguments."""
     rows, b = _constraint_system(tri)
-    n = len(rows)
+    n, flat = len(rows), rows.ravel()
 
     def residual_at(v):  # A v - b
-        return np.bincount(rows.ravel(), np.repeat(v, 3), len(b)) - b
+        return np.bincount(flat, v.repeat(3), len(b)) - b
 
     if seed is not None:
         expand_to_tetrahedra(seed, tri)  # for its checks: tri has layer metadata, one layer per two tetrahedra
         x = (np.array([la.units for la in seed.layers]) / 24 * math.pi).take(tri.layer_of, axis=0).ravel()
-        if np.max(np.abs(residual_at(x))) > 1e-9 or x.min() <= 0:
+        if abs(residual_at(x)).max() > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
     else:
         x = np.full(n, math.pi / 3)
@@ -233,15 +243,16 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
 
     def value(v):
-        return float(np.sum(_lobachevsky_array(v)))
+        return float(_lobachevsky_array(v).sum())
 
     def grad(v):
         return -np.log(np.abs(2.0 * np.sin(v)))
 
     def gradient_norm(v):  # |Pv|; G^-1 is bounded at h = -1, so no refinement
-        return float(np.linalg.norm(projector(v, np.zeros(len(b)), refine=False)))
+        p = projector(v, refine=False)
+        return math.sqrt(p @ p)
 
-    fx = value(x)
+    fx = logs = None  # V and the barrier's sum(log x) at x, computed on the plane only
     g, gnorm = grad(x), None  # gnorm: |Pg| at x once computed
     residual = residual_at(x)
     mu = _BARRIER / _BARRIER_FALL
@@ -249,13 +260,17 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     for it in range(1, max_iters + 1):
         # Off the plane Pg says nothing about the maximum (at x = pi/3 it
         # is 0), so the barrier, the stopping test and Pg wait for the plane.
-        on_plane = float(np.max(np.abs(residual))) <= _ON_PLANE
+        on_plane = abs(residual).max() <= _ON_PLANE
         if on_plane:
             gnorm = gradient_norm(g)
             if gnorm <= tolerance:
                 break
             mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
-        elif x.min() < _WALL or float(np.max(np.abs(residual[keep]))) <= _ON_PLANE:
+            if fx is None:
+                fx, logs = value(x), float(np.log(x).sum())
+            f0 = fx + mu * logs
+            noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
+        elif x.min() < _WALL or abs(residual[keep]).max() <= _ON_PLANE:
             # On the walls, or off only on dropped rows, which no step corrects.
             break
         # Newton step on V + mu sum(log x); the second derivative of L is -cot.
@@ -263,27 +278,25 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
         # Where S is not positive definite, the step with h = -1.
         direction = (factor(-1.0 / np.tan(x) - mu / (x * x)) or projector)(ascent, residual)
         shrinking = direction < 0
-        alpha = 1.0
-        if shrinking.any():
-            alpha = min(1.0, _TO_BOUNDARY * float(np.min(x[shrinking] / -direction[shrinking])))
-        f0 = fx + mu * float(np.sum(np.log(x)))
-        noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
+        alpha = min(1.0, _TO_BOUNDARY * float((x[shrinking] / -direction[shrinking]).min(initial=np.inf)))
         for _ in range(60):
             x_new = x + alpha * direction
-            f_new = value(x_new)
-            # Off the plane a step is progress on the residual, not on V.
-            if not on_plane or f_new + mu * float(np.sum(np.log(x_new))) > f0 - noise:
+            if not on_plane:  # off the plane a step is progress on the residual, not on V
+                f_new = logs_new = None
+                break
+            f_new, logs_new = value(x_new), float(np.log(x_new).sum())
+            if f_new + mu * logs_new > f0 - noise:
                 break
             alpha *= 0.5
         else:
             break
-        x, fx = x_new, f_new
+        x, fx, logs = x_new, f_new, logs_new
         g, gnorm = grad(x), None
         residual = residual_at(x)
     if gnorm is None:
         gnorm = gradient_norm(g)
-    converged = gnorm <= tolerance and float(np.max(np.abs(residual))) <= _ON_PLANE
-    result = MaximizeResult(x.reshape(-1, 3), fx, gnorm, it, converged)
+    converged = gnorm <= tolerance and float(abs(residual).max()) <= _ON_PLANE
+    result = MaximizeResult(x.reshape(-1, 3), value(x) if fx is None else fx, gnorm, it, converged)
     if seed is None and not result.converged and _interior_point(rows, b) is None:
         raise ValueError("no strict angle structure: constraint system infeasible")
     return result

@@ -136,7 +136,8 @@ def maximize_volume(
     of the edge equations, in time linear in the size, and also corrects
     the residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
     Convex Optimization 10.3): a step of length alpha shrinks it by the
-    factor 1 - alpha.  V sums lobachevsky's series in blocks of 8 powers.
+    factor 1 - alpha.  An iteration makes one band factorisation and at
+    most three band solves; V is summed only where a step needs it.
     A seed is checked to be a strict solution; without one, unless the
     loop ends at a converged interior point, a linear program decides:
     ValueError if no strictly positive solution exists.  Raises

@@ -47,19 +47,23 @@ def random_gluing(n, rng, unglued=0):
 
 
 class UnionFind:
-    """Plain union-find; the root of each set is its smallest member."""
+    """Plain union-find with path halving; the root of each set is its smallest member."""
 
     def __init__(self, size):
         self.parent = list(range(size))
 
     def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
     def union(self, a, b):
         a, b = self.find(a), self.find(b)
-        self.parent[max(a, b)] = min(a, b)
+        if a < b:
+            self.parent[b] = a
+        elif b < a:
+            self.parent[a] = b
 
 
 class CountingRow(list):
@@ -85,6 +89,20 @@ def triangle_pairs(tri):
     return pairs
 
 
+def disjoint_union(*parts):
+    """The disjoint union of the parts, numbered in order."""
+    out = Triangulation(sum(p.tet_count for p in parts))
+    base = 0
+    for part in parts:
+        for t in range(part.tet_count):
+            for f in range(4):
+                g = part.gluing(t, f)
+                if g is not None and out.gluing(base + t, f) is None:
+                    out.glue(base + t, f, base + g[0], g[1])
+        base += part.tet_count
+    return out
+
+
 def triangulation_from_json(text):
     """The triangulation that Triangulation.to_json wrote, glued again entry by entry."""
     doc = json.loads(text)
@@ -96,8 +114,8 @@ def triangulation_from_json(text):
     return tri
 
 
-def union_find_labels(tri, size, cell_pairs):
-    """Class label of every cell size*t + c, numbered by smallest member.
+def union_find(tri, size, cell_pairs):
+    """Union-find over the cells size*t + c of tri.
 
     cell_pairs(f, perm) lists the (cell, image) pairs that a gluing of
     facet f by perm identifies.
@@ -106,34 +124,37 @@ def union_find_labels(tri, size, cell_pairs):
     for t in range(tri.tet_count):
         for f in range(4):
             g = tri.gluing(t, f)
-            if g is not None:
+            if g is not None and (g[0], g[1][f]) >= (t, f):  # each glued pair once, from its smaller end
                 for a, b in cell_pairs(f, g[1]):
                     uf.union(size * t + a, size * g[0] + b)
+    return uf
+
+
+def union_find_labels(tri, size, cell_pairs):
+    """Class label of every cell size*t + c, numbered by smallest member."""
+    uf = union_find(tri, size, cell_pairs)
     number = {}
-    return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))], uf
+    return [number.setdefault(uf.find(x), len(number)) for x in range(len(uf.parent))]
 
 
 def oracle_components(tri):
     """Component label of every tetrahedron: a gluing joins its two tetrahedra."""
-    return union_find_labels(tri, 1, lambda f, perm: [(0, 0)])[0]
+    return union_find_labels(tri, 1, lambda f, perm: [(0, 0)])
 
 
 def is_connected(tri):
     return len(set(oracle_components(tri))) <= 1
 
 
+# The ordered edges vw of a tetrahedron in each facet f.
+FACET_CORNERS = [[(v, w) for v in range(4) for w in range(4) if f not in (v, w) and v != w] for f in range(4)]
+
+
 def link_corners(tri):
     """Union-find over the link corners: corner 16t + 4v + w is the end at
     vertex v of edge vw of tetrahedron t, and a gluing of facet f identifies
     the corners whose edges lie in the facet."""
-
-    def pairs(f, perm):
-        for v in range(4):
-            for w in range(4):
-                if f not in (v, w) and v != w:
-                    yield 4 * v + w, 4 * perm[v] + perm[w]
-
-    return union_find_labels(tri, 16, pairs)[1]
+    return union_find(tri, 16, lambda f, perm: [(4 * v + w, 4 * perm[v] + perm[w]) for v, w in FACET_CORNERS[f]])
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_normalized_words, is_connected, random_gluing
+from conftest import all_normalized_words, disjoint_union, is_connected, random_gluing
 from twobridge import isosig, triangulation
 from twobridge.isosig import ALPHABET, decode_isosig, encode_isosig
 from twobridge.moves import simplify
@@ -139,20 +139,6 @@ def test_edited_golden_signatures_decode_or_raise_value_error():
     assert decoded > 100
 
 
-def side_by_side(*parts):
-    """The disjoint union of the parts, numbered in order."""
-    out = Triangulation(sum(p.tet_count for p in parts))
-    base = 0
-    for part in parts:
-        for t in range(part.tet_count):
-            for f in range(4):
-                g = part.gluing(t, f)
-                if g is not None and out.gluing(base + t, f) is None:
-                    out.glue(base + t, f, base + g[0], g[1])
-        base += part.tet_count
-    return out
-
-
 def test_encode_rejects_disconnected(monkeypatch):
     # The first candidate labels the component of its start and raises:
     # no search for components, vertex or edge classes runs.
@@ -169,11 +155,11 @@ def test_encode_rejects_disconnected(monkeypatch):
     # The smallest first character picks the start: in the figure-eight
     # complex beside the lone tetrahedron, in the lone one beside the folded.
     cases = [
-        (side_by_side(fig8, fig8), {0, 1, 2, 3}),
-        (side_by_side(fig8, lone), {0, 1}),
-        (side_by_side(lone, fig8), {1, 2}),
-        (side_by_side(folded, lone), {1}),
-        (side_by_side(lone, folded), {0}),
+        (disjoint_union(fig8, fig8), {0, 1, 2, 3}),
+        (disjoint_union(fig8, lone), {0, 1}),
+        (disjoint_union(lone, fig8), {1, 2}),
+        (disjoint_union(folded, lone), {1}),
+        (disjoint_union(lone, folded), {0}),
         (Triangulation(2), {0, 1}),
     ]
     for tri, first_starts in cases:

@@ -11,6 +11,7 @@ import twobridge.angles as angles
 import twobridge.triangulation as triangulation
 from conftest import (
     CountingRow,
+    disjoint_union,
     is_connected,
     link_corners,
     oracle_components,
@@ -19,7 +20,7 @@ from conftest import (
     triangulation_from_json,
     union_find_labels,
 )
-from test_isosig import open_copy, side_by_side
+from test_isosig import open_copy
 from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import encode_isosig
 from twobridge.moves import pachner_23, simplify
@@ -147,11 +148,11 @@ def oracle_edge_labels(tri):
         for a, b in combinations([v for v in range(4) if v != f], 2):
             yield EDGE_INDEX[(a, b)], EDGE_INDEX[(perm[a], perm[b])]
 
-    return union_find_labels(tri, 6, pairs)[0]
+    return union_find_labels(tri, 6, pairs)
 
 
 def oracle_vertex_labels(tri):
-    return union_find_labels(tri, 4, lambda f, perm: [(v, perm[v]) for v in range(4) if v != f])[0]
+    return union_find_labels(tri, 4, lambda f, perm: [(v, perm[v]) for v in range(4) if v != f])
 
 
 def oracle_link_eulers(tri):
@@ -230,7 +231,7 @@ def test_components_match_union_find_on_disconnected_gluings():
     # alone; the empty triangulation, and one and two lone tetrahedra.
     rng = random.Random(3)
     parts = [open_copy(build_sakuma_weeks(parse_word(w)), rng) for w in ("RL", "R^2LR", "RLR")]
-    tri = side_by_side(*parts, Triangulation(1))
+    tri = disjoint_union(*parts, Triangulation(1))
     assert oracle_components(tri) == [0] * 2 + [1] * 6 + [2] * 4 + [3]
     for t in (tri, Triangulation(0), Triangulation(1), Triangulation(2)):
         assert_matches_union_find(t)

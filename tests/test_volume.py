@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 import twobridge
-from conftest import SHAPES, all_normalized_words, triangle_pairs
+from conftest import SHAPES, all_normalized_words, disjoint_union, triangle_pairs
 import twobridge._solver as solver
 from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
 from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
@@ -153,6 +154,21 @@ def test_lobachevsky_array_against_mpmath():
         assert one.shape == (1,) and abs(mpmath.mpf(one[0]) + mpmath.clsin(2, mpmath.mpf(0.6)) / 2) <= 4e-16
     assert np.array_equal(_lobachevsky_array(np.arange(-6, 7) * math.pi), np.zeros(13))
     assert _lobachevsky_array(np.empty(0)).shape == (0,)
+
+
+def test_lobachevsky_array_without_zeros_skips_the_masks_to_the_bit():
+    # Input with no entry at a multiple of pi skips the masks for t = 0.
+    # Mixed with zeros, -0.0 and multiples of pi, which take the masked
+    # path, the same entries give the same bits, and the added ones 0.0.
+    rng = np.random.default_rng(23)
+    for size in (1, 72, 200):
+        theta = rng.uniform(-7.0, 7.0, size)
+        mixed = np.concatenate([theta, np.arange(-3, 4) * math.pi, [-0.0]])
+        order = rng.permutation(len(mixed))
+        values = np.empty(len(mixed))
+        values[order] = _lobachevsky_array(mixed[order])
+        assert values[:size].tobytes() == _lobachevsky_array(theta).tobytes()
+        assert values[size:].tobytes() == np.zeros(8).tobytes()
 
 
 def test_all_ones_volume_formula():
@@ -863,6 +879,50 @@ def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
     rows, _ = _constraint_system(tri)
     assert _schur_solver(rows, _independent_rows(tri))(np.full(len(rows), -1.0)) is not None
     assert len(widths) == 1 and widths[0] <= 12
+
+
+def test_solver_work_per_iteration(monkeypatch):
+    # Pinned LAPACK calls: one band factorisation for the projector and one
+    # per Newton step; two band solves per (refined) Newton step and one per
+    # gradient norm, computed on every iteration that starts on the plane.
+    # An unseeded census-size run starts off the plane, a seeded long one on it.
+    calls = {"factor": 0, "solve": 0}
+    real_factor, real_solve = solver.dpbtrf, solver.dpbtrs
+
+    def factor(band, lower):
+        calls["factor"] += 1
+        return real_factor(band, lower=lower)
+
+    def solve(cholesky, rhs, lower):
+        calls["solve"] += 1
+        return real_solve(cholesky, rhs, lower=lower)
+
+    monkeypatch.setattr(solver, "dpbtrf", factor)
+    monkeypatch.setattr(solver, "dpbtrs", solve)
+    w = long_family_word(155, random.Random(155))
+    runs = [(build_sakuma_weeks(parse_word("RL^2RLR^3LRL^2R")), None), (build_sakuma_weeks(w), assign_angles(w))]
+    for (tri, seed), (steps, norms) in zip(runs, [(5, 4), (5, 6)]):
+        calls.update(factor=0, solve=0)
+        res = maximize_volume(tri, seed=seed)
+        assert res.converged and res.iterations == steps + 1
+        assert calls == {"factor": 1 + steps, "solve": 2 * steps + norms}
+
+
+def test_many_cusps_split_by_word():
+    # V and the angle polytope of a disjoint union are products over its
+    # parts, so the maximum is the sum of the parts' maxima; and the cusp
+    # elimination keeps, part by part, the rows it keeps on each alone.
+    # 41 words give 47 cusps: without the gcd, the elimination's integers
+    # doubled in length with each cusp, and this did not end in 30 s.
+    parts = [build_sakuma_weeks(w) for w in all_normalized_words(10)[::25]]
+    union = disjoint_union(*parts)
+    start = time.perf_counter()
+    res = maximize_volume(union)
+    assert time.perf_counter() - start < 1.0 and res.converged
+    assert abs(res.volume - sum(maximize_volume(p).volume for p in parts)) <= 1e-9
+    masks = [(_independent_rows(p), p.tet_count) for p in parts]
+    expected = np.concatenate([m[:n] for m, n in masks] + [m[n:] for m, n in masks])
+    assert np.array_equal(_independent_rows(union), expected)
 
 
 def test_bounds_report_corollary_example():

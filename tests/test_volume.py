@@ -393,6 +393,20 @@ def test_survey_and_bounds_use_the_stdlib_only():
     assert run_fresh(code) == "[0, 0] False"
 
 
+def test_triangulation_commands_use_the_stdlib_only():
+    # The other commands that README says need only the standard library
+    commands = [["blocks", "RL^2R"], ["angles", "RL^2R"], ["edges", "RL^2R"]]
+    commands += [["build", "RL^2R", "--isosig"], ["simplify", "RL^2R", "--isosig"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from twobridge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(args) for args in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(code) == "[0, 0, 0, 0, 0] False"
+
+
 def test_maximize_rejects_empty_triangulation():
     with pytest.raises(ValueError, match="no tetrahedra"):
         maximize_volume(Triangulation(0))

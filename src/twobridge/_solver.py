@@ -149,7 +149,8 @@ _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 # entry (i, j) minus the third.  Row k holds the coefficients of h_k.
 _ADJ = np.array([[[float(k != i) if i == j else -float(k not in (i, j)) for j in range(3)] for i in range(3)]
                  for k in range(3)]).reshape(3, 9)
-_BLOCK_OF = np.arange(6)[:, None] // 2 * 3 + np.arange(6) // 2  # 3(e // 2) + f // 2 holds end pair (e, f)
+_PAIR_E, _PAIR_F = np.divmod(np.arange(36), 6)  # the 36 end pairs (e, f) of a tetrahedron, at 6e + f
+_BLOCK_OF = _PAIR_E // 2 * 3 + _PAIR_F // 2  # the entry 3(e // 2) + f // 2 of the pair block that holds each
 
 
 def _pair_blocks(h: np.ndarray) -> np.ndarray:
@@ -173,15 +174,17 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     tets, k = n // 3, int(keep.sum()) - n // 3
     # Each of the pair's two edge ends gets its kept edge row or -1.
     row = np.where(keep, np.cumsum(keep) - tets - 1, -1)[rows[:, 1:]].reshape(tets, 6)
-    at, var = row[row >= 0], np.flatnonzero(row >= 0) // 2  # S row and angle of each kept end
+    ends = np.flatnonzero(row >= 0)
+    at, var = row.take(ends), ends // 2  # S row and angle of each kept end
     edge = np.flatnonzero(keep)[tets:]  # the kept edge rows; every tetrahedron row is kept
-    i, j = row[:, :, None], row[:, None, :]
-    # The end pairs (e, f) of each tetrahedron t in the lower band, their places
-    # in it, and their entries 9t + _BLOCK_OF[e, f] of the pair blocks.
-    lower = (j >= 0) & (i >= j)
-    band_at = ((i - j) * k + j)[lower]
+    # The end pairs of each tetrahedron t in the lower band, at 36t + 6e + f,
+    # their places in it, and their entries 9t + _BLOCK_OF of the pair blocks.
+    i, j = row[:, _PAIR_E].ravel(), row[:, _PAIR_F].ravel()
+    lower = np.flatnonzero((j >= 0) & (i >= j))
+    i, j = i.take(lower), j.take(lower)
+    band_at = (i - j) * k + j
     width = int(band_at.max(initial=0)) // max(k, 1)  # band_at is (i - j) k + j, 0 <= j < k
-    block_at = (np.arange(0, 9 * tets, 9)[:, None, None] + _BLOCK_OF)[lower]
+    block_at = lower // 36 * 9 + _BLOCK_OF.take(lower % 36)
 
     def factor(h):
         blocks = _pair_blocks(h)

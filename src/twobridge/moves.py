@@ -38,8 +38,8 @@ from .triangulation import (
     Triangulation,
     invert,
     _COMPOSE,
+    _EDGE,
     _INVERSE,
-    _STATE,
     _labels,
     _walk_classes,
 )
@@ -265,7 +265,7 @@ class _Table:
     def first(self, c: int) -> int:
         """The smallest cell of class c: where its walk starts."""
         x = self.walks[c][0][0]
-        return 6 * (x // 24) + _STATE[x % 24][1]
+        return 6 * (x // 24) + _EDGE[x % 24]
 
     def rank(self, c: int) -> int:
         """The index of class c in the compacted triangulation."""
@@ -290,7 +290,7 @@ class _Table:
         dropped = {label[6 * t + e] for t in old for e in range(6)}
         base, count = len(self.glue), len(walks)
         journal = _retriangulate(self.glue, old, new)
-        cells = [6 * (x // 24) + _STATE[x % 24][1] for c in dropped for x in walks[c][0]]
+        cells = [6 * (x // 24) + _EDGE[x % 24] for c in dropped for x in walks[c][0]]
         journal += [(label, c, label[c]) for c in cells]
         # Undone first: cut what was appended.
         journal += [(held, slice(n, None), []) for held, n in ((self.glue, base), (label, 6 * base), (walks, count))]

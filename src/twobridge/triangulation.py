@@ -13,10 +13,11 @@ inverse tables live here too; gluing() returns the tuple.
 The layered builder assembles the standard triangulation of a 2-bridge
 link complement from its twist word: one layer of two ideal tetrahedra per
 letter transition, with the outermost and innermost four faces folded up
-in pairs.  In builder output every tetrahedron carries the same edge-role
-pattern: edges 02/13 form the vertical pair, 01/23 the horizontal pair and
-03/12 the diagonal pair (in even tetrahedra 03 faces the previous layer and
-12 the next, in odd ones the other way round).
+in pairs, writing both sides of each gluing into fresh rows from a template
+per letter and per fold.  In builder output every tetrahedron carries the
+same edge-role pattern: edges 02/13 form the vertical pair, 01/23 the
+horizontal pair and 03/12 the diagonal pair (in even tetrahedra 03 faces
+the previous layer and 12 the next, in odd ones the other way round).
 
 Vertex classes (cusps) are found by a search over the gluings
 (_closure); edge classes, the ends of each edge that become link
@@ -24,8 +25,9 @@ vertices, and the fan of tetrahedra around each edge that the moves read,
 by one oriented walk around each edge (_walk_edges, by _walk_classes,
 which simplify reruns on the classes a move touches).  Each runs once per
 triangulation: a Triangulation keeps the classes found until glue, its only
-mutator, clears them, and hands them out read-only.  No search finds
-components: the isosig labelling reaches exactly the component of its
+mutator, clears them, and hands them out read-only.  validate checks the
+involution and that every face is glued in one pass over the rows.  No
+search finds components: the isosig labelling reaches exactly the component of its
 start, so encode_isosig rejects disconnected input by itself.
 """
 
@@ -69,6 +71,8 @@ ORDERED_S4_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(ORDERED_S4)}
 # then i; _INVERSE[i] is the inverse of i.
 _COMPOSE = tuple(tuple(ORDERED_S4_INDEX[compose(p, q)] for q in ORDERED_S4) for p in ORDERED_S4)
 _INVERSE = tuple(ORDERED_S4_INDEX[invert(p)] for p in ORDERED_S4)
+# _IMAGE[v][i] is ORDERED_S4[i][v]: where index i takes vertex (or facet) v.
+_IMAGE = tuple(tuple(p[v] for p in ORDERED_S4) for v in range(4))
 
 
 class VerificationError(RuntimeError):
@@ -115,12 +119,17 @@ class Triangulation:
         self._classes.clear()
 
     @classmethod
+    def _adopt(cls, glue: list, layer_of: tuple[int, ...] | None = None) -> Triangulation:
+        """The triangulation that takes over these involutive rows and in-range layers, unchecked."""
+        out = cls.__new__(cls)
+        out.tet_count, out._glue, out.layer_of, out._classes = len(glue), glue, layer_of, {}
+        return out
+
+    @classmethod
     def _compacted(cls, glue: list) -> Triangulation:
         """The triangulation of rows stored as in _glue, None rows (holes) left out."""
         index = {t: i for i, t in enumerate(t for t, row in enumerate(glue) if row is not None)}
-        out = cls(len(index))
-        out._glue = [[None if g is None else (index[g[0]], g[1]) for g in glue[t]] for t in index]
-        return out
+        return cls._adopt([[None if g is None else (index[g[0]], g[1]) for g in glue[t]] for t in index])
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm] | None:
         g = self._glue[t][f]
@@ -155,12 +164,29 @@ class Triangulation:
 # standard construction.  Within layer i the even tetrahedron E = 2i and
 # odd tetrahedron O = 2i+1 share edges but no faces.  A letter L between
 # two layers exchanges horizontal and diagonal edges, a letter R exchanges
-# vertical and diagonal edges; the corresponding face gluings are below.
+# vertical and diagonal edges.  A template holds both sides (t, facet, t2,
+# ORDERED_S4 index) of the gluings (t, f, t2, perm) of one step, counted
+# from its E: the outermost fold (the first letter is always R), a letter
+# between the ends (faces E 012, E 123, O 013, O 023 to the next layer's
+# E 032, O 321, E 031, O 021 by L, O 102, E 023, E 103, O 123 by R), or
+# the innermost fold by the final letter.
 
 _SWAP01: Perm = (1, 0, 2, 3)
 _SWAP02: Perm = (2, 1, 0, 3)
 _SWAP13: Perm = (0, 3, 2, 1)
 _SWAP23: Perm = (0, 1, 3, 2)
+
+
+def _template(*gluings: tuple[int, int, int, Perm]) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(side for t, f, t2, p in gluings for side in (
+        (t, f, t2, ORDERED_S4_INDEX[p]), (t2, p[f], t, ORDERED_S4_INDEX[invert(p)])))
+
+
+_OUTER_FOLD = _template((0, 2, 1, _SWAP02), (0, 1, 1, _SWAP13))
+_LAYER = {"L": _template((0, 3, 2, _SWAP13), (0, 0, 3, _SWAP13), (1, 2, 2, _SWAP13), (1, 1, 3, _SWAP13)),
+          "R": _template((0, 3, 3, _SWAP01), (0, 0, 2, _SWAP01), (1, 2, 2, _SWAP01), (1, 1, 3, _SWAP01))}
+_INNER_FOLD = {"R": _template((0, 3, 1, _SWAP13), (0, 0, 1, _SWAP02)),
+               "L": _template((0, 3, 1, _SWAP23), (0, 0, 1, _SWAP01))}
 
 
 def build_sakuma_weeks(w: Word) -> Triangulation:
@@ -176,68 +202,44 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
         raise ValueError("word must be normalised to start with R")
     letters = w.letters
     n_layers = len(letters) - 1
-    tri = Triangulation(2 * n_layers, layer_of=tuple(i // 2 for i in range(2 * n_layers)))
-
-    # Outermost fold: fixed since the first letter is always R.
-    tri.glue(0, 2, 1, _SWAP02)  # face 013 of E <-> face 123 of O
-    tri.glue(0, 1, 1, _SWAP13)  # face 023 of E <-> face 012 of O
-
-    # Layer-to-layer gluings, driven by the letters strictly between the ends.
-    for i in range(n_layers - 1):
-        e, o = 2 * i, 2 * i + 1
-        e2, o2 = 2 * i + 2, 2 * i + 3
-        if letters[i + 1] == "L":
-            tri.glue(e, 3, e2, _SWAP13)   # 012 -> 032
-            tri.glue(e, 0, o2, _SWAP13)   # 123 -> 321
-            tri.glue(o, 2, e2, _SWAP13)   # 013 -> 031
-            tri.glue(o, 1, o2, _SWAP13)   # 023 -> 021
-        else:
-            tri.glue(e, 3, o2, _SWAP01)   # 012 -> 102
-            tri.glue(e, 0, e2, _SWAP01)   # 123 -> 023
-            tri.glue(o, 2, e2, _SWAP01)   # 013 -> 103
-            tri.glue(o, 1, o2, _SWAP01)   # 023 -> 123
-
-    # Innermost fold: depends on the final letter.
-    e, o = 2 * n_layers - 2, 2 * n_layers - 1
-    if letters[-1] == "R":
-        tri.glue(e, 3, o, _SWAP13)  # 012 <-> 023
-        tri.glue(e, 0, o, _SWAP02)  # 123 <-> 013
-    else:
-        tri.glue(e, 3, o, _SWAP23)  # 012 <-> 013
-        tri.glue(e, 0, o, _SWAP01)  # 123 <-> 023
-    return tri
+    glue: list[list] = [[None] * 4 for _ in range(2 * n_layers)]
+    steps = [(0, _OUTER_FOLD), *((2 * i, _LAYER[c]) for i, c in enumerate(letters[1:-1])),
+             (2 * n_layers - 2, _INNER_FOLD[letters[-1]])]
+    for base, template in steps:
+        for t, f, t2, i in template:
+            glue[base + t][f] = (base + t2, i)
+    return Triangulation._adopt(glue, tuple(sorted([*range(n_layers)] * 2)))
 
 
 # The vertex search's steps: per vertex v, each facet f that holds it
 # (f != v), with the vertex that v becomes under each ORDERED_S4 index.
-_VERTEX_STEPS = tuple(tuple((f, tuple(p[v] for p in ORDERED_S4)) for f in range(4) if f != v) for v in range(4))
+_VERTEX_STEPS = tuple(tuple((f, _IMAGE[v]) for f in range(4) if f != v) for v in range(4))
 
 
 def _closure(tri: Triangulation) -> tuple[list[int], int]:
     """Vertex classes (cusps), as (label, count).
 
     Vertex v of tetrahedron t gets label[4t + v]; a search over the
-    gluings, growing each class's list of (t, v) members, numbers the
+    gluings, growing each class's list of members 4t + v, numbers the
     classes in order of their smallest member.
     """
-    glue = tri._glue
+    glue, steps = tri._glue, _VERTEX_STEPS
     label = [-1] * (4 * tri.tet_count)
     count = 0
     for start in range(len(label)):
         if label[start] >= 0:
             continue
         label[start] = count
-        members = [divmod(start, 4)]
-        for t, v in members:  # members grows while it is walked
-            row = glue[t]
-            for f, image in _VERTEX_STEPS[v]:
+        members = [start]
+        for x in members:  # members grows while it is walked
+            row = glue[x >> 2]
+            for f, image in steps[x & 3]:
                 g = row[f]
                 if g is not None:
-                    t2, v2 = g[0], image[g[1]]
-                    x = 4 * t2 + v2
-                    if label[x] < 0:
-                        label[x] = count
-                        members.append((t2, v2))
+                    y = 4 * g[0] + image[g[1]]
+                    if label[y] < 0:
+                        label[y] = count
+                        members.append(y)
         count += 1
     return label, count
 
@@ -245,8 +247,9 @@ def _closure(tri: Triangulation) -> tuple[list[int], int]:
 # Edge walk states: the ordering (a, b, f, g) of the four vertices, by its
 # ORDERED_S4 index, stands at edge ab oriented from a to b, about to leave by
 # facet f.  Crossing f by gluing permutation p enters facet p[f] of the next
-# tetrahedron at edge p[a]p[b], to be left by facet p[g].
-_STATE = tuple((s[2], EDGE_INDEX[s[:2]], s[0]) for s in ORDERED_S4)  # (facet, edge, tail)
+# tetrahedron at edge p[a]p[b], to be left by facet p[g].  Per state, its
+# facet f, its edge ab and its tail a.
+_FACET, _EDGE, _TAIL = zip(*((s[2], EDGE_INDEX[s[:2]], s[0]) for s in ORDERED_S4))
 _NEXT = tuple(tuple(ORDERED_S4_INDEX[(p[a], p[b], p[g], p[f])] for p in ORDERED_S4) for a, b, f, g in ORDERED_S4)
 # The two states of edge e = ab, a < b: one per facet that holds it.
 _START = tuple(tuple(s for s, p in enumerate(ORDERED_S4) if p[:2] == ab) for ab in EDGE_VERTS)
@@ -264,6 +267,7 @@ def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: l
     labelled, it reads one gluing per cell of a closed triangulation and ends
     on any table.  A class back at its start reversed has one link vertex.
     """
+    facet, edge, nxt = _FACET, _EDGE, _NEXT
     for x in cells:
         if label[x] >= 0:
             continue
@@ -273,9 +277,10 @@ def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: l
         walk = [24 * t0 + _START[e][0]]
         for start in _START[e]:
             t, s = t0, start
-            while (g := glue[t][_STATE[s][0]]) is not None:
-                t, s = g[0], _NEXT[s][g[1]]
-                y = 6 * t + _STATE[s][1]
+            while (g := glue[t][facet[s]]) is not None:
+                t, i = g
+                s = nxt[s][i]
+                y = 6 * t + edge[s]
                 if label[y] >= 0:
                     break
                 label[y] = key
@@ -283,7 +288,7 @@ def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: l
             if g is not None:  # else an unglued facet: walk the other way from the start
                 break
         a, b = EDGE_VERTS[e]
-        ends += (4 * t0 + a,) if y == x and _STATE[s][2] == b else (4 * t0 + a, 4 * t0 + b)
+        ends += (4 * t0 + a,) if y == x and _TAIL[s] == b else (4 * t0 + a, 4 * t0 + b)
         walks.append((walk, "edge has a boundary face; cannot walk around it" if start != _START[e][0]
                       else None if s == start and t == t0 else "edge walk failed to close"))
 
@@ -367,13 +372,19 @@ class ValidationReport:
 def validate(tri: Triangulation) -> ValidationReport:
     failures = []
 
-    glue = tri._glue
-    involution_ok = all(g is None or glue[g[0]][ORDERED_S4[g[1]][f]] == (t, _INVERSE[g[1]])
-                        for t, row in enumerate(glue) for f, g in enumerate(row))
+    # One pass over the rows: each entry is glued, and its partner names it back.
+    glue, image, inverse = tri._glue, _IMAGE, _INVERSE
+    involution_ok = all_glued = True
+    for t, row in enumerate(glue):
+        for f, g in enumerate(row):
+            if g is None:
+                all_glued = False
+            else:
+                t2, i = g
+                if glue[t2][image[f][i]] != (t, inverse[i]):
+                    involution_ok = False
     if not involution_ok:
         failures.append("gluing map is not an involution")
-
-    all_glued = tri.is_closed()
     if not all_glued:
         failures.append("not all faces are glued")
 
@@ -394,10 +405,10 @@ def validate(tri: Triangulation) -> ValidationReport:
         # edges.  Each link edge is shared by two triangles, so the Euler
         # characteristic V - E + F is the number of link vertices - F/2.
         vertex, count = _labels(tri, "vertex")
-        corners = Counter(vertex[x] for x in _labels(tri, "ends"))
+        corners = Counter(map(vertex.__getitem__, _labels(tri, "ends")))
         faces = Counter(vertex)
         eulers = [corners[v] - faces[v] // 2 for v in range(count)]
-        links_ok = all(x == 0 for x in eulers)
+        links_ok = not any(eulers)
         if not links_ok:
             failures.append(f"vertex links have Euler characteristics {eulers}, expected all 0")
     elif involution_ok and tri.tet_count:
@@ -426,7 +437,7 @@ def degree_predicates(tri: Triangulation, w: Word) -> tuple[bool, bool]:
     degree 2(ell-1) = 4 even though every exponent is 1.)  A mismatch with
     the criteria means the builder is broken and raises VerificationError.
     """
-    degrees = Counter(_labels(tri, "edge")[0]).values()
+    degrees = {len(states) for states, _ in _labels(tri, "walks")}
     has3 = 3 in degrees
     has4 = 4 in degrees
     exps = w.exponents

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 from dataclasses import FrozenInstanceError
 from itertools import combinations
@@ -11,6 +12,7 @@ import twobridge.angles as angles
 import twobridge.triangulation as triangulation
 from conftest import (
     CountingRow,
+    all_normalized_words,
     disjoint_union,
     is_connected,
     link_corners,
@@ -37,7 +39,7 @@ from twobridge.triangulation import (
     gluing_table,
     validate,
 )
-from twobridge.word import parse_word
+from twobridge.word import Word, parse_word
 
 # Regina-convention gluing tables for the complexes of R^2LR and RL^3R,
 # entered verbatim: one row per tetrahedron, entries for faces
@@ -64,6 +66,9 @@ TABLE_RL3R = [
 ]
 
 FACE_VERTS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+BUILDER_SHA256 = "d86497e1340a0489f8bb6e25791418fc47c8c8e82a46b2cdb3445a8ce8d72a4d"
+VALIDATE_SHA256 = "207ecaf83d02073b2f62cf5de20a38d9121d8459c54f22df0d530c875cea9fc2"
 
 
 def triangulation_from_table(rows):
@@ -103,6 +108,32 @@ def test_builder_reproduces_table_rl3r_verbatim():
     tri = build_sakuma_weeks(parse_word("RL^3R"))
     assert tri.tet_count == 8
     assert table_rows(tri) == TABLE_RL3R
+
+
+def family_words():
+    """Twelve paper-family words R L^a1 R^a2 ... X, ell 60 to 247, whose
+    inner exponents a_i run cyclically over a fixed pattern of 1s and 2s,
+    each word from its own offset; the closing letter X starts a syllable."""
+    pattern = (2, 1, 1, 2, 2, 1, 2)
+    words = []
+    for k in range(12):
+        ell, inner, letters = 60 + 17 * k, [], 0
+        while letters < ell - 2:
+            exp = min(pattern[(k + len(inner)) % len(pattern)], ell - 2 - letters)
+            inner.append(("LR"[len(inner) % 2], exp))
+            letters += exp
+        words.append(Word((("R", 1), *inner, ("R" if inner[-1][0] == "L" else "L", 1))))
+    return words
+
+
+def test_builder_tables_are_pinned():
+    # Every gluing and layer the builder writes, for every normalised word
+    # of at most 10 letters and twelve family words of 118 to 492 tetrahedra;
+    # the digest was recorded from the builder that glued face by face.
+    words = all_normalized_words(10) + family_words()
+    assert len(words) == 1025 and [w.ell for w in words[-12:]] == list(range(60, 248, 17))
+    text = "\n".join(build_sakuma_weeks(w).to_json() for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_SHA256
 
 
 def test_builder_isomorphic_to_entered_tables():
@@ -255,13 +286,15 @@ def test_validate_rejects_doubled_tetrahedron():
 
 
 def test_validate_detects_missing_gluing():
-    tri = build_sakuma_weeks(parse_word("RLR"))
-    g = tri.gluing(0, 0)
-    tri._glue[0][0] = None
-    tri._glue[g[0]][g[1][0]] = None
-    report = validate(tri)
-    assert not report.all_faces_glued
-    assert not report.passed
+    # Each gluing of RLR in turn removed from both sides, among them the
+    # ones that join facet 3 to facet 3.
+    base = build_sakuma_weeks(parse_word("RLR"))
+    for (t, f), (t2, f2) in triangle_pairs(base):
+        tri = triangulation_from_json(base.to_json())
+        tri._glue[t][f] = tri._glue[t2][f2] = None
+        report = validate(tri)
+        assert report.involution_ok and not report.all_faces_glued, (t, f)
+        assert "not all faces are glued" in report.failures and not report.passed
 
 
 def test_validate_detects_a_one_sided_gluing():
@@ -283,6 +316,39 @@ def test_validate_detects_a_one_sided_gluing():
         ], edit
         assert not (report.involution_ok or report.edge_count_ok or report.vertex_links_ok), edit
         assert report.vertex_link_eulers == [], edit
+        # Facet 3 emptied on this side alone: its partner still names it,
+        # and the row holds both faults, the involution first.
+        tri._glue[0][3] = None
+        assert validate(tri).failures == [
+            "gluing map is not an involution",
+            "not all faces are glued",
+            "edge classes and vertex links not checked: gluing map is not an involution",
+        ], edit
+
+
+def one_sided_edits():
+    """Every one-sided edit of facet 2 of tetrahedron 0 of RL^2R's table."""
+    base = build_sakuma_weeks(parse_word("RL^2R"))
+    for t2 in range(base.tet_count):
+        for i in range(24):
+            tri = triangulation_from_json(base.to_json())
+            tri._glue[0][2] = (t2, i)
+            yield tri
+
+
+def test_validate_reports_are_pinned():
+    # Every field of the report, failures in order, on builder output, on
+    # broken tables and on the empty and unglued triangulations (the empty
+    # one passes vacuously); the digest was recorded from the validate that
+    # checked the involution and the closure in two passes.
+    doubled = Triangulation(2)
+    for f in range(4):
+        doubled.glue(0, f, 1, IDENTITY)
+    tris = [build_sakuma_weeks(w) for w in all_normalized_words(8)]
+    tris += [*one_sided_edits(), doubled, Triangulation(0), Triangulation(1), Triangulation(2)]
+    assert len(tris) == 395 and validate(Triangulation(0)).passed
+    text = "\n".join(repr(validate(tri)) for tri in tris)
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATE_SHA256
 
 
 def test_checks_use_nothing_from_the_synthesis():
@@ -361,20 +427,24 @@ def test_edge_walk_reads_one_gluing_per_edge_embedding(word):
     label, count = triangulation._labels(tri, "edge")
     assert sum(row.reads for row in rows) == 6 * tri.tet_count
     assert count == tri.tet_count and label == oracle_edge_labels(tri)
+    # All of validate on a fresh copy, the walk included, reads at most 22
+    # entries per tetrahedron: 4 checking the involution, 6 walking, 12
+    # searching the vertices.
+    tri = build_sakuma_weeks(parse_word(word))
+    rows = tri._glue = [CountingRow(row) for row in tri._glue]
+    assert validate(tri).passed
+    assert sum(row.reads for row in rows) <= 22 * tri.tet_count
 
 
 def test_edge_walk_ends_on_a_gluing_table_that_is_not_an_involution():
     # Every one-sided edit of one facet: the walk stops at the first cell
     # it has labelled, so it ends even where no walk comes back to its start.
     base = build_sakuma_weeks(parse_word("RL^2R"))
-    for t2 in range(base.tet_count):
-        for i in range(24):
-            tri = triangulation_from_json(base.to_json())
-            tri._glue[0][2] = (t2, i)
-            label, count = triangulation._labels(tri, "edge")
-            assert min(label) == 0 and max(label) == count - 1
-            report = validate(tri)
-            assert report.involution_ok == (tri._glue == base._glue) and report.edge_class_count == count
+    for tri in one_sided_edits():
+        label, count = triangulation._labels(tri, "edge")
+        assert min(label) == 0 and max(label) == count - 1
+        report = validate(tri)
+        assert report.involution_ok == (tri._glue == base._glue) and report.edge_class_count == count
 
 
 def test_only_triangulation_methods_assign_into_glue():

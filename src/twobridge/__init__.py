@@ -17,7 +17,7 @@ from .angles import (
 )
 from .blocks import Block, BlockDecomposition, decompose
 from .isosig import decode_isosig, encode_isosig
-from .moves import SimplificationTrace, move_44, pachner_23, pachner_32, simplify
+from .moves import SimplificationTrace, simplify
 from .triangulation import (
     EdgeClassTable,
     Triangulation,
@@ -62,10 +62,7 @@ __all__ = [
     "is_hyperbolic",
     "lobachevsky",
     "maximize_volume",
-    "move_44",
     "normalize",
-    "pachner_23",
-    "pachner_32",
     "parse_word",
     "render",
     "simplify",

@@ -81,7 +81,8 @@ def _independent_rows(tri: Triangulation) -> np.ndarray:
     """
     n = tri.tet_count
     edge, count = _labels(tri, "edge")
-    vertex, cusps = _labels(tri, "vertex")
+    vertex, sizes = _labels(tri, "vertex")
+    cusps = len(sizes)
     keep = np.ones(n + count, dtype=bool)
     pivots = []  # (cusp, column) of each dropped class; a column is 0 at the cusps of the pivots before it
     x = 0

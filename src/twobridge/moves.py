@@ -1,8 +1,8 @@
 """Local retriangulation moves and the greedy simplification pipeline.
 
-The 2-3 move subdivides the bipyramid around an internal triangle shared
-by two distinct tetrahedra into three tetrahedra around a new degree-3
-edge; the 3-2 move is its inverse.  The 4-4 move retriangulates the
+The 3-2 move retriangulates the bipyramid around a degree-3 edge on three
+distinct tetrahedra as two tetrahedra sharing one triangle; it is the
+inverse of the Pachner 2-3 move.  The 4-4 move retriangulates the
 octahedron around a degree-4 edge along one of the two alternative main
 diagonals.
 
@@ -13,11 +13,11 @@ vertex with the same symbol: a face of two new tetrahedra is glued between
 them, and a face of one new tetrahedron lies on the ball's boundary and
 keeps the outside gluing of the old facet with the same symbols.  Removed
 tetrahedra leave holes and new ones are appended, so survivors keep their
-relative order when the public moves compact a moved copy into a new
-triangulation.  simplify moves one private copy (_Table) and walks again
-only the edge classes that meet the new tetrahedra, so a move costs the
-same at any size.  The 3-2 and 4-4 moves read the tetrahedra around their
-edge off the walk that finds the edge classes.
+relative order when simplify compacts its result.  simplify moves one
+private copy (_Table) and walks again only the edge classes that meet the
+new tetrahedra, so a move costs the same at any size.  The 3-2 and 4-4
+moves read the tetrahedra around their edge off the walk that finds the
+edge classes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import json
 
 from .triangulation import (
     EDGE_INDEX,
-    IDENTITY,
     ORDERED_S4,
     ORDERED_S4_INDEX,
     Perm,
@@ -97,34 +96,6 @@ def _retriangulate(glue: list, old: dict[int, tuple], new: tuple[tuple, ...]) ->
     return journal
 
 
-def _moved(tri: Triangulation, old: dict[int, tuple], new: tuple[tuple, ...]) -> Triangulation:
-    """A new triangulation: tri with the tetrahedra of `old` swapped for `new`."""
-    glue = [list(row) for row in tri._glue]
-    _retriangulate(glue, old, new)
-    return Triangulation._compacted(glue)
-
-
-def pachner_23(tri: Triangulation, face: tuple[int, int]) -> Triangulation:
-    """2-3 move across the internal triangle containing facet `face`.
-
-    Both old tetrahedra name the face's vertices c_0 < c_1 < c_2 and the
-    apex f0 by their labels in t0, and the other apex 4; the new
-    tetrahedra are (f0, 4, c_k, c_{k+1}).
-    """
-    t0, f0 = face
-    if t0 not in range(tri.tet_count) or f0 not in range(4):
-        raise ValueError(f"no facet {f0} of tetrahedron {t0}")
-    g = tri.gluing(t0, f0)
-    if g is None:
-        raise ValueError("facet is not glued")
-    t1, glu = g
-    if t1 == t0:
-        raise ValueError("2-3 move needs the face glued between two distinct tetrahedra")
-    c = [v for v in range(4) if v != f0]
-    old = {t0: IDENTITY, t1: tuple(4 if v == f0 else v for v in invert(glu))}
-    return _moved(tri, old, tuple((f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)))
-
-
 def _fails(walk: tuple[list[int], str | None]) -> str | None:
     """Why the class of a (states, why) of _walk_classes admits no move of its
     degree n, or None: unless its n tetrahedra are distinct, and where its
@@ -149,48 +120,17 @@ def _fan(states: list[int]) -> list[tuple[int, tuple]]:
     return [(x // 24, _SYMBOLS[len(states) - 3][k][x % 24]) for k, x in enumerate(states)]
 
 
-def _edge_fan(tri: Triangulation, edge_class: int, n: int) -> list[tuple[int, tuple]]:
-    """The _fan around a degree-n edge class; ValueError unless it admits the move."""
-    walks = _labels(tri, "walks")
-    if edge_class not in range(len(walks)):
-        raise ValueError(f"no edge class {edge_class}")
-    degree = len(walks[edge_class][0])
-    if degree != n:
-        raise ValueError(f"edge class {edge_class} has degree {degree}, need {n}")
-    why = _fails(walks[edge_class])
-    if why:
-        raise ValueError(why)
-    return _fan(walks[edge_class][0])
-
-
-# The new tetrahedra of the 3-2 move on the symbols of _edge_fan.
+# The new tetrahedra of the 3-2 move on the symbols of _fan.
 _PAIR = ((0, 1, 2, U), (0, 1, 2, V))
 
 
-def pachner_32(tri: Triangulation, edge_class: int) -> Triangulation:
-    """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
-    return _moved(tri, dict(_edge_fan(tri, edge_class, 3)), _PAIR)
-
-
-# The new tetrahedra of the 4-4 move on the octahedron of _edge_fan's
+# The new tetrahedra of the 4-4 move on the octahedron of _fan's
 # symbols, per axis: the new diagonal is 0-2 for axis 0 and 1-3 for axis 1,
 # and the cycles around it make the move with the same axis undo itself.
 _OCTAHEDRA = (
     ((0, 2, U, 3), (0, 2, 3, V), (0, 2, V, 1), (0, 2, 1, U)),
     ((1, 3, 0, U), (1, 3, U, 2), (1, 3, 2, V), (1, 3, V, 0)),
 )
-
-
-def move_44(tri: Triangulation, edge_class: int, axis: int) -> Triangulation:
-    """4-4 move along a degree-4 edge class, re-diagonalising the octahedron.
-
-    The octahedron around the edge has equator E0 E1 E2 E3 (indexed from
-    the canonical walk starting at the smallest edge embedding); axis 0
-    uses the new diagonal E0-E2 and axis 1 uses E1-E3.
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    return _moved(tri, dict(_edge_fan(tri, edge_class, 4)), _OCTAHEDRA[axis])
 
 
 def _degree_changes(new: tuple[tuple, ...]) -> tuple[tuple, ...]:

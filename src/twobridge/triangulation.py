@@ -135,9 +135,6 @@ class Triangulation:
         g = self._glue[t][f]
         return None if g is None else (g[0], ORDERED_S4[g[1]])
 
-    def is_closed(self) -> bool:
-        return all(g is not None for row in self._glue for g in row)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Triangulation)
@@ -216,20 +213,21 @@ def build_sakuma_weeks(w: Word) -> Triangulation:
 _VERTEX_STEPS = tuple(tuple((f, _IMAGE[v]) for f in range(4) if f != v) for v in range(4))
 
 
-def _closure(tri: Triangulation) -> tuple[list[int], int]:
-    """Vertex classes (cusps), as (label, count).
+def _closure(tri: Triangulation) -> tuple[list[int], list[int]]:
+    """Vertex classes (cusps), as (label, sizes).
 
     Vertex v of tetrahedron t gets label[4t + v]; a search over the
     gluings, growing each class's list of members 4t + v, numbers the
-    classes in order of their smallest member.
+    classes in order of their smallest member.  sizes[c] is the number of
+    members of class c.
     """
     glue, steps = tri._glue, _VERTEX_STEPS
     label = [-1] * (4 * tri.tet_count)
-    count = 0
+    sizes: list[int] = []
     for start in range(len(label)):
         if label[start] >= 0:
             continue
-        label[start] = count
+        c = label[start] = len(sizes)
         members = [start]
         for x in members:  # members grows while it is walked
             row = glue[x >> 2]
@@ -238,10 +236,10 @@ def _closure(tri: Triangulation) -> tuple[list[int], int]:
                 if g is not None:
                     y = 4 * g[0] + image[g[1]]
                     if label[y] < 0:
-                        label[y] = count
+                        label[y] = c
                         members.append(y)
-        count += 1
-    return label, count
+        sizes.append(len(members))
+    return label, sizes
 
 
 # Edge walk states: the ordering (a, b, f, g) of the four vertices, by its
@@ -404,10 +402,9 @@ def validate(tri: Triangulation) -> ValidationReport:
         # (tetrahedron, vertex) incidence, whose corners are the ends of
         # edges.  Each link edge is shared by two triangles, so the Euler
         # characteristic V - E + F is the number of link vertices - F/2.
-        vertex, count = _labels(tri, "vertex")
+        vertex, sizes = _labels(tri, "vertex")
         corners = Counter(map(vertex.__getitem__, _labels(tri, "ends")))
-        faces = Counter(vertex)
-        eulers = [corners[v] - faces[v] // 2 for v in range(count)]
+        eulers = [corners[v] - size // 2 for v, size in enumerate(sizes)]
         links_ok = not any(eulers)
         if not links_ok:
             failures.append(f"vertex links have Euler characteristics {eulers}, expected all 0")

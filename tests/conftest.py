@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from twobridge import moves
 from twobridge.angles import _UNITS
-from twobridge.triangulation import Triangulation
+from twobridge.triangulation import IDENTITY, Triangulation, _labels, invert
 from twobridge.word import Word
 
 # The catalogue shapes' angles as Fractions of pi, from the synthesis's units of pi/24.
@@ -87,6 +88,75 @@ def triangle_pairs(tri):
             if g is not None and (g[0], g[1][f]) > (t, f):  # listed at its smaller end
                 pairs.append(((t, f), (g[0], g[1][f])))
     return pairs
+
+
+def is_closed(tri):
+    """Whether every facet of tri is glued."""
+    return all(tri.gluing(t, f) is not None for t in range(tri.tet_count) for f in range(4))
+
+
+def moved(tri, old, new):
+    """A new triangulation: tri with the tetrahedra of `old` swapped for
+    `new` by simplify's retriangulation rule, on a copy of the rows."""
+    glue = [list(row) for row in tri._glue]
+    moves._retriangulate(glue, old, new)
+    return Triangulation._compacted(glue)
+
+
+def pachner_23(tri, face):
+    """2-3 move across the internal triangle containing facet `face`.
+
+    Both old tetrahedra name the face's vertices c_0 < c_1 < c_2 and the
+    apex f0 by their labels in t0, and the other apex 4; the new
+    tetrahedra are (f0, 4, c_k, c_{k+1}).
+    """
+    t0, f0 = face
+    if t0 not in range(tri.tet_count) or f0 not in range(4):
+        raise ValueError(f"no facet {f0} of tetrahedron {t0}")
+    g = tri.gluing(t0, f0)
+    if g is None:
+        raise ValueError("facet is not glued")
+    t1, glu = g
+    if t1 == t0:
+        raise ValueError("2-3 move needs the face glued between two distinct tetrahedra")
+    c = [v for v in range(4) if v != f0]
+    old = {t0: IDENTITY, t1: tuple(4 if v == f0 else v for v in invert(glu))}
+    return moved(tri, old, tuple((f0, 4, c[k], c[(k + 1) % 3]) for k in range(3)))
+
+
+def edge_fan(tri, edge_class, n):
+    """The (tetrahedron, symbols) fan of simplify around a degree-n edge
+    class; ValueError unless the class admits the move."""
+    walks = _labels(tri, "walks")
+    if edge_class not in range(len(walks)):
+        raise ValueError(f"no edge class {edge_class}")
+    degree = len(walks[edge_class][0])
+    if degree != n:
+        raise ValueError(f"edge class {edge_class} has degree {degree}, need {n}")
+    why = moves._fails(walks[edge_class])
+    if why:
+        raise ValueError(why)
+    return moves._fan(walks[edge_class][0])
+
+
+def pachner_32(tri, edge_class):
+    """3-2 move along a degree-3 edge class with three distinct tetrahedra."""
+    return moved(tri, dict(edge_fan(tri, edge_class, 3)), moves._PAIR)
+
+
+def move_44(tri, edge_class, axis):
+    """4-4 move along a degree-4 edge class, re-diagonalising the octahedron.
+
+    The octahedron's equator E0 E1 E2 E3 is read off the one walk around
+    the edge that also finds the edge classes: it starts at the edge's
+    smallest embedding, oriented from its smaller vertex, and leaves by the
+    smaller of the two facets that hold it.  Axis 0 uses the new diagonal
+    E0-E2 and axis 1 uses E1-E3; repeating the move with the same axis
+    restores the triangulation up to isomorphism.
+    """
+    if axis not in (0, 1):
+        raise ValueError("axis must be 0 or 1")
+    return moved(tri, dict(edge_fan(tri, edge_class, 4)), moves._OCTAHEDRA[axis])
 
 
 def disjoint_union(*parts):

@@ -16,12 +16,12 @@ import pytest
 
 from twobridge.angles import assign_angles, expand_to_tetrahedra, verify_angle_structure
 from twobridge.isosig import encode_isosig
-from twobridge.moves import move_44, simplify
+from twobridge.moves import simplify
 from twobridge.triangulation import build_sakuma_weeks, edge_classes
 from twobridge.volume import assignment_volume, lobachevsky, maximize_volume, v3
 from twobridge.word import Word, enumerate_words, normalize, parse_word
 
-from conftest import SHAPES
+from conftest import SHAPES, move_44
 from test_triangulation import TABLE_R2LR, TABLE_RL3R, triangulation_from_table
 from test_volume import PRINTED_RATIOS, SHAPE_RATIOS, lobachevsky_quadrature, tet_volume, theorem_ratios
 

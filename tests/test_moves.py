@@ -5,11 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingRow, all_normalized_words, link_corners, random_gluing, triangle_pairs
+from conftest import (
+    CountingRow,
+    all_normalized_words,
+    edge_fan,
+    link_corners,
+    move_44,
+    pachner_23,
+    pachner_32,
+    random_gluing,
+    triangle_pairs,
+)
 from twobridge import moves
 from twobridge.angles import theorem_family
 from twobridge.isosig import encode_isosig
-from twobridge.moves import _degrees_after_44, move_44, pachner_23, pachner_32, simplify
+from twobridge.moves import _degrees_after_44, simplify
 from twobridge.triangulation import EDGE_VERTS, Triangulation, build_sakuma_weeks, edge_classes, validate
 from twobridge.word import Word, enumerate_words, parse_word
 
@@ -338,10 +348,10 @@ def test_degree_screen_matches_rebuilt_4_4_moves(words_ell8):
                 if cls.degree != 4 or len({t for t, _ in cls.embeddings}) != 4:
                     continue
                 for axis in (0, 1):
-                    after = _degrees_after_44(moves._Table(state), moves._edge_fan(state, cls.index, 4), axis)
+                    after = _degrees_after_44(moves._Table(state), edge_fan(state, cls.index, 4), axis)
                     assert after[cls.index] == 0, name
                     predicted = [after.get(c.index, c.degree) for c in table.classes if c is not cls] + [4]
-                    moved = moves.move_44(state, cls.index, axis)
+                    moved = move_44(state, cls.index, axis)
                     rebuilt = edge_classes(moved)
                     assert sorted(predicted) == sorted(rebuilt.degrees()), (name, cls.index, axis)
                     if moves._Table(moved).movable[3]:
@@ -481,7 +491,7 @@ def test_only_the_ball_builders_read_gluings():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gluing"
     }
-    assert readers <= {"_retriangulate", "pachner_23"}
+    assert readers <= {"_retriangulate"}
 
 
 def every_move(tri):

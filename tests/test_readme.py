@@ -10,13 +10,6 @@ import twobridge
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
-# Public names that nothing in the program calls, each with why it stays.
-UNCALLED = {
-    "pachner_23": "the inverse of the 3-2 move, on which a search over the Pachner graph builds",
-    "pachner_32": "the 3-2 move on its own; simplify makes it in place, and the tests replay its traces through it",
-    "move_44": "the 4-4 move on its own; simplify makes it in place, and the tests replay its traces through it",
-}
-
 
 def test_readme_session_runs():
     # The `>>>` lines of the README's short session, with their printed output.
@@ -44,8 +37,8 @@ def references(node):
 
 def test_every_public_name_is_called_by_the_program():
     # The program is the console script, the benchmark and the code each
-    # module runs on import.  A public name that only the tests reach
-    # belongs in the tests.
+    # module runs on import.  A function or class of the package, public or
+    # private, that only the tests reach belongs in the tests.
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     todo = [entry.rsplit(":", 1)[1] for entry in scripts.values()]
     defs: dict[str, list] = {}
@@ -65,4 +58,5 @@ def test_every_public_name_is_called_by_the_program():
         if name not in reached:
             reached.add(name)
             todo += [ref for node in defs.get(name, []) for ref in references(node)]
-    assert set(twobridge.__all__) - reached == set(UNCALLED)
+    assert set(twobridge.__all__) <= reached
+    assert set(defs) - reached == set()

@@ -44,7 +44,7 @@ def test_fractions_of_known_links():
 def test_two_cusps_iff_p_is_even(words_ell10):
     assert len(words_ell10) == 1013
     for w in words_ell10:
-        cusps = _labels(build_sakuma_weeks(w), "vertex")[1]
+        cusps = len(_labels(build_sakuma_weeks(w), "vertex")[1])
         assert (cusps == 2) == (fraction(w)[0] % 2 == 0), str(w)
 
 

@@ -14,12 +14,12 @@ import pytest
 from scipy.integrate import quad
 
 import twobridge
-from conftest import SHAPES, all_normalized_words, disjoint_union, triangle_pairs
+from conftest import SHAPES, all_normalized_words, disjoint_union, pachner_23, triangle_pairs
 import twobridge._solver as solver
 from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
 from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import decode_isosig, encode_isosig
-from twobridge.moves import pachner_23, simplify
+from twobridge.moves import simplify
 from twobridge.triangulation import (
     Triangulation,
     VerificationError,
@@ -615,7 +615,7 @@ def test_cusp_relations_leave_independent_rows():
         for t in (tri,) if final is tri else (tri, final):
             dense, _ = dense_system(t)
             keep = _independent_rows(t)
-            expected = 2 * t.tet_count - _labels(t, "vertex")[1]
+            expected = 2 * t.tet_count - len(_labels(t, "vertex")[1])
             assert keep.sum() == expected, str(w)
             assert np.linalg.matrix_rank(dense) == expected, str(w)
             assert np.linalg.matrix_rank(dense[keep]) == expected, str(w)

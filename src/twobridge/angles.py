@@ -51,7 +51,10 @@ positive term at the next layer, so a state with a need <= 0 before the
 last layer is dead.  After each layer the sweep keeps the frontier of
 reachable states, each with the first (previous state, arrangement)
 reaching it, in the order of the first arrangement sequences reaching
-them, so it is linear in the layers.  A completion depends on the state
+them, so it is linear in the layers.  Frontiers are interned to small
+ids, and each layer after the first is one step through a table of
+transitions keyed by (letter, shape, frontier id), which _advance fills
+as each transition first occurs.  A completion depends on the state
 alone, so the first state that closes at the end leads back to the first
 orientation in catalogue order, the one plain backtracking finds.  The
 tests spell the chains out term by term, check them against the gluings,
@@ -72,7 +75,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 
 from .blocks import (
@@ -220,14 +222,30 @@ def _shape_sequence(dec: BlockDecomposition) -> list[str]:
     return [delta1] + seq
 
 
-# Cached: a frontier holds a few small integer chain states, so few distinct
-# keys occur (75 over the 4094 words of `survey --max-n 11`).
-@cache
+# The sweep's frontier ids and its one table of transitions, each added as
+# it first occurs: a frontier holds a few small chain states, so few occur
+# (75 transitions over the 4094 words of `survey --max-n 11`).
+_FRONTIER_IDS: dict[tuple[tuple[int, int, int], ...], int] = {}
+_STEPS: dict[tuple[str, str, int], tuple] = {}
+
+
+def _interned(reached):
+    """The id of the frontier of reached's states, and reached."""
+    return _FRONTIER_IDS.setdefault(tuple(reached), len(_FRONTIER_IDS)), reached
+
+
+# The first layer's frontier for each shape, which no letter closes.
+_FIRST = {
+    name: _interned({(24 - d - 2 * h, 48 - 2 * v, d): (None, (h, v, d)) for h, v, d in options})
+    for name, options in _ARRANGEMENTS.items()
+}
+
+
 def _advance(letter: str, shape: str, frontier: tuple[tuple[int, int, int], ...]):
-    """The frontier after an interior letter's layer, and for each of its
-    states the first (previous state, arrangement (h, v, d)) reaching it:
-    the letter's chain closes with d and a new one opens with last_d.  Dead
-    states are not expanded.  The dict is shared, so it is never mutated."""
+    """The interned frontier after an interior letter's layer, and for each
+    of its states the first (previous state, arrangement (h, v, d)) reaching
+    it: the letter's chain closes with d and a new one opens with last_d.
+    Dead states are not expanded.  The dict is shared, so never mutated."""
     reached = {}
     for state in frontier:
         need_h, need_v, last_d = state
@@ -238,7 +256,7 @@ def _advance(letter: str, shape: str, frontier: tuple[tuple[int, int, int], ...]
                 reached.setdefault((48 - last_d - 2 * h, need_v - 2 * v, d), (state, (h, v, d)))
             elif letter == "R" and d == need_v:
                 reached.setdefault((need_h - 2 * h, 48 - last_d - 2 * v, d), (state, (h, v, d)))
-    return tuple(reached), reached
+    return _interned(reached)
 
 
 def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]] | None:
@@ -253,12 +271,15 @@ def _orient_layers(letters: str, shapes: list[str]) -> list[tuple[int, int, int]
     # needing 24 less unless it is the first horizontal chain (target 24 already).
     slot = H if letters[-1] == "R" else V
     fold = 24 if slot == V or "L" in letters[1:-1] else 0
-    first = {(24 - d - 2 * h, 48 - 2 * v, d): (None, (h, v, d)) for h, v, d in _ARRANGEMENTS[shapes[0]]}
-    frontier, back = tuple(first), [first]
+    fid, reached = _FIRST[shapes[0]]  # reached holds the frontier's states in order
+    back = [reached]
     for letter, shape in zip(letters[1:], shapes[1:]):
-        frontier, reached = _advance(letter, shape, frontier)
+        step = _STEPS.get((letter, shape, fid))
+        if step is None:
+            step = _STEPS[letter, shape, fid] = _advance(letter, shape, tuple(reached))
+        fid, reached = step
         back.append(reached)
-    state = next((s for s in frontier if s[slot] - s[D] == fold and s[1 - slot] == 0), None)
+    state = next((s for s in reached if s[slot] - s[D] == fold and s[1 - slot] == 0), None)
     if state is None:
         return None
     oriented = []

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from typing import NamedTuple
 
 from .word import Word
@@ -66,26 +65,8 @@ class BlockDecomposition:
 
     def to_json(self) -> str:
         return json.dumps(
-            [
-                {
-                    "kind": b.kind,
-                    "span": [b.start, b.end],
-                    "m": b.m,
-                    "p": b.p,
-                    "k": b.k,
-                }
-                for b in self.blocks
-            ]
+            [{"kind": b.kind, "span": [b.start, b.end], "m": b.m, "p": b.p, "k": b.k} for b in self.blocks]
         )
-
-
-def _run_block(kind: str, start: int, end: int) -> Block:
-    length = end - start
-    return Block(kind, start, end, m=length // 2, p=length % 2, k=length)
-
-
-def _b3_block(kind: str, start: int, end: int, b2_lengths: list[int]) -> Block:
-    return Block(kind, start, end, m=sum(b2_lengths), p=0, k=len(b2_lengths), b2_lengths=tuple(b2_lengths))
 
 
 def decompose(inner: Word) -> BlockDecomposition:
@@ -94,35 +75,31 @@ def decompose(inner: Word) -> BlockDecomposition:
     if not INNER_EXPONENTS.issuperset(exps):
         raise ValueError(f"inner word {inner} has an exponent outside {{1, 2}}")
     n = len(exps)
-    runs: list[tuple[int, int, int]] = []  # (exponent, start, end)
-    for e, group in groupby(exps):
-        start = runs[-1][2] if runs else 0
-        runs.append((e, start, start + len(list(group))))
-
-    blocks: list[Block] = []
-    if runs[0][0] == 2:
-        blocks.append(_run_block(B2_START if len(runs) > 1 else ALL_B2, 0, runs.pop(0)[2]))
-    tail = runs.pop() if runs and runs[-1][0] == 2 and runs[-1][2] - runs[-1][1] >= 2 else None
-    open_b3: int | None = None  # start syllable of the B3 being assembled
-    b2_lengths: list[int] = []
-    for i, (e, start, end) in enumerate(runs):
-        opens = i + 1 < len(runs)
-        if e == 2:
-            b2_lengths.append(end - start)
-        elif open_b3 is None or end - start > 1 or not opens:
-            if open_b3 is not None:
-                blocks.append(_b3_block(B3, open_b3, start + 1, b2_lengths))
-                start, b2_lengths = start + 1, []
+    code = bytes(exps)  # bytes.find gives the end of each run
+    end = code.find(1) % (n + 1) if exps[0] == 2 else 0  # of the leading squared run
+    blocks = [Block(B2_START if end < n else ALL_B2, 0, end, end // 2, end % 2, end)] if end else []
+    # Each block starts at pos, where the one before it ended, so they tile
+    # [0, pos); a B3 is open from pos while b2, its squared runs, is not empty.
+    start = pos = end  # start: of the current run of single letters
+    b2 = ()
+    while start < n:
+        end = code.find(2, start) % (n + 1)  # find's -1, no squared run left, wraps to n
+        after = code.find(1, end) % (n + 1)  # end of the squared run [end, after)
+        opens = end < n and (after < n or after - end == 1)  # not B2_end
+        if not b2 or end - start > 1 or not opens:
+            if b2:
+                blocks.append(Block(B3, pos, start + 1, sum(b2), 0, len(b2), b2))
+                pos, b2 = start + 1, ()
             stop = end - 1 if opens else end
-            if stop > start:
-                blocks.append(_run_block(B1, start, stop))
-            open_b3 = stop if opens else None
-    if open_b3 is not None:
-        blocks.append(_b3_block(UNFINISHED_B3, open_b3, n, b2_lengths))
-    if tail is not None:
-        blocks.append(_run_block(B2_END, tail[1], n))
-
-    spans = [(b.start, b.end) for b in blocks]
-    assert spans[0][0] == 0 and spans[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            if stop > pos:
+                blocks.append(Block(B1, pos, stop, (stop - pos) // 2, (stop - pos) % 2, stop - pos))
+                pos = stop
+        if not opens:
+            break
+        b2 += (after - end,)
+        start = after
+    if b2:  # the word ends in a lone squared syllable
+        blocks.append(Block(UNFINISHED_B3, pos, n, sum(b2), 0, len(b2), b2))
+    elif pos < n:
+        blocks.append(Block(B2_END, pos, n, (n - pos) // 2, (n - pos) % 2, n - pos))
     return BlockDecomposition(inner, tuple(blocks))

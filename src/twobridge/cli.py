@@ -165,7 +165,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    reports = [bounds_report(w) for w in enumerate_words(args.max_n, set(args.exponents), args.C)]
+    # A map, not a list: each row is printed before the next report is
+    # computed, so memory stays flat however many words there are.
+    reports = map(bounds_report, enumerate_words(args.max_n, set(args.exponents), args.C))
     return _print_reports(reports, args.json, not args.json)
 
 

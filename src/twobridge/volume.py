@@ -193,12 +193,8 @@ def bounds_report(w: Word) -> BoundsReport:
     tet_count = 2 * (w.ell - 1)
     exps = w.exponents
     ishikawa = w.ell + 2 * (w.n - 1) - exps.count(1)
-    if w.ell >= 3:
-        inner = inner_word(w)
-        n_inner = inner.n
-        C = inner.ell - inner.n
-    else:
-        n_inner, C = 0, 0
+    inner = inner_word(w) if w.ell >= 3 else None
+    n_inner, C = (inner.n, inner.ell - inner.n) if inner else (0, 0)
     petronio = max(2.0, 2.0 * n_inner - 2.6667)
 
     in_family = theorem_family(w)

@@ -61,6 +61,14 @@ class Word:
         return render(self)
 
 
+def _valid_word(syllables: tuple[tuple[str, int], ...]) -> Word:
+    """A Word from syllables valid by construction, without the checks."""
+    w = object.__new__(Word)
+    exponents = tuple([e for _, e in syllables])
+    vars(w).update(syllables=syllables, exponents=exponents, ell=sum(exponents))
+    return w
+
+
 def parse_word(text: str) -> Word:
     """Parse text like ``R^2LR`` into a word.
 
@@ -92,9 +100,7 @@ def parse_word(text: str) -> Word:
 
 def render(w: Word) -> str:
     """Inverse of parse_word; exponents are written only when >= 2."""
-    return "".join(
-        f"{letter}^{exp}" if exp >= 2 else letter for letter, exp in w.syllables
-    )
+    return "".join([f"{letter}^{exp}" if exp >= 2 else letter for letter, exp in w.syllables])
 
 
 def normalize(w: Word) -> Word:
@@ -134,11 +140,7 @@ def inner_word(w: Word) -> Word:
             del syllables[end]
         else:
             syllables[end] = (letter, exp - 1)
-    inner = object.__new__(Word)  # unchecked: stripping end letters keeps every invariant
-    object.__setattr__(inner, "syllables", tuple(syllables))
-    object.__setattr__(inner, "exponents", tuple([e for _, e in syllables]))
-    object.__setattr__(inner, "ell", w.ell - 2)
-    return inner
+    return _valid_word(tuple(syllables))  # stripping end letters keeps every invariant
 
 
 def enumerate_words(
@@ -154,18 +156,20 @@ def enumerate_words(
     words with sum(a_i) = n + fixed_C are produced.  Deterministic order:
     increasing n, then lexicographic in the exponent tuple.
     """
-    exps = sorted(set(exponent_set))
+    exps = set(exponent_set)
     if not exps:
         raise ValueError("exponent set must be non-empty")
-    if any(e < 1 for e in exps):
-        raise ValueError("exponents must be >= 1")
+    if not all(type(e) is int and e >= 1 for e in exps):
+        raise ValueError(f"exponents must be ints >= 1, got {exponent_set!r}")
+    exps = sorted(exps)
     if max_inner_syllables < 1:
         raise ValueError("max_inner_syllables must be >= 1")
     if fixed_C is not None and fixed_C < 0:
         raise ValueError("fixed_C must be >= 0")
-    # A generator expression, so that the checks above run on the call.
+    # A generator expression, so that the checks above run on the call; the
+    # words alternate letters and have exponents >= 1, so they are valid.
     return (
-        Word((("R", 1), *zip(("LR" * n)[:n], combo), ("R" if n % 2 else "L", 1)))
+        _valid_word((("R", 1), *zip(("LR" * n)[:n], combo), ("R" if n % 2 else "L", 1)))
         for n in range(1, max_inner_syllables + 1)
         for combo in product(exps, repeat=n)
         if fixed_C is None or sum(combo) == n + fixed_C

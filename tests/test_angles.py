@@ -724,14 +724,25 @@ def test_failing_sweep_advances_once_per_layer(monkeypatch):
     assert len(calls) <= len(shapes) - 1
 
 
+class CountingTable(dict):
+    """A transition table that counts the sweep's steps through it."""
+
+    steps = 0
+
+    def get(self, key, default=None):
+        self.steps += 1
+        return super().get(key, default)
+
+
 def test_family_sweep_advances_once_per_interior_layer(monkeypatch):
-    # Each call is one cached lookup on the survey path: one per layer after
-    # the first, whatever the frontier holds, over few distinct keys.
-    calls, keys = count_advances(monkeypatch), set()
+    # From an empty table, each word steps through it once per layer after
+    # the first, whatever the frontier holds, and _advance runs once per
+    # distinct transition.
+    calls, table = count_advances(monkeypatch), CountingTable()
+    monkeypatch.setattr(angles, "_STEPS", table)
     for w in family(11):  # the words of test_survey_layer_triples_unchanged
         shapes = _shape_sequence(decompose(inner_word(w)))
-        calls.clear()
+        steps = table.steps
         assert _orient_layers(w.letters, shapes) is not None, str(w)
-        assert len(calls) == len(shapes) - 1, str(w)
-        keys.update(calls)
-    assert len(keys) == 75
+        assert table.steps - steps == len(shapes) - 1, str(w)
+    assert len(calls) == len(set(calls)) == len(table) == 75

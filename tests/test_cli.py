@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -201,6 +203,23 @@ def test_survey_csv_bytes_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "bfef647417aa7e790cb2665fdcf090306d6caec515b46fc6ef4d94935b6ecdb1"
     )
+
+
+@pytest.mark.parametrize("mode, header", [([], 1), (["--json"], 0)])
+def test_survey_streams_its_rows(monkeypatch, mode, header):
+    # When each report is computed, the rows of all the reports before it
+    # (and the CSV header) are already written.
+    out, written, report = io.StringIO(), [], twobridge.cli.bounds_report
+
+    def counting_report(w):
+        written.append(out.getvalue().count("\n"))
+        return report(w)
+
+    monkeypatch.setattr(twobridge.cli, "bounds_report", counting_report)
+    with contextlib.redirect_stdout(out):
+        assert main(["survey", "--max-n", "3", *mode]) == 0
+    assert written == [header + k for k in range(len(list(enumerate_words(3, {1, 2}))))]
+    assert out.getvalue().count("\n") == header + len(written)
 
 
 PIN_WORDS = ["RL", "RLR", "R^2LR", "RL^2R", "RL^3R", "RLRLR", "R^2L^2R", "RL^2RLR^2L"]

@@ -169,9 +169,22 @@ def test_enumerate_errors():
         ((3, set()), "non-empty"),
         ((2, {0, 1}), ">= 1"),
         ((2, {1, 2}, -1), "fixed_C must be >= 0"),
+        ((3, {1.5}), "ints >= 1"),
+        ((2, {True}), "ints >= 1"),
     ],
 )
 def test_enumerate_checks_its_arguments_on_the_call(args, message):
     # no item is pulled: the error comes from the call itself
     with pytest.raises(ValueError, match=message):
         enumerate_words(*args)
+
+
+@pytest.mark.parametrize("exponents", [{1, 2}, {1, 2, 3}])
+def test_enumerated_words_are_checked_words(exponents):
+    # enumerate_words builds its words without Word's checks; each is the
+    # word those checks accept, with the same derived fields.
+    words = list(enumerate_words(9, exponents))
+    assert len(words) == sum(len(exponents) ** n for n in range(1, 10))
+    for w in words:
+        checked = Word(w.syllables)
+        assert w == checked and w.exponents == checked.exponents and w.ell == checked.ell, str(w)

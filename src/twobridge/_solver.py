@@ -1,20 +1,16 @@
-"""Numeric core of volume.maximize_volume, on numpy and scipy.
+"""Numeric core of volume.maximize_volume, on numpy and scipy.linalg.
 
 volume.py imports this module on the first maximize_volume call, so that
 ``import twobridge`` and every path that needs no maximiser stay on the
-standard library.  V sums the series of volume.lobachevsky over all angles
-at once: its 40 terms in r = (t/pi)^2 are five blocks of eight, one matrix
-product with r .. r^8, summed by Horner's rule in r^8.  A seed starts from
-its layers' integer angles in units of pi/24.  A Newton step eliminates
-one angle per tetrahedron and solves the banded Schur complement of the
-edge equations, after dropping the one dependent edge equation per cusp,
-by LAPACK's band Cholesky.  At census sizes a numpy call costs more than
-its arithmetic, so an iteration makes few: one band factorisation, two
-band solves for the step and one for |Pg|, V only on the plane.  The
-equations are one integer table of the rows each angle appears in, so
-scipy.optimize, and scipy.sparse with it, load only for the linear
-program that decides input where an unseeded loop does not end at a
-converged interior point.
+standard library.  V sums the series of volume.lobachevsky over all
+angles at once: its 40 terms in r = (t/pi)^2 are five blocks of eight,
+one matrix product with r .. r^8, summed by Horner's rule in r^8.  On the
+layer table of builder output, a Newton step eliminates one angle per
+layer and solves the banded Schur complement of the chain equations, the
+dependent one dropped, by LAPACK's band Cholesky.  At census sizes a numpy
+call costs more than its arithmetic, so an iteration makes few: one band
+factorisation, two band solves for the step and one for |Pg|, V only on
+the plane.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .angles import AngleAssignment, expand_to_tetrahedra
-from .triangulation import EDGE_VERTS, Triangulation, VerificationError, _labels
+from .triangulation import Triangulation, VerificationError, _labels
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
 # The series of volume.lobachevsky: coefficients of r^m, r = (t/pi)^2, m = 8j + 1 .. 8j + 8 in row j.
@@ -49,84 +45,38 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     return np.where(a > 0.0, value, 0.0) if masked else value
 
 
-def _constraint_system(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """The equations A x = b for angle structures, as (rows, b).
+def _layer_table(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The angle equations on layer triples, as (rows, b) for _newton.
 
-    Variable 3t + p is the angle on the opposite-edge pair p of
-    tetrahedron t (pairs are edges (0,5), (1,4), (2,3)).  Rows 0..n-1 are
-    the tetrahedra (sum pi), then one row per edge class (sum 2 pi).
-    rows[3t + p] holds the rows of A with a 1 in column 3t + p: row t and
-    the class rows of the pair's two edges, twice the same one where both
-    are in one class.
+    Layer k is tetrahedra 2k and 2k + 1, both with its triple; variable
+    3k + p is the angle on pair p.  Cell (2k, e) lies in the same chain as
+    cell (2k + 1, 5 - e), so the edge classes come in twins.  Rows 0..m-1
+    are the layers (sum pi), then one row per chain in order of its
+    smallest class: a twin pair is a chain with either class's weights
+    (sum 2 pi), a class twinned with itself a fold chain with half its
+    weights (sum pi).  rows[3k + p] holds layer k and the chains of the
+    pair's two edges in tetrahedron 2k, twice one chain for weight 2.
     """
     n = tri.tet_count
-    label, count = _labels(tri, "edge")  # class of edge e of tetrahedron t at 6t + e
-    edge_row = n + np.array(label, dtype=np.int64).reshape(n, 6)
-    rows = np.empty((n, 3, 3), dtype=np.int64)  # rows[t, p] is rows[3t + p]
-    rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = np.arange(n)[:, None], edge_row[:, :3], edge_row[:, :2:-1]
-    b = np.concatenate([np.full(n, math.pi), np.full(count, 2.0 * math.pi)])
-    return rows.reshape(3 * n, 3), b
+    if tri.layer_of != tuple(t >> 1 for t in range(n)):
+        raise ValueError("triangulation carries no builder layer metadata (tetrahedra 2k and 2k + 1 in layer k)")
+    label, count = _labels(tri, "edge")
+    ends = np.array(label).reshape(n // 2, 2, 6)
+    paired = np.stack([ends[:, 0], ends[:, 1, ::-1]])  # cells (2k, e) above cells (2k + 1, 5 - e)
+    twin = np.empty(count, dtype=np.int64)
+    twin[paired] = paired[::-1]
+    if not np.array_equal(twin[paired], paired[::-1]):
+        raise VerificationError("the layers do not match the gluings: twin cells in unpaired classes")
+    heads, chain = np.unique(np.minimum(np.arange(count), twin), return_inverse=True)
+    m, first = n // 2, paired[0]
+    rows = np.empty((m, 3, 3), dtype=np.int64)
+    rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = np.arange(m)[:, None], m + chain[first[:, :3]], m + chain[first[:, :2:-1]]
+    b = np.concatenate([np.full(m, math.pi), np.where(twin[heads] == heads, math.pi, 2.0 * math.pi)])
+    return rows.reshape(3 * m, 3), b
 
 
-def _independent_rows(tri: Triangulation) -> np.ndarray:
-    """Mask of the rows of _constraint_system kept when one edge row per
-    cusp is dropped.
-
-    Each cusp v gives the identity sum_e m_v(e) row(e) = sum_t k_v(t) row(t),
-    where m_v(e) counts the ends of edge class e at v and k_v(t) the
-    vertices of tetrahedron t at v.  The dropped edge rows are the classes,
-    in order, whose column of m is independent of the columns before it,
-    found by elimination in integers; on a valid triangulation with c cusps
-    there are c of them and the remaining 2n - c rows are independent.
-    """
-    n = tri.tet_count
-    edge, count = _labels(tri, "edge")
-    vertex, sizes = _labels(tri, "vertex")
-    cusps = len(sizes)
-    keep = np.ones(n + count, dtype=bool)
-    pivots = []  # (cusp, column) of each dropped class; a column is 0 at the cusps of the pivots before it
-    x = 0
-    for c in range(count):
-        if len(pivots) == cusps:
-            break
-        x = edge.index(c, x)  # the first member 6t + e: classes are numbered in order of it
-        t, e = divmod(x, 6)
-        column = [0] * cusps
-        for v in EDGE_VERTS[e]:
-            column[vertex[4 * t + v]] += 1
-        for p, pivot in pivots:
-            if column[p]:  # the gcd keeps the integers small; columns only scale, so zeros stay
-                column = [pivot[p] * a - column[p] * b for a, b in zip(column, pivot)]
-                g = math.gcd(*column) or 1
-                column = [a // g for a in column]
-        p = next((v for v, a in enumerate(column) if a), None)
-        if p is not None:
-            pivots.append((p, column))
-            keep[n + c] = False
-    return keep
-
-
-def _interior_point(rows: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A strictly positive solution of A x = b via slack maximisation, or
-    None: maximize_volume's verdict when its unseeded Newton loop does not converge.
-
-    With x = s + t 1 and s >= 0 the linear program maximises t subject to
-    [A | A 1] [s; t] = b.  The bounds x <= pi - t need no rows: the
-    tetrahedron equations (sum pi over three positive angles) imply them.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    n, m = len(rows), len(b)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    # Each entry of A goes to its column and to column n; repeated places are summed, so column n is A 1.
-    at = (np.tile(rows.ravel(), 2), np.concatenate([np.repeat(np.arange(n), 3), np.full(3 * n, n)]))
-    A_eq = csr_matrix((np.ones(6 * n), at), shape=(m, n + 1))
-    res = linprog(c, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * n + [(None, None)], method="highs")
-    if not res.success or res.x[-1] <= 1e-9:
-        return None
-    return res.x[:-1] + res.x[-1]
+def _residual(rows: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:  # A x - b of the table (rows, b)
+    return np.bincount(rows.ravel(), x.repeat(3), len(b)) - b
 
 
 # Step control of the Newton loop.  A step covers at most this share of
@@ -142,7 +92,7 @@ _BARRIER = 0.02
 _BARRIER_FALL = 0.5
 # The iterate is on the plane when no equation is off by more than this:
 # rounding level, whatever the tolerance on |Pg|.  The dropped equations
-# count too: where a vertex link is not a torus they contradict the rest.
+# count too: where they contradict the rest, no point is on the plane.
 _ON_PLANE = 1e-12
 # N: the angle step of a tetrahedron from its reduced variables (d1, d2).
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -164,12 +114,12 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     """factor(h) -> solve(ascent, residual), the step d of the KKT system
     [[diag(h), A_kept^T], [A_kept, 0]] [d; y] = [-ascent; -residual_kept].
 
-    In each tetrahedron d = N z + (0, 0, -r), r its row's residual, and the
-    Hessian block G = N^T diag(h) N is 2x2, negative definite for h < 0 on
-    the plane (det G = h1 h2 + h1 h3 + h2 h3).  The kept edge rows become
-    B z, and S = -B G^-1 B^T is banded in class order.  factor returns None
-    unless LAPACK's band Cholesky finds S positive definite and nonsingular
-    to rounding.
+    In each tetrahedron (layer) d = N z + (0, 0, -r), r its row's residual,
+    and the Hessian block G = N^T diag(h) N is 2x2, negative definite for
+    h < 0 on the plane (det G = h1 h2 + h1 h3 + h2 h3).  The kept edge
+    (chain) rows become B z, and S = -B G^-1 B^T is banded in class order.  factor
+    returns None unless LAPACK's band Cholesky finds S positive definite and
+    nonsingular to rounding.
     """
     n = len(rows)
     tets, k = n // 3, int(keep.sum()) - n // 3
@@ -224,27 +174,13 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
     return factor
 
 
-def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
-    """The body of volume.maximize_volume, on checked arguments."""
-    rows, b = _constraint_system(tri)
-    n, flat = len(rows), rows.ravel()
-
-    def residual_at(v):  # A v - b
-        return np.bincount(flat, v.repeat(3), len(b)) - b
-
-    if seed is not None:
-        expand_to_tetrahedra(seed, tri)  # for its checks: tri has layer metadata, one layer per two tetrahedra
-        x = (np.array([la.units for la in seed.layers]) / 24 * math.pi).take(tri.layer_of, axis=0).ravel()
-        if abs(residual_at(x)).max() > 1e-9 or x.min() <= 0:
-            raise ValueError("seed assignment is not a strict angle structure")
-    else:
-        x = np.full(n, math.pi / 3)
-
-    keep = _independent_rows(tri)
+def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, tolerance: float, max_iters: int):
+    """The damped Newton loop from x up V on the table (rows, b), whose rows
+    in keep are independent: (x, V, |Pg|, iterations, converged)."""
     factor = _schur_solver(rows, keep)
-    projector = factor(np.full(n, -1.0))  # h = -1: it projects onto the null space of A_kept
+    projector = factor(np.full(len(rows), -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:
-        raise VerificationError(f"angle equations have rank below {keep.sum()} after dropping the cusp relations")
+        raise VerificationError(f"angle equations have rank below the {keep.sum()} rows kept")
 
     def value(v):
         return float(_lobachevsky_array(v).sum())
@@ -258,7 +194,7 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
 
     fx = logs = None  # V and the barrier's sum(log x) at x, computed on the plane only
     g, gnorm = grad(x), None  # gnorm: |Pg| at x once computed
-    residual = residual_at(x)
+    residual = _residual(rows, b, x)
     mu = _BARRIER / _BARRIER_FALL
     it = 0
     for it in range(1, max_iters + 1):
@@ -296,11 +232,29 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
             break
         x, fx, logs = x_new, f_new, logs_new
         g, gnorm = grad(x), None
-        residual = residual_at(x)
+        residual = _residual(rows, b, x)
     if gnorm is None:
         gnorm = gradient_norm(g)
     converged = gnorm <= tolerance and float(abs(residual).max()) <= _ON_PLANE
-    result = MaximizeResult(x.reshape(-1, 3), value(x) if fx is None else fx, gnorm, it, converged)
-    if seed is None and not result.converged and _interior_point(rows, b) is None:
-        raise ValueError("no strict angle structure: constraint system infeasible")
+    return x, value(x) if fx is None else fx, gnorm, it, converged
+
+
+def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
+    """The body of volume.maximize_volume, on checked arguments."""
+    rows, b = _layer_table(tri)
+    if seed is not None:
+        expand_to_tetrahedra(seed, tri)  # for its checks: one layer per two tetrahedra
+        x = (np.array([la.units for la in seed.layers]) / 24 * math.pi).ravel()
+        if abs(_residual(rows, b, x)).max() > 1e-9 or x.min() <= 0:
+            raise ValueError("seed assignment is not a strict angle structure")
+    else:
+        x = np.full(len(rows), math.pi / 3)
+    # The chain rows sum to twice the layer rows: the last one is dependent.
+    x, value, gnorm, it, converged = _newton(rows, b, np.arange(len(b)) < len(b) - 1, x, tolerance, max_iters)
+    angles = x.reshape(-1, 3).take(tri.layer_of, axis=0)
+    result = MaximizeResult(angles, 2.0 * value, gnorm, it, converged)
+    if result.converged:  # the edge equations of the gluings; edge e carries pair min(e, 5 - e)
+        off = abs(np.bincount(_labels(tri, "edge")[0], angles[:, [0, 1, 2, 2, 1, 0]].ravel()) - 2.0 * math.pi).max()
+        if off > 1e-9:
+            raise VerificationError(f"the maximum misses an edge equation by {off:.3g}")
     return result

@@ -13,7 +13,8 @@ from a file with --words-file, one word per line):
     survey     bounds reports over the enumerated word family (CSV, or --json)
 
 Exit status: 0 on success, 1 on bad input, 2 on an internal verification
-failure.
+failure, also where a printed record fails its check: an unverified angle
+structure, or an unconverged volume maximum (--max-iters too).
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _volume(w: Word, args) -> tuple[list[str], bool]:
         "on_boundary": res.on_boundary,
     }
     if args.json:
-        return [json.dumps(doc)], True
-    return [f"{key}: {val}" for key, val in doc.items()], True
+        return [json.dumps(doc)], res.converged
+    return [f"{key}: {val}" for key, val in doc.items()], res.converged
 
 
 def _print_reports(reports, as_json: bool, as_csv: bool) -> int:
@@ -210,7 +211,7 @@ def _parser() -> argparse.ArgumentParser:
     add("angles", "explicit angle structure with verification", _angles)
     p = add("volume", "explicit and maximised volumes", _volume)
     p.add_argument("--tolerance", type=float, default=1e-10, help="projected-gradient stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=200, help="maximum ascent iterations")
+    p.add_argument("--max-iters", type=int, default=200, help="maximum ascent iterations; a run that stops unconverged exits 2")
     add("bounds", "complexity bounds for given words", fn=_cmd_bounds, with_csv=True)
     p = add("survey", "bounds over the enumerated family (CSV, or --json)", fn=_cmd_survey, words=False)
     p.add_argument("--max-n", type=int, required=True, help="largest inner syllable count")

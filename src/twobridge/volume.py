@@ -11,10 +11,10 @@ built on them read a 25-entry table of L.
 The volume functional V(theta) = sum of L over all angles is concave on
 the polytope cut out by the per-tetrahedron (sum pi) and per-edge-class
 (sum 2 pi) equations; its interior critical point, when it exists, gives
-the hyperbolic volume of the manifold.  maximize_volume finds it with
-the Newton solver of twobridge._solver.  This module uses the standard
-library only; numpy and scipy load with that solver, on the first
-maximize_volume call.
+the hyperbolic volume of the manifold.  maximize_volume finds it on
+builder output with the Newton solver of twobridge._solver, over the
+layer triples.  This module uses the standard library only; numpy and
+scipy.linalg load with that solver, on the first maximize_volume call.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ _WALL = 1e-6
 class MaximizeResult:
     angles: np.ndarray          # shape (tets, 3): pairs 0/5, 1/4, 2/3, radians
     volume: float
-    gradient_norm: float        # projected onto the constraint null space
+    gradient_norm: float        # the gradient projected onto the null space of the layer table
     iterations: int
     converged: bool
 
@@ -125,24 +125,21 @@ def maximize_volume(
     tolerance: float = 1e-10,
     max_iters: int = 200,
 ) -> MaximizeResult:
-    """Maximise the volume functional over the angle polytope.
+    """Maximise the volume functional over the angle polytope of builder output.
 
-    Concavity makes the interior critical point unique; on a geometric
-    triangulation it computes the hyperbolic volume.  One damped Newton
-    loop runs from the seed, else from x = pi/3, which satisfies every
-    tetrahedron equation.  The seed's layer angles are read from their
-    integer units of pi/24 and spread by tri's layer_of, under the checks
-    of expand_to_tetrahedra.  Each step solves the banded Schur complement
-    of the edge equations, in time linear in the size, and also corrects
-    the residual of A x = b (infeasible-start Newton, Boyd-Vandenberghe,
-    Convex Optimization 10.3): a step of length alpha shrinks it by the
-    factor 1 - alpha.  An iteration makes one band factorisation and at
-    most three band solves; V is summed only where a step needs it.
-    A seed is checked to be a strict solution; without one, unless the
-    loop ends at a converged interior point, a linear program decides:
-    ValueError if no strictly positive solution exists.  Raises
-    VerificationError if the equations keep a dependent row after the
-    cusp relations are dropped.
+    Concavity makes the interior critical point unique.  Builder output of
+    a hyperbolic word is geometric (Gueritaud-Futer), so the point is its
+    hyperbolic structure and has the layer symmetry: one damped Newton
+    loop runs on the layer table of twobridge._solver, from the seed's
+    integer layer angles (under the checks of expand_to_tetrahedra), else
+    from x = pi/3.  Each step solves the banded Schur complement of the
+    chain equations in linear time and corrects the residual of A x = b
+    (infeasible-start Newton, Boyd-Vandenberghe, Convex Optimization 10.3).
+    layer_of spreads the point over the tetrahedra; the volume is twice the
+    layer sum.  An unconverged run returns its last point.  ValueError for
+    a seed that is no strict solution, or without the builder's layer
+    metadata; VerificationError where the layers do not match the gluings,
+    or a converged point misses a gluing edge equation by over 1e-9.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")

@@ -1,12 +1,15 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twobridge import moves
+from twobridge import _solver, moves
 from twobridge.angles import _UNITS
-from twobridge.triangulation import IDENTITY, Triangulation, _labels, invert
+from twobridge.triangulation import EDGE_VERTS, IDENTITY, Triangulation, _labels, invert
+from twobridge.volume import MaximizeResult
 from twobridge.word import Word
 
 # The catalogue shapes' angles as Fractions of pi, from the synthesis's units of pi/24.
@@ -225,6 +228,104 @@ def link_corners(tri):
     vertex v of edge vw of tetrahedron t, and a gluing of facet f identifies
     the corners whose edges lie in the facet."""
     return union_find(tri, 16, lambda f, perm: [(4 * v + w, 4 * perm[v] + perm[w]) for v, w in FACET_CORNERS[f]])
+
+
+def constraint_system(tri):
+    """The equations A x = b for angle structures on the gluing table, as (rows, b).
+
+    Variable 3t + p is the angle on the opposite-edge pair p of
+    tetrahedron t (pairs are edges (0,5), (1,4), (2,3)).  Rows 0..n-1 are
+    the tetrahedra (sum pi), then one row per edge class (sum 2 pi).
+    rows[3t + p] holds the rows of A with a 1 in column 3t + p: row t and
+    the class rows of the pair's two edges, twice the same one where both
+    are in one class.
+    """
+    n = tri.tet_count
+    label, count = _labels(tri, "edge")  # class of edge e of tetrahedron t at 6t + e
+    edge_row = n + np.array(label, dtype=np.int64).reshape(n, 6)
+    rows = np.empty((n, 3, 3), dtype=np.int64)  # rows[t, p] is rows[3t + p]
+    rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = np.arange(n)[:, None], edge_row[:, :3], edge_row[:, :2:-1]
+    b = np.concatenate([np.full(n, math.pi), np.full(count, 2.0 * math.pi)])
+    return rows.reshape(3 * n, 3), b
+
+
+def independent_rows(tri):
+    """Mask of the rows of constraint_system kept when one edge row per
+    cusp is dropped.
+
+    Each cusp v gives the identity sum_e m_v(e) row(e) = sum_t k_v(t) row(t),
+    where m_v(e) counts the ends of edge class e at v and k_v(t) the
+    vertices of tetrahedron t at v.  The dropped edge rows are the classes,
+    in order, whose column of m is independent of the columns before it,
+    found by elimination in integers; on a valid triangulation with c cusps
+    there are c of them and the remaining 2n - c rows are independent.
+    """
+    n = tri.tet_count
+    edge, count = _labels(tri, "edge")
+    vertex, sizes = _labels(tri, "vertex")
+    cusps = len(sizes)
+    keep = np.ones(n + count, dtype=bool)
+    pivots = []  # (cusp, column) of each dropped class; a column is 0 at the cusps of the pivots before it
+    x = 0
+    for c in range(count):
+        if len(pivots) == cusps:
+            break
+        x = edge.index(c, x)  # the first member 6t + e: classes are numbered in order of it
+        t, e = divmod(x, 6)
+        column = [0] * cusps
+        for v in EDGE_VERTS[e]:
+            column[vertex[4 * t + v]] += 1
+        for p, pivot in pivots:
+            if column[p]:  # the gcd keeps the integers small; columns only scale, so zeros stay
+                column = [pivot[p] * a - column[p] * b for a, b in zip(column, pivot)]
+                g = math.gcd(*column) or 1
+                column = [a // g for a in column]
+        p = next((v for v, a in enumerate(column) if a), None)
+        if p is not None:
+            pivots.append((p, column))
+            keep[n + c] = False
+    return keep
+
+
+def interior_point(rows, b):
+    """A strictly positive solution of A x = b via slack maximisation, or
+    None: the verdict of maximize_gluing_table when its Newton loop does
+    not converge.
+
+    With x = s + t 1 and s >= 0 the linear program maximises t subject to
+    [A | A 1] [s; t] = b.  The bounds x <= pi - t need no rows: the
+    tetrahedron equations (sum pi over three positive angles) imply them.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    n, m = len(rows), len(b)
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    # Each entry of A goes to its column and to column n; repeated places are summed, so column n is A 1.
+    at = (np.tile(rows.ravel(), 2), np.concatenate([np.repeat(np.arange(n), 3), np.full(3 * n, n)]))
+    A_eq = csr_matrix((np.ones(6 * n), at), shape=(m, n + 1))
+    res = linprog(c, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * n + [(None, None)], method="highs")
+    if not res.success or res.x[-1] <= 1e-9:
+        return None
+    return res.x[:-1] + res.x[-1]
+
+
+def maximize_gluing_table(tri):
+    """The maximum of V over all 3n angles of any triangulation: the
+    Newton loop of maximize_volume on constraint_system, one edge row per
+    cusp dropped, from x = pi/3.  Where the loop does not end at a
+    converged interior point, the linear program decides: ValueError if no
+    strictly positive solution exists.  The reference for triangulations
+    without layers, and for the layer table on builder output."""
+    rows, b = constraint_system(tri)
+    x, value, gnorm, it, converged = _solver._newton(
+        rows, b, independent_rows(tri), np.full(len(rows), math.pi / 3), 1e-10, 200
+    )
+    result = MaximizeResult(x.reshape(-1, 3), value, gnorm, it, converged)
+    if not result.converged and interior_point(rows, b) is None:
+        raise ValueError("no strict angle structure: constraint system infeasible")
+    return result
 
 
 @pytest.fixture(scope="session")

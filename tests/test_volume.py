@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -14,9 +15,19 @@ import pytest
 from scipy.integrate import quad
 
 import twobridge
-from conftest import SHAPES, all_normalized_words, disjoint_union, pachner_23, triangle_pairs
+from conftest import (
+    SHAPES,
+    all_normalized_words,
+    constraint_system,
+    disjoint_union,
+    independent_rows,
+    interior_point,
+    maximize_gluing_table,
+    pachner_23,
+    triangle_pairs,
+)
 import twobridge._solver as solver
-from twobridge._solver import _constraint_system, _independent_rows, _interior_point, _lobachevsky_array, _schur_solver
+from twobridge._solver import _layer_table, _lobachevsky_array, _schur_solver
 from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
 from twobridge.isosig import decode_isosig, encode_isosig
 from twobridge.moves import simplify
@@ -265,7 +276,7 @@ def test_maximize_agrees_across_retriangulation():
     tri = build_sakuma_weeks(parse_word("R^2LR"))
     small = simplify(tri).final
     a = maximize_volume(tri).volume
-    b = maximize_volume(small).volume
+    b = maximize_gluing_table(small).volume
     assert abs(a - b) < 1e-7
 
 
@@ -275,7 +286,7 @@ def test_maximize_rejects_infeasible():
     tri.glue(0, 0, 0, (1, 0, 3, 2))
     tri.glue(0, 2, 0, (0, 1, 3, 2))
     with pytest.raises(ValueError):
-        maximize_volume(tri)
+        maximize_gluing_table(tri)
 
 
 def test_maximize_rejects_links_that_are_not_tori(monkeypatch):
@@ -295,7 +306,7 @@ def test_maximize_rejects_links_that_are_not_tori(monkeypatch):
 
     monkeypatch.setattr("twobridge._solver._lobachevsky_array", counted)
     with pytest.raises(ValueError):
-        maximize_volume(tri)
+        maximize_gluing_table(tri)
     # no Newton step moves the dropped row, so the loop stops at once
     assert len(calls) <= 5
 
@@ -306,7 +317,7 @@ def test_maximize_rejects_infeasible_pachner_copies():
     rejected = 0
     for face, _ in triangle_pairs(tri):
         try:
-            res = maximize_volume(pachner_23(tri, face))
+            res = maximize_gluing_table(pachner_23(tri, face))
         except ValueError:
             rejected += 1
         else:
@@ -320,14 +331,14 @@ def test_interior_point_solves_the_dense_system():
     # reference equations where one exists, None where none does.
     tri = build_sakuma_weeks(parse_word("RL^2"))
     copies = [pachner_23(tri, face) for face, _ in triangle_pairs(tri)]
-    points = [_interior_point(*_constraint_system(t)) for t in copies]
+    points = [interior_point(*constraint_system(t)) for t in copies]
     assert [i for i, x in enumerate(points) if x is not None] == [1, 2]
     one_tet = Triangulation(1)
     one_tet.glue(0, 0, 0, (1, 0, 3, 2))
     one_tet.glue(0, 2, 0, (0, 1, 3, 2))
-    assert _interior_point(*_constraint_system(one_tet)) is None
+    assert interior_point(*constraint_system(one_tet)) is None
     r5l4 = build_sakuma_weeks(parse_word("R^5L^4"))
-    for t, x in [(r5l4, _interior_point(*_constraint_system(r5l4))), (copies[1], points[1]), (copies[2], points[2])]:
+    for t, x in [(r5l4, interior_point(*constraint_system(r5l4))), (copies[1], points[1]), (copies[2], points[2])]:
         A, b = dense_system(t)
         assert x.shape == (A.shape[1],) and x.min() > 0
         assert np.max(np.abs(A @ x - b)) <= 1e-9
@@ -338,17 +349,21 @@ def test_maximum_on_the_walls_is_not_converged():
     # supremum of V is on the walls: a strict structure exists, but the
     # value is no hyperbolic volume
     tri = build_sakuma_weeks(parse_word("RLR"))
-    res = maximize_volume(pachner_23(tri, triangle_pairs(tri)[0][0]))
+    res = maximize_gluing_table(pachner_23(tri, triangle_pairs(tri)[0][0]))
     assert res.on_boundary
     assert not res.converged
 
 
 @pytest.mark.parametrize("max_iters", [0, 1])
 def test_maximize_stops_unconverged_without_raising(max_iters):
-    # a feasible system cut short: the verdict finds a strict solution
+    # A run cut short, unseeded or from the explicit structure, returns its
+    # last point: no verdict on the input runs.
     res = maximize_volume(build_sakuma_weeks(parse_word("R^5L^4")), max_iters=max_iters)
     assert not res.converged
     assert res.iterations == max_iters
+    w = parse_word("RL^2R")
+    res = maximize_volume(build_sakuma_weeks(w), seed=assign_angles(w), max_iters=max_iters)
+    assert not res.converged and res.iterations == max_iters
 
 
 def run_fresh(code):
@@ -361,11 +376,25 @@ def run_fresh(code):
     return proc.stdout.strip()
 
 
-def test_unseeded_builder_words_skip_the_lp():
-    # the Newton loop decides builder words alone; only the verdict on
-    # infeasible input imports scipy.optimize.  Its steps are banded
-    # Cholesky solves on an integer table of the equations, so scipy.sparse
-    # (and its SuperLU in scipy.sparse.linalg) is never loaded.
+def test_src_imports_neither_scipy_optimize_nor_sparse():
+    # The maximiser's steps are banded Cholesky solves (scipy.linalg) on an
+    # integer table of the equations.  The linear program, which needs
+    # scipy.optimize and scipy.sparse, is a test-side oracle.
+    banned = ("scipy.optimize", "scipy.sparse")
+    for path in Path(twobridge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [x for x in names if x.startswith(banned)], (path.name, names)
+
+
+def test_volume_on_builder_words_loads_neither_scipy_optimize_nor_sparse():
+    # In a fresh interpreter, unseeded runs on builder words load neither
+    # module (nor SuperLU in scipy.sparse.linalg).
     code = (
         "import sys\n"
         "from twobridge import build_sakuma_weeks, maximize_volume, parse_word\n"
@@ -425,21 +454,10 @@ def test_maximize_rejects_a_seed_of_another_word_of_the_same_length():
         maximize_volume(build_sakuma_weeks(parse_word("RL^2RL")), seed=assign_angles(parse_word("RLRLR")))
 
 
-def test_seeded_run_cut_short_skips_the_lp(monkeypatch):
-    # the seed was checked to be a strict solution, so feasibility is decided
-    def no_lp(rows, b):
-        raise AssertionError("the linear program ran on a seeded run")
-
-    monkeypatch.setattr(solver, "_interior_point", no_lp)
-    w = parse_word("RL^2R")
-    res = maximize_volume(build_sakuma_weeks(w), seed=assign_angles(w), max_iters=0)
-    assert not res.converged and res.iterations == 0
-
-
 def dense_system(tri):
     """Dense A and b of the angle equations, built from the edge-class table.
 
-    A reference apart from _constraint_system: column 3t + p, the angle on
+    A reference apart from constraint_system: column 3t + p, the angle on
     pair p of tetrahedron t (edges p and 5 - p), has 1 in row t and 1 per
     edge end in each edge-class row n + c.
     """
@@ -499,7 +517,7 @@ def test_maximum_verifies_on_simplified_triangulations():
     moved = 0
     for w in all_normalized_words(7):
         trace = simplify(build_sakuma_weeks(w))
-        res = maximize_volume(trace.final)
+        res = maximize_gluing_table(trace.final)
         if res.converged:
             assert verify_angle_structure(trace.final, res.angles).passed, str(w)
             moved += bool(trace.moves)
@@ -534,7 +552,7 @@ def test_simplify_keeps_the_maximum(words_ell8):
         if final.tet_count == tri.tet_count:
             continue
         smaller += 1
-        a, b = maximize_volume(tri), maximize_volume(final)
+        a, b = maximize_volume(tri), maximize_gluing_table(final)
         assert a.converged and b.converged, str(w)
         assert abs(a.volume - b.volume) <= 1e-12, str(w)
     assert smaller > 0
@@ -614,7 +632,7 @@ def test_cusp_relations_leave_independent_rows():
         final = simplify(tri).final
         for t in (tri,) if final is tri else (tri, final):
             dense, _ = dense_system(t)
-            keep = _independent_rows(t)
+            keep = independent_rows(t)
             expected = 2 * t.tet_count - len(_labels(t, "vertex")[1])
             assert keep.sum() == expected, str(w)
             assert np.linalg.matrix_rank(dense) == expected, str(w)
@@ -622,15 +640,20 @@ def test_cusp_relations_leave_independent_rows():
 
 
 def seed_angles(seed):
-    """The angle vector of an explicit assignment, in maximize_volume's order."""
+    """The angle vector of an explicit assignment over the tetrahedra, pair by pair."""
     return np.array([float(q) * math.pi for la in seed.layers for _ in (0, 1) for q in la.triple])
+
+
+def layer_angles(seed):
+    """The angle vector of an explicit assignment over its layers, the layer table's order."""
+    return np.array([float(q) * math.pi for la in seed.layers for q in la.triple])
 
 
 def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):
     # maximize reads the seed from the integer angles in units of pi/24; the
-    # first evaluation of V sees exactly the Fraction angles times pi.  The
-    # words cover the 25 layer arrangements used up to 10 inner syllables,
-    # and every multiple of pi/24 converts alike.
+    # first evaluation of V sees exactly the 3m layer angles, the Fractions
+    # times pi.  The words cover the 25 layer arrangements used up to 10
+    # inner syllables, and every multiple of pi/24 converts alike.
     exact = np.array([float(Fraction(k, 24)) * math.pi for k in range(25)])
     assert (np.arange(25) / 24 * math.pi).tobytes() == exact.tobytes()
 
@@ -645,7 +668,7 @@ def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):
         seed = assign_angles(w)
         with pytest.raises(Seen) as seen:
             maximize_volume(build_sakuma_weeks(w), seed=seed)
-        assert seen.value.args[0].tobytes() == seed_angles(seed).tobytes(), str(w)
+        assert seen.value.args[0].tobytes() == layer_angles(seed).tobytes(), str(w)
 
 
 def test_newton_step_matches_dense_kkt():
@@ -653,25 +676,32 @@ def test_newton_step_matches_dense_kkt():
     # [[diag(h), A_kept^T], [A_kept, 0]]: at x = pi/3 (off the edge
     # equations), at a point off the tetrahedron equations too, and at the
     # seed.  The 2-3 copies have other cusp structures, hence other dropped
-    # rows.  The solver's row table rebuilds the dense reference exactly.
+    # rows; the layer table of builder output drops its last chain row.
+    # The gluing tables rebuild the dense reference exactly.
     rng = np.random.default_rng(3)
     mu = 0.01
     for w in all_normalized_words(8):
         tri = build_sakuma_weeks(w)
         pairs = triangle_pairs(tri)
+        seed = assign_angles(w) if theorem_family(w) else None
+        tables = []
         for t in (tri, simplify(tri).final, pachner_23(tri, pairs[0][0]), pachner_23(tri, pairs[-1][0])):
-            rows, b = _constraint_system(t)
+            rows, b = constraint_system(t)
             A, dense_b = dense_system(t)
-            n = A.shape[1]
             rebuilt = np.zeros_like(A)
-            np.add.at(rebuilt, (rows, np.arange(n)[:, None]), 1.0)
-            assert rows.shape == (n, 3) and np.array_equal(rebuilt, A) and np.array_equal(b, dense_b), str(w)
-            keep = _independent_rows(t)
+            np.add.at(rebuilt, (rows, np.arange(len(rows))[:, None]), 1.0)
+            assert rows.shape == (A.shape[1], 3) and np.array_equal(rebuilt, A) and np.array_equal(b, dense_b), str(w)
+            tables.append((rows, b, A, independent_rows(t), None if seed is None or t is not tri else seed_angles(seed)))
+        rows, b = _layer_table(tri)
+        layer_seed = None if seed is None else layer_angles(seed)
+        tables.append((rows, b, dense_layer_table(tri)[0], np.arange(len(b)) < len(b) - 1, layer_seed))
+        for rows, b, A, keep, seed_point in tables:
+            n = A.shape[1]
             factor = _schur_solver(rows, keep)
             kept = A[keep]
             points = [np.full(n, math.pi / 3), math.pi / 3 + rng.uniform(-0.2, 0.2, n)]
-            if t is tri and theorem_family(w):
-                points.append(seed_angles(assign_angles(w)))
+            if seed_point is not None:
+                points.append(seed_point)
             for x in points:
                 g = -np.log(np.abs(2.0 * np.sin(x)))
                 newton = (-1.0 / np.tan(x) - mu / x**2, g + mu / x, A @ x - b)
@@ -692,10 +722,10 @@ def test_projection_needs_no_refinement():
     for w in all_normalized_words(6):
         tri = build_sakuma_weeks(w)
         for t in (tri, pachner_23(tri, triangle_pairs(tri)[-1][0])):
-            rows, b = _constraint_system(t)
+            rows, b = constraint_system(t)
             A, _ = dense_system(t)
             n = A.shape[1]
-            keep = _independent_rows(t)
+            keep = independent_rows(t)
             kept = A[keep]
             g = -np.log(np.abs(2.0 * np.sin(math.pi / 3 + rng.uniform(-0.2, 0.2, n))))
             kkt = np.block([[-np.eye(n), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
@@ -736,17 +766,17 @@ def test_newton_step_is_accurate_near_flat_tetrahedra():
     # refining only the edge rows leaves 2e-14, no refinement 1e-13.
     tri = build_sakuma_weeks(parse_word("RL^2RLRLR"))
     t = pachner_23(tri, triangle_pairs(tri)[0][0])
-    res = maximize_volume(t)
+    res = maximize_gluing_table(t)
     assert res.converged and res.iterations == 13
     x = res.angles.ravel()
     assert x.min() < 0.002 and x.max() > math.pi - 0.004
     A, b = dense_system(t)
-    keep = _independent_rows(t)
+    keep = independent_rows(t)
     kept = A[keep]
     g, h, residual = -np.log(np.abs(2.0 * np.sin(x))), -1.0 / np.tan(x), A @ x - b
     kkt = np.block([[np.diag(h), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
     reference = np.linalg.solve(kkt, np.concatenate([-g, -residual[keep]]))[: len(x)]
-    step = _schur_solver(_constraint_system(t)[0], keep)(h)(g, residual)
+    step = _schur_solver(constraint_system(t)[0], keep)(h)(g, residual)
     assert np.max(np.abs(step - reference)) <= 5e-15
 
 
@@ -768,7 +798,7 @@ def test_newton_trajectories_are_pinned(newton_runs):
     runs = [(str(w), res.iterations, res.converged) for w, _, res in newton_runs]
     assert len(runs) == 247 and all(converged for _, _, converged in runs)
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
-    assert digest == "c66162956f69c9aeaf3372db1f3f1e13cd23bbbc38d64dc5ea4337449afa910a"
+    assert digest == "62f05dffb317e7d4a2a125822465c327d8d208aab02516cb684eeea17b00d313"
 
 
 def gluing_orientation(tri):
@@ -814,7 +844,7 @@ def test_maximum_solves_the_edge_equations(newton_runs):
     # both orientations, so there the check needs the gluing parity.
     for w in all_normalized_words(6):
         tri = decode_isosig(encode_isosig(build_sakuma_weeks(w)))
-        res = maximize_volume(tri)
+        res = maximize_gluing_table(tri)
         assert set(gluing_orientation(tri)) == {-1, 1}, str(w)
         assert res.converged and np.max(np.abs(edge_moduli(tri, res.angles))) <= 1e-9, str(w)
     w = parse_word("RL^2R^2LR")
@@ -823,16 +853,122 @@ def test_maximum_solves_the_edge_equations(newton_runs):
 
 
 def test_dependent_rows_raise_verification_error(monkeypatch):
-    # No complex found so far keeps dependent rows once one edge row per cusp
-    # is dropped (random closed and partly glued complexes of 1 to 4
-    # tetrahedra were searched), so every edge row is kept here: the cusp
-    # relations then make the rows dependent, and S singular.
-    monkeypatch.setattr(
-        "twobridge._solver._independent_rows", lambda tri: np.ones(tri.tet_count + len(edge_classes(tri)), dtype=bool)
-    )
+    # The layer table keeps no dependent row once its last chain row is
+    # dropped (test_layer_table_drops_its_one_dependent_row), so every chain
+    # row is kept here: the rows are then dependent, and S singular.
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_newton", lambda rows, b, keep, *rest: newton(rows, b, np.ones_like(keep), *rest))
     for text in ("RL", "R^2LR", "RL^2RLR^6"):
         with pytest.raises(VerificationError):
             maximize_volume(build_sakuma_weeks(parse_word(text)))
+
+
+def random_words(count, max_exponent, rng):
+    """count normalised words of 2 to 8 syllables with exponents up to max_exponent."""
+    return [
+        normalize(Word(tuple(("RL"[i % 2], rng.randint(1, max_exponent)) for i in range(rng.randint(2, 8)))))
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def layer_words(words_ell8):
+    """The 247 normalised words with ell <= 8 and 20 random ones with exponents up to 12."""
+    return words_ell8 + random_words(20, 12, random.Random(36))
+
+
+def dense_layer_table(tri):
+    """Dense A and b of _layer_table."""
+    rows, b = _layer_table(tri)
+    A = np.zeros((len(b), len(rows)))
+    np.add.at(A, (rows, np.arange(len(rows))[:, None]), 1.0)
+    return A, b
+
+
+def test_twin_chains_group_classes_by_their_layer_rows(layer_words):
+    # Read on the 3m layer angles (cell (t, e) at layer t // 2, pair
+    # min(e, 5 - e)), the edge classes come in groups of equal rows.  A group
+    # of two is a chain with target 2 pi, a group of one a fold chain whose
+    # row halves to target pi.  The table built by the twin rule is exactly
+    # the layer rows and these chains, in order of their smallest class.
+    for w in layer_words:
+        tri = build_sakuma_weeks(w)
+        m, classes = tri.tet_count // 2, edge_classes(tri).classes
+        weights = np.zeros((len(classes), 3 * m))
+        for c in classes:
+            for t, e in c.embeddings:
+                weights[c.index, 3 * (t // 2) + min(e, 5 - e)] += 1.0
+        groups = {}
+        for c in range(len(classes)):
+            groups.setdefault(weights[c].tobytes(), []).append(c)
+        assert {len(g) for g in groups.values()} <= {1, 2}, str(w)
+        chains = sorted(groups.values())
+        expected = np.vstack([np.kron(np.eye(m), np.ones(3))] + [weights[g[0]] * len(g) / 2 for g in chains])
+        targets = [math.pi] * m + [math.pi * len(g) for g in chains]
+        A, b = dense_layer_table(tri)
+        assert np.array_equal(A, expected) and np.array_equal(b, targets), str(w)
+
+
+def test_layer_table_drops_its_one_dependent_row(layer_words):
+    # Every angle has weight 2 over the chains and the targets agree, so
+    # the chain rows sum to twice the layer rows: the last chain row depends
+    # on the others.  Without it the rows are independent, so the table has
+    # rank rows - 1.
+    for w in layer_words:
+        A, b = dense_layer_table(build_sakuma_weeks(w))
+        m = A.shape[1] // 3
+        assert np.array_equal(A[m:].sum(0), 2 * A[:m].sum(0)), str(w)
+        assert math.isclose(b[m:].sum(), 2 * b[:m].sum(), rel_tol=1e-15), str(w)
+        assert np.linalg.matrix_rank(A[:-1]) == len(b) - 1, str(w)
+
+
+def test_layer_maximum_is_the_gluing_table_maximum(layer_words):
+    # The maximum on the layer triples, spread over the tetrahedra, is the
+    # maximum over all 3n angles of the gluing table.
+    for w in layer_words:
+        tri = build_sakuma_weeks(w)
+        layer, full = maximize_volume(tri), maximize_gluing_table(tri)
+        assert layer.converged and full.converged, str(w)
+        assert abs(layer.volume - full.volume) <= 1e-12, str(w)
+        assert np.max(np.abs(layer.angles - full.angles)) <= 1e-8, str(w)
+
+
+def relabelled(tri, sigma, layer_of):
+    """tri with tetrahedron t renumbered sigma[t], carrying layer_of."""
+    out = Triangulation(tri.tet_count, layer_of)
+    for t in range(tri.tet_count):
+        for f in range(4):
+            t2, perm = tri.gluing(t, f)
+            if out.gluing(sigma[t], f) is None:
+                out.glue(sigma[t], f, sigma[t2], perm)
+    return out
+
+
+def test_layers_that_do_not_match_the_gluings_raise(words_ell8):
+    # Hand-built layer metadata: none, layers other than tetrahedra 2k and
+    # 2k + 1, and builder layers on gluings whose tetrahedra 1 and 2 swapped
+    # places, which splits layers 0 and 1 (on RL and RLR, of ell < 4, a
+    # symmetry makes the swap harmless).
+    tri = build_sakuma_weeks(parse_word("RL^2R"))
+    for layer_of in (None, (2, 2, 1, 1, 0, 0), (0, 1, 0, 1, 2, 2)):
+        with pytest.raises(ValueError, match="layer metadata"):
+            maximize_volume(relabelled(tri, range(6), layer_of))
+    with pytest.raises(ValueError, match="layer metadata"):
+        maximize_volume(Triangulation(3, (0, 0, 0)))
+    for w in (w for w in words_ell8 if w.ell >= 4):
+        tri = build_sakuma_weeks(w)
+        swapped = relabelled(tri, [0, 2, 1, *range(3, tri.tet_count)], tri.layer_of)
+        with pytest.raises(VerificationError, match="layers do not match the gluings"):
+            maximize_volume(swapped)
+
+
+def test_converged_point_off_the_gluing_equations_raises(monkeypatch):
+    # The table of RLRLR on RL^2RL (both 8 tetrahedra): the loop converges,
+    # and the check on the edge equations of the gluings catches the point.
+    other = _layer_table(build_sakuma_weeks(parse_word("RLRLR")))
+    monkeypatch.setattr(solver, "_layer_table", lambda tri: other)
+    with pytest.raises(VerificationError, match="misses an edge equation"):
+        maximize_volume(build_sakuma_weeks(parse_word("RL^2RL")))
 
 
 def test_failed_factorisation_takes_the_projector_step(monkeypatch):
@@ -890,8 +1026,8 @@ def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
 
     monkeypatch.setattr(solver, "dpbtrf", factor)
     tri = build_sakuma_weeks(long_family_word(ell, random.Random(ell)))
-    rows, _ = _constraint_system(tri)
-    assert _schur_solver(rows, _independent_rows(tri))(np.full(len(rows), -1.0)) is not None
+    rows, b = _layer_table(tri)
+    assert _schur_solver(rows, np.arange(len(b)) < len(b) - 1)(np.full(len(rows), -1.0)) is not None
     assert len(widths) == 1 and widths[0] <= 12
 
 
@@ -931,12 +1067,12 @@ def test_many_cusps_split_by_word():
     parts = [build_sakuma_weeks(w) for w in all_normalized_words(10)[::25]]
     union = disjoint_union(*parts)
     start = time.perf_counter()
-    res = maximize_volume(union)
+    res = maximize_gluing_table(union)
     assert time.perf_counter() - start < 1.0 and res.converged
     assert abs(res.volume - sum(maximize_volume(p).volume for p in parts)) <= 1e-9
-    masks = [(_independent_rows(p), p.tet_count) for p in parts]
+    masks = [(independent_rows(p), p.tet_count) for p in parts]
     expected = np.concatenate([m[:n] for m, n in masks] + [m[n:] for m, n in masks])
-    assert np.array_equal(_independent_rows(union), expected)
+    assert np.array_equal(independent_rows(union), expected)
 
 
 def test_bounds_report_corollary_example():

@@ -28,7 +28,7 @@ from conftest import (
 )
 import twobridge._solver as solver
 from twobridge._solver import _layer_table, _lobachevsky_array, _schur_solver
-from twobridge.angles import assign_angles, theorem_family, verify_angle_structure
+from twobridge.angles import assign_angles, expand_to_tetrahedra, theorem_family, verify_angle_structure
 from twobridge.isosig import decode_isosig, encode_isosig
 from twobridge.moves import simplify
 from twobridge.triangulation import (
@@ -364,6 +364,20 @@ def test_maximize_stops_unconverged_without_raising(max_iters):
     w = parse_word("RL^2R")
     res = maximize_volume(build_sakuma_weeks(w), seed=assign_angles(w), max_iters=max_iters)
     assert not res.converged and res.iterations == max_iters
+
+
+def test_seeded_run_cut_short_skips_the_lp():
+    # The seed is checked to be a strict solution and is the start itself:
+    # no starting point is solved for, so a run cut short at 0 iterations
+    # returns the seed's point and its volume.
+    w = parse_word("RL^2R")
+    seed = assign_angles(w)
+    res = maximize_volume(build_sakuma_weeks(w), seed=seed, max_iters=0)
+    assert not res.converged and res.iterations == 0
+    assert abs(res.volume - assignment_volume(seed)) < 1e-12
+    tri = build_sakuma_weeks(w)
+    seed_rows = sorted(sorted(math.pi * float(a) for a in t) for t in expand_to_tetrahedra(seed, tri))
+    assert np.allclose(sorted(sorted(row) for row in res.angles.tolist()), seed_rows)
 
 
 def run_fresh(code):

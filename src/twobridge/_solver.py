@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .angles import AngleAssignment, expand_to_tetrahedra
+from .angles import AngleAssignment
 from .triangulation import Triangulation, VerificationError, _labels
 from .volume import _WALL, _ZETA_EVEN, MaximizeResult
 
@@ -149,7 +149,7 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
         def reduced(v):  # G^-1 N^T v; N^T first, as G^-1 is large at a flat tetrahedron
             return np.einsum("tij,tj->ti", inverse, v.reshape(tets, 3) @ _REDUCE)
 
-        def solve(ascent, residual=None, refine=True):  # residual None: x is on the plane
+        def solve(ascent, residual=None):  # residual None: a projection, x on the plane
             minus, offset, edge_rows = -ascent, 0.0, 0.0
             if residual is not None:
                 offset, edge_rows = np.zeros(n), -residual.take(edge)
@@ -164,7 +164,7 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
 
             z = reduced(minus if residual is None else minus - h * offset)  # solve from z = 0 and lambda = 0
             lam, z = correct()
-            if refine:  # then refine once, on the stationarity and the edge rows
+            if residual is not None:  # a Newton step: refine once, on the stationarity and the edge rows
                 z = z + reduced(minus - h * step() - np.bincount(var, lam.take(at), n))
                 z = correct()[1]
             return step()
@@ -176,7 +176,8 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
 
 def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, tolerance: float, max_iters: int):
     """The damped Newton loop from x up V on the table (rows, b), whose rows
-    in keep are independent: (x, V, |Pg|, iterations, converged)."""
+    in keep are independent: (x, V, |Pg|, iterations, converged): converged
+    on the plane, at min x >= _WALL and |Pg| <= tolerance; |Pg| None off it."""
     factor = _schur_solver(rows, keep)
     projector = factor(np.full(len(rows), -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:
@@ -189,7 +190,7 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         return -np.log(np.abs(2.0 * np.sin(v)))
 
     def gradient_norm(v):  # |Pv|; G^-1 is bounded at h = -1, so no refinement
-        p = projector(v, refine=False)
+        p = projector(v)
         return math.sqrt(p @ p)
 
     fx = logs = None  # V and the barrier's sum(log x) at x, computed on the plane only
@@ -233,9 +234,10 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         x, fx, logs = x_new, f_new, logs_new
         g, gnorm = grad(x), None
         residual = _residual(rows, b, x)
-    if gnorm is None:
+    on_plane = abs(residual).max() <= _ON_PLANE
+    if on_plane and gnorm is None:
         gnorm = gradient_norm(g)
-    converged = gnorm <= tolerance and float(abs(residual).max()) <= _ON_PLANE
+    converged = bool(on_plane and x.min() >= _WALL and gnorm <= tolerance)
     return x, value(x) if fx is None else fx, gnorm, it, converged
 
 
@@ -243,7 +245,8 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     """The body of volume.maximize_volume, on checked arguments."""
     rows, b = _layer_table(tri)
     if seed is not None:
-        expand_to_tetrahedra(seed, tri)  # for its checks: one layer per two tetrahedra
+        if 3 * len(seed.layers) != len(rows):
+            raise ValueError("assignment and triangulation have different layer counts")
         x = (np.array([la.units for la in seed.layers]) / 24 * math.pi).ravel()
         if abs(_residual(rows, b, x)).max() > 1e-9 or x.min() <= 0:
             raise ValueError("seed assignment is not a strict angle structure")
@@ -253,7 +256,7 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     x, value, gnorm, it, converged = _newton(rows, b, np.arange(len(b)) < len(b) - 1, x, tolerance, max_iters)
     angles = x.reshape(-1, 3).take(tri.layer_of, axis=0)
     result = MaximizeResult(angles, 2.0 * value, gnorm, it, converged)
-    if result.converged:  # the edge equations of the gluings; edge e carries pair min(e, 5 - e)
+    if converged:  # the edge equations of the gluings; edge e carries pair min(e, 5 - e)
         off = abs(np.bincount(_labels(tri, "edge")[0], angles[:, [0, 1, 2, 2, 1, 0]].ravel()) - 2.0 * math.pi).max()
         if off > 1e-9:
             raise VerificationError(f"the maximum misses an edge equation by {off:.3g}")

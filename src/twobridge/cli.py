@@ -14,7 +14,8 @@ from a file with --words-file, one word per line):
 
 Exit status: 0 on success, 1 on bad input, 2 on an internal verification
 failure, also where a printed record fails its check: an unverified angle
-structure, or an unconverged volume maximum (--max-iters too).
+structure, or an unconverged volume maximum (--max-iters too), whose
+record gives V at the last iterate and a null gradient norm off the plane.
 """
 
 from __future__ import annotations

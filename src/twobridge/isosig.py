@@ -44,7 +44,7 @@ Equality of signatures is equivalent to combinatorial isomorphism.
 
 from __future__ import annotations
 
-from .triangulation import _COMPOSE, _INVERSE, IDENTITY, ORDERED_S4, Triangulation
+from .triangulation import _COMPOSE, _IMAGE, _INVERSE, IDENTITY, ORDERED_S4, Triangulation
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
@@ -55,15 +55,15 @@ _RANK = tuple(ord(c) for c in ALPHABET)
 
 
 def _smaller_candidate(
-    gluings: list[list[tuple[int, int, int] | None]],
+    gluings: list[list[tuple[int, int] | None]],
     start: int,
     start_perm: int,
     best: list[int] | None,
 ) -> tuple[list[int], list[int], list[int]] | None:
     """One candidate and its labelling if it is not larger than `best`, else None.
 
-    `gluings[t][f]` is (adjacent tet, 4 * adjacent tet + adjacent facet,
-    permutation index) or None for a boundary facet.  The candidate labels
+    `gluings[t][f]` is as in Triangulation._glue: (adjacent tet, permutation
+    index p), glued to its facet _IMAGE[f][p], or None.  The candidate labels
     `start` as 0 with vertex relabelling `start_perm` and grows the
     labelling breadth first, through the component of `start` only: a
     candidate that finishes with tetrahedra unlabelled raises ValueError.
@@ -93,8 +93,8 @@ def _smaller_candidate(
             facet_done[base + f_old] = True
             g = row[f_old]
             if g is not None:
-                adj, adj_slot, perm = g
-                facet_done[adj_slot] = True
+                adj, perm = g
+                facet_done[4 * adj + _IMAGE[f_old][perm]] = True
                 if image[adj] == -1:
                     packed |= 1 << shift
                     image[adj] = len(preimage)
@@ -129,11 +129,11 @@ def _smaller_candidate(
     return out, preimage, vertex_map
 
 
-def _pattern(t: int, row: list[tuple[int, int, int] | None]) -> tuple[int, ...]:
-    """Facet by facet of tetrahedron t: the first facet glued to the same
-    neighbour, 4 + j if glued to its own facet j, 8 if boundary."""
+def _pattern(t: int, row: list[tuple[int, int] | None]) -> tuple[int, ...]:
+    """Facet by facet of t's row of Triangulation._glue: the first facet glued
+    to the same neighbour, 4 + j if glued to its own facet j, 8 if boundary."""
     adj = [g and g[0] for g in row]
-    return tuple([8 if g is None else g[1] - 4 * t + 4 if g[0] == t else adj.index(g[0]) for g in row])
+    return tuple([8 if g is None else 4 + _IMAGE[f][g[1]] if g[0] == t else adj.index(g[0]) for f, g in enumerate(row)])
 
 
 def _first_rank(pattern: tuple[int, ...], start_perm: int) -> int:
@@ -175,14 +175,12 @@ def encode_isosig(tri: Triangulation) -> str:
         raise ValueError("cannot encode an empty triangulation")
     if n >= 63:
         raise ValueError("signatures for >= 63 tetrahedra are not supported")
-    gluings, firsts = [], []
-    for t, glue in enumerate(tri._glue):
-        row = [None if g is None else (g[0], 4 * g[0] + ORDERED_S4[g[1]][f], g[1]) for f, g in enumerate(glue)]
+    gluings, firsts = tri._glue, []
+    for t, row in enumerate(gluings):
         key = _pattern(t, row)
         if key not in _FIRST:
             ranks = [_first_rank(key, p) for p in range(24)]
             _FIRST[key] = min(ranks), [p for p in range(24) if ranks[p] == min(ranks)]
-        gluings.append(row)
         firsts.append(_FIRST[key])
     low = min(rank for rank, _ in firsts)
     best, maps, orbit, closed = None, [], [], 0

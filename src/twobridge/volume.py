@@ -99,22 +99,18 @@ _WALL = 1e-6
 @dataclass
 class MaximizeResult:
     angles: np.ndarray          # shape (tets, 3): pairs 0/5, 1/4, 2/3, radians
-    volume: float
-    gradient_norm: float        # the gradient projected onto the null space of the layer table
+    volume: float               # V at the last iterate, on the angle equations or not
+    gradient_norm: float | None  # |Pg|, the gradient projected onto the plane; None off the plane
     iterations: int
-    converged: bool
-
-    def __post_init__(self):
-        # A point on the walls is no interior critical point, however flat V is.
-        self.converged = self.converged and not self.on_boundary
+    converged: bool             # on the plane, interior and |Pg| <= tolerance
 
     @property
     def on_boundary(self) -> bool:
-        """True when the iterate sits against the positivity walls.
+        """True when the last iterate sits against the positivity walls.
 
-        A run that ends here is never converged: the supremum is attained
-        on the boundary of the closed polytope (no interior critical
-        point), so the value is not a hyperbolic volume.
+        A report: the Newton loop's verdict already needs an interior point.
+        The supremum here is attained on the boundary of the closed polytope
+        (no interior critical point), so the value is no hyperbolic volume.
         """
         return bool(self.angles.min() < _WALL or self.angles.max() > math.pi - _WALL)
 
@@ -131,13 +127,14 @@ def maximize_volume(
     a hyperbolic word is geometric (Gueritaud-Futer), so the point is its
     hyperbolic structure and has the layer symmetry: one damped Newton
     loop runs on the layer table of twobridge._solver, from the seed's
-    integer layer angles (under the checks of expand_to_tetrahedra), else
-    from x = pi/3.  Each step solves the banded Schur complement of the
-    chain equations in linear time and corrects the residual of A x = b
-    (infeasible-start Newton, Boyd-Vandenberghe, Convex Optimization 10.3).
-    layer_of spreads the point over the tetrahedra; the volume is twice the
-    layer sum.  An unconverged run returns its last point.  ValueError for
-    a seed that is no strict solution, or without the builder's layer
+    integer layer angles (one layer per two tetrahedra), else from x = pi/3.
+    Each step solves the banded Schur complement of the chain equations in
+    linear time and corrects the residual of A x = b (infeasible-start
+    Newton, Boyd-Vandenberghe, Convex Optimization 10.3).  layer_of spreads
+    the point over the tetrahedra; the volume is twice the layer sum.  An
+    unconverged run returns its last point and V there, gradient_norm None
+    off the angle equations.  ValueError for a seed that is no strict
+    solution or has another layer count, or without the builder's layer
     metadata; VerificationError where the layers do not match the gluings,
     or a converged point misses a gluing edge equation by over 1e-9.
     """

@@ -347,15 +347,21 @@ def test_unverified_angles_record_is_printed_and_exits_2(capsys, monkeypatch):
 
 
 def test_unconverged_volume_record_is_printed_and_exits_2(capsys):
-    # A run cut short by --max-iters is no maximum.  At x = pi/3, RL^3R is
-    # off its angle equations, and V there, 8.1195, is above the hyperbolic
-    # volume 6.1381; the projected gradient reads 0.0 all the same.
+    # A run cut short by --max-iters is no maximum.  Seeded, RL^2R stays on
+    # its angle equations, so the projected gradient is a number (about
+    # 0.032).  At x = pi/3, RL^3R is off them, and V there, 8.1195, is above
+    # the hyperbolic volume 6.1381; the projected gradient says nothing there
+    # (it would read 0.0), so it is null.
     code, out, err = run_cli(["volume", "RL^2R", "--max-iters", "1"], capsys)
     assert (code, err) == (2, "") and "converged: False" in out.splitlines()
+    code, out, err = run_cli(["volume", "RL^2R", "--max-iters", "1", "--json"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (2, "") and doc["converged"] is False
+    assert type(doc["gradient_norm"]) is float and 0.01 < doc["gradient_norm"] < 0.1
     code, out, err = run_cli(["volume", "RL^3R", "--max-iters", "0", "--json"], capsys)
     doc = json.loads(out)
     assert (code, err) == (2, "") and doc["converged"] is False
-    assert abs(doc["maximized_volume"] - 8.1195) < 1e-4 and doc["gradient_norm"] == 0.0
+    assert abs(doc["maximized_volume"] - 8.1195) < 1e-4 and doc["gradient_norm"] is None
 
 
 def test_no_words_is_bad_input(capsys):

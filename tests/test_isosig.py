@@ -238,22 +238,12 @@ def test_oracle_agrees_on_random_gluings(random_connected):
         assert encode_isosig(tri) == brute_force_isosig(tri), tri.to_json()
 
 
-def search_gluings(tri):
-    """The gluings as _smaller_candidate reads them: (adjacent tetrahedron,
-    4 * it + adjacent facet, permutation index), or None for a boundary facet."""
-    rows = [[tri.gluing(t, f) for f in range(4)] for t in range(tri.tet_count)]
-    return [
-        [None if g is None else (g[0], 4 * g[0] + g[1][f], ORDERED_S4_INDEX[g[1]]) for f, g in enumerate(row)]
-        for row in rows
-    ]
-
-
 def test_first_character_table_matches_streamed_search(random_connected, words_ell8):
     # Each permutation's first character from a start with a given facet
     # pattern, against the first code point the streamed search emits there.
     seen = set()
     for tri in random_connected + [build_sakuma_weeks(w) for w in words_ell8]:
-        gluings = search_gluings(tri)
+        gluings = tri._glue  # the rows as stored, as _smaller_candidate reads them
         for t, row in enumerate(gluings):
             pattern = isosig._pattern(t, row)
             if pattern in seen:
@@ -325,7 +315,7 @@ def test_every_skipped_start_is_sound(monkeypatch, random_connected):
         ran.clear()
         maps.clear()
         encode_isosig(tri)
-        gluings = search_gluings(tri)
+        gluings = tri._glue
         firsts = [isosig._FIRST[isosig._pattern(t, row)] for t, row in enumerate(gluings)]
         low = min(rank for rank, _ in firsts)
         starts = {(t, p) for t, (rank, perms) in enumerate(firsts) if rank == low for p in perms}

@@ -27,7 +27,7 @@ from conftest import (
     triangle_pairs,
 )
 import twobridge._solver as solver
-from twobridge._solver import _layer_table, _lobachevsky_array, _schur_solver
+from twobridge._solver import _layer_table, _lobachevsky_array, _residual, _schur_solver
 from twobridge.angles import assign_angles, expand_to_tetrahedra, theorem_family, verify_angle_structure
 from twobridge.isosig import decode_isosig, encode_isosig
 from twobridge.moves import simplify
@@ -357,13 +357,15 @@ def test_maximum_on_the_walls_is_not_converged():
 @pytest.mark.parametrize("max_iters", [0, 1])
 def test_maximize_stops_unconverged_without_raising(max_iters):
     # A run cut short, unseeded or from the explicit structure, returns its
-    # last point: no verdict on the input runs.
-    res = maximize_volume(build_sakuma_weeks(parse_word("R^5L^4")), max_iters=max_iters)
-    assert not res.converged
-    assert res.iterations == max_iters
+    # last point: no verdict on the input runs.  Its gradient norm is given
+    # exactly where that point is on the plane.
     w = parse_word("RL^2R")
-    res = maximize_volume(build_sakuma_weeks(w), seed=assign_angles(w), max_iters=max_iters)
-    assert not res.converged and res.iterations == max_iters
+    for tri, seed in [(build_sakuma_weeks(parse_word("R^5L^4")), None), (build_sakuma_weeks(w), assign_angles(w))]:
+        res = maximize_volume(tri, seed=seed, max_iters=max_iters)
+        assert not res.converged and res.iterations == max_iters
+        off = abs(_residual(*_layer_table(tri), res.angles[::2].ravel())).max()
+        assert (res.gradient_norm is None) == (off > 1e-12)
+    assert res.gradient_norm is not None  # the seed is on the plane, and a step from it stays there
 
 
 def test_seeded_run_cut_short_skips_the_lp():
@@ -458,7 +460,7 @@ def test_maximize_rejects_empty_triangulation():
 def test_maximize_rejects_bad_seed():
     w = parse_word("RLR")
     other = parse_word("RL^2R")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different layer counts"):
         maximize_volume(build_sakuma_weeks(other), seed=assign_angles(w))
 
 
@@ -744,7 +746,7 @@ def test_projection_needs_no_refinement():
             g = -np.log(np.abs(2.0 * np.sin(math.pi / 3 + rng.uniform(-0.2, 0.2, n))))
             kkt = np.block([[-np.eye(n), kept.T], [kept, np.zeros((len(kept), len(kept)))]])
             reference = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(len(kept))]))[:n]
-            step = _schur_solver(rows, keep)(np.full(n, -1.0))(g, np.zeros(len(b)), refine=False)
+            step = _schur_solver(rows, keep)(np.full(n, -1.0))(g)  # no residual: a projection, unrefined
             assert np.linalg.norm(step - reference) <= 1e-13 * np.linalg.norm(g), str(w)
 
 
@@ -811,8 +813,22 @@ def test_newton_trajectories_are_pinned(newton_runs):
     # series or the accuracy of the solve shows here.
     runs = [(str(w), res.iterations, res.converged) for w, _, res in newton_runs]
     assert len(runs) == 247 and all(converged for _, _, converged in runs)
+    # The repr of a numpy scalar differs from that of a Python one: say so here, not as a digest mismatch.
+    for word, iterations, converged in runs:
+        assert type(converged) is bool and type(iterations) is int, (word, type(converged), type(iterations))
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
     assert digest == "62f05dffb317e7d4a2a125822465c327d8d208aab02516cb684eeea17b00d313"
+
+
+def test_converged_means_interior_on_the_plane(newton_runs):
+    # The Newton loop gives the one verdict: a converged point is on the
+    # layer table's equations to rounding, off the walls, and has a
+    # gradient norm.
+    for w, tri, res in newton_runs:
+        if res.converged:
+            residual = _residual(*_layer_table(tri), res.angles[::2].ravel())
+            assert not res.on_boundary and abs(residual).max() <= 1e-12, str(w)
+            assert type(res.gradient_norm) is float and res.gradient_norm <= 1e-10, str(w)
 
 
 def gluing_orientation(tri):

@@ -9,8 +9,10 @@ layer table of builder output, a Newton step eliminates one angle per
 layer and solves the banded Schur complement of the chain equations, the
 dependent one dropped, by LAPACK's band Cholesky.  At census sizes a numpy
 call costs more than its arithmetic, so an iteration makes few: one band
-factorisation, two band solves for the step and one for |Pg|, V only on
-the plane.
+factorisation, two band solves for the step and one for |Pg|.  V plus the
+barrier is concave on the plane, so the gradient at a trial point, which
+the next iteration reads anyway, mostly proves the step acceptable; V is
+evaluated only where it cannot, and once for the result.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def _lobachevsky_array(theta: np.ndarray) -> np.ndarray:
     return np.where(a > 0.0, value, 0.0) if masked else value
 
 
-def _layer_table(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """The angle equations on layer triples, as (rows, b) for _newton.
+def _layer_table(tri: Triangulation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angle equations on layer triples, as (rows, b) for _newton, and
+    the edge labels of the gluings as an array, for maximize's last check.
 
     Layer k is tetrahedra 2k and 2k + 1, both with its triple; variable
     3k + p is the angle on pair p.  Cell (2k, e) lies in the same chain as
@@ -57,22 +60,25 @@ def _layer_table(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     weights (sum pi).  rows[3k + p] holds layer k and the chains of the
     pair's two edges in tetrahedron 2k, twice one chain for weight 2.
     """
-    n = tri.tet_count
-    if tri.layer_of != tuple(t >> 1 for t in range(n)):
+    n, layers = tri.tet_count, tri.layer_of
+    if layers is None or not layers[::2] == layers[1::2] == tuple(range(n // 2)):
         raise ValueError("triangulation carries no builder layer metadata (tetrahedra 2k and 2k + 1 in layer k)")
-    label, count = _labels(tri, "edge")
-    ends = np.array(label).reshape(n // 2, 2, 6)
+    labels, count = _labels(tri, "edge")
+    label = np.fromiter(labels, np.int64, 6 * n)
+    ends = label.reshape(n // 2, 2, 6)
     paired = np.stack([ends[:, 0], ends[:, 1, ::-1]])  # cells (2k, e) above cells (2k + 1, 5 - e)
     twin = np.empty(count, dtype=np.int64)
     twin[paired] = paired[::-1]
     if not np.array_equal(twin[paired], paired[::-1]):
         raise VerificationError("the layers do not match the gluings: twin cells in unpaired classes")
-    heads, chain = np.unique(np.minimum(np.arange(count), twin), return_inverse=True)
+    classes = np.arange(count)
+    head = twin >= classes  # the smallest class of its chain
+    chain = (np.cumsum(head) - 1).take(np.minimum(classes, twin))
     m, first = n // 2, paired[0]
     rows = np.empty((m, 3, 3), dtype=np.int64)
     rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = np.arange(m)[:, None], m + chain[first[:, :3]], m + chain[first[:, :2:-1]]
-    b = np.concatenate([np.full(m, math.pi), np.where(twin[heads] == heads, math.pi, 2.0 * math.pi)])
-    return rows.reshape(3 * m, 3), b
+    b = np.concatenate([np.full(m, math.pi), np.where((twin == classes)[head], math.pi, 2.0 * math.pi)])
+    return rows.reshape(3 * m, 3), b, label
 
 
 def _residual(rows: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:  # A x - b of the table (rows, b)
@@ -94,6 +100,11 @@ _BARRIER_FALL = 0.5
 # rounding level, whatever the tolerance on |Pg|.  The dropped equations
 # count too: where they contradict the rest, no point is on the plane.
 _ON_PLANE = 1e-12
+# F = V + mu * sum(log x) is concave on the plane (Rivin), so F(x_new) - F(x)
+# is at least the slope of F at x_new along the step.  A line-search step
+# whose slope is above this margin passes the test on V, F(x_new) > F(x) -
+# noise with noise >= 1e-12, so V is evaluated only for the others.
+_SLOPE_MARGIN = -0.5e-12
 # N: the angle step of a tetrahedron from its reduced variables (d1, d2).
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 # N G^-1 N^T = adj(h) / det G: entry (i, i) is the sum of the other two h,
@@ -193,7 +204,7 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         p = projector(v)
         return math.sqrt(p @ p)
 
-    fx = logs = None  # V and the barrier's sum(log x) at x, computed on the plane only
+    fx = logs = None  # V and sum(log x) at x, computed only where the slope bound cannot decide
     g, gnorm = grad(x), None  # gnorm: |Pg| at x once computed
     residual = _residual(rows, b, x)
     mu = _BARRIER / _BARRIER_FALL
@@ -207,10 +218,6 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
             if gnorm <= tolerance:
                 break
             mu = min(_BARRIER_FALL * mu, _BARRIER * min(1.0, gnorm) ** 2)
-            if fx is None:
-                fx, logs = value(x), float(np.log(x).sum())
-            f0 = fx + mu * logs
-            noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
         elif x.min() < _WALL or abs(residual[keep]).max() <= _ON_PLANE:
             # On the walls, or off only on dropped rows, which no step corrects.
             break
@@ -220,11 +227,19 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         direction = (factor(-1.0 / np.tan(x) - mu / (x * x)) or projector)(ascent, residual)
         shrinking = direction < 0
         alpha = min(1.0, _TO_BOUNDARY * float((x[shrinking] / -direction[shrinking]).min(initial=np.inf)))
+        f0 = None  # F at x, and its noise, once needed
         for _ in range(60):
-            x_new = x + alpha * direction
-            if not on_plane:  # off the plane a step is progress on the residual, not on V
-                f_new = logs_new = None
+            x_new, f_new, logs_new = x + alpha * direction, None, None
+            g_new = grad(x_new)
+            # Off the plane a step is progress on the residual, not on V; on
+            # it the slope bound decides first.
+            if not on_plane or (g_new + mu / x_new) @ (x_new - x) > _SLOPE_MARGIN:
                 break
+            if f0 is None:
+                if fx is None:
+                    fx, logs = value(x), float(np.log(x).sum())
+                f0 = fx + mu * logs
+                noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
             f_new, logs_new = value(x_new), float(np.log(x_new).sum())
             if f_new + mu * logs_new > f0 - noise:
                 break
@@ -232,7 +247,7 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         else:
             break
         x, fx, logs = x_new, f_new, logs_new
-        g, gnorm = grad(x), None
+        g, gnorm = g_new, None
         residual = _residual(rows, b, x)
     on_plane = abs(residual).max() <= _ON_PLANE
     if on_plane and gnorm is None:
@@ -243,7 +258,7 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
 
 def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:
     """The body of volume.maximize_volume, on checked arguments."""
-    rows, b = _layer_table(tri)
+    rows, b, label = _layer_table(tri)
     if seed is not None:
         if 3 * len(seed.layers) != len(rows):
             raise ValueError("assignment and triangulation have different layer counts")
@@ -257,7 +272,7 @@ def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float,
     angles = x.reshape(-1, 3).take(tri.layer_of, axis=0)
     result = MaximizeResult(angles, 2.0 * value, gnorm, it, converged)
     if converged:  # the edge equations of the gluings; edge e carries pair min(e, 5 - e)
-        off = abs(np.bincount(_labels(tri, "edge")[0], angles[:, [0, 1, 2, 2, 1, 0]].ravel()) - 2.0 * math.pi).max()
+        off = abs(np.bincount(label, angles[:, [0, 1, 2, 2, 1, 0]].ravel()) - 2.0 * math.pi).max()
         if off > 1e-9:
             raise VerificationError(f"the maximum misses an edge equation by {off:.3g}")
     return result

@@ -130,13 +130,16 @@ def maximize_volume(
     integer layer angles (one layer per two tetrahedra), else from x = pi/3.
     Each step solves the banded Schur complement of the chain equations in
     linear time and corrects the residual of A x = b (infeasible-start
-    Newton, Boyd-Vandenberghe, Convex Optimization 10.3).  layer_of spreads
-    the point over the tetrahedra; the volume is twice the layer sum.  An
-    unconverged run returns its last point and V there, gradient_norm None
-    off the angle equations.  ValueError for a seed that is no strict
-    solution or has another layer count, or without the builder's layer
-    metadata; VerificationError where the layers do not match the gluings,
-    or a converged point misses a gluing edge equation by over 1e-9.
+    Newton, Boyd-Vandenberghe, Convex Optimization 10.3).  Its line search
+    evaluates V only where the slope of the concave V + mu sum(log x) at
+    the trial point cannot prove the step acceptable, and V once for the
+    result.  layer_of spreads the point over the tetrahedra; the volume is
+    twice the layer sum.  An unconverged run returns its last point and V
+    there, gradient_norm None off the angle equations.  ValueError for a
+    seed that is no strict solution or has another layer count, or without
+    the builder's layer metadata; VerificationError where the layers do
+    not match the gluings, or a converged point misses a gluing edge
+    equation by over 1e-9.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")

@@ -363,7 +363,7 @@ def test_maximize_stops_unconverged_without_raising(max_iters):
     for tri, seed in [(build_sakuma_weeks(parse_word("R^5L^4")), None), (build_sakuma_weeks(w), assign_angles(w))]:
         res = maximize_volume(tri, seed=seed, max_iters=max_iters)
         assert not res.converged and res.iterations == max_iters
-        off = abs(_residual(*_layer_table(tri), res.angles[::2].ravel())).max()
+        off = abs(_residual(*_layer_table(tri)[:2], res.angles[::2].ravel())).max()
         assert (res.gradient_norm is None) == (off > 1e-12)
     assert res.gradient_norm is not None  # the seed is on the plane, and a step from it stays there
 
@@ -667,7 +667,7 @@ def layer_angles(seed):
 
 def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):
     # maximize reads the seed from the integer angles in units of pi/24; the
-    # first evaluation of V sees exactly the 3m layer angles, the Fractions
+    # Newton loop starts from exactly the 3m layer angles, the Fractions
     # times pi.  The words cover the 25 layer arrangements used up to 10
     # inner syllables, and every multiple of pi/24 converts alike.
     exact = np.array([float(Fraction(k, 24)) * math.pi for k in range(25)])
@@ -676,10 +676,10 @@ def test_seed_is_the_explicit_structure_to_the_bit(monkeypatch):
     class Seen(Exception):
         pass
 
-    def first_value(theta):
-        raise Seen(theta)
+    def start(rows, b, keep, x, *rest):
+        raise Seen(x)
 
-    monkeypatch.setattr(solver, "_lobachevsky_array", first_value)
+    monkeypatch.setattr(solver, "_newton", start)
     for w in enumerate_words(6, {1, 2}):
         seed = assign_angles(w)
         with pytest.raises(Seen) as seen:
@@ -708,7 +708,7 @@ def test_newton_step_matches_dense_kkt():
             np.add.at(rebuilt, (rows, np.arange(len(rows))[:, None]), 1.0)
             assert rows.shape == (A.shape[1], 3) and np.array_equal(rebuilt, A) and np.array_equal(b, dense_b), str(w)
             tables.append((rows, b, A, independent_rows(t), None if seed is None or t is not tri else seed_angles(seed)))
-        rows, b = _layer_table(tri)
+        rows, b, _ = _layer_table(tri)
         layer_seed = None if seed is None else layer_angles(seed)
         tables.append((rows, b, dense_layer_table(tri)[0], np.arange(len(b)) < len(b) - 1, layer_seed))
         for rows, b, A, keep, seed_point in tables:
@@ -820,13 +820,59 @@ def test_newton_trajectories_are_pinned(newton_runs):
     assert digest == "62f05dffb317e7d4a2a125822465c327d8d208aab02516cb684eeea17b00d313"
 
 
+def test_newton_trajectories_are_pinned_on_long_words():
+    # The digest above stops at ell = 8; these are eight long-workload sizes
+    # (118 to 498 tetrahedra), each run unseeded and seeded.
+    runs = []
+    for ell in (60, 87, 114, 141, 168, 195, 222, 250):
+        w = long_family_word(ell, random.Random(ell))
+        tri = build_sakuma_weeks(w)
+        for seed in (None, assign_angles(w)):
+            res = maximize_volume(tri, seed=seed)
+            runs.append((str(w), res.iterations, res.converged))
+    assert all(converged is True for _, _, converged in runs)
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "c12d76df1316b4155217a0f64ea916fb839bf27d78e56aa6965875e95c3d3e64"
+
+
+def test_slope_bound_changes_no_decision(monkeypatch):
+    # A line-search step that the slope bound accepts passes the test on V
+    # too.  With the bound switched off every step is judged on V, and every
+    # run ends with the same bytes and the same iterations and flags.  No
+    # step on builder output is ever halved, so three 2-3 copies of RLR
+    # run too, on the gluing table: their maxima lie on the walls, and their
+    # line searches halve 880 steps.
+    runs = []
+    for w in all_normalized_words(8) + [long_family_word(ell, random.Random(ell)) for ell in (60, 155, 250)]:
+        tri = build_sakuma_weeks(w)
+        runs += [(tri, None)] + ([(tri, assign_angles(w))] if theorem_family(w) else [])
+    rlr = build_sakuma_weeks(parse_word("RLR"))
+    copies = [pachner_23(rlr, pair[0]) for pair in triangle_pairs(rlr)[:3]]
+
+    def results():
+        out = []
+        for tri, seed in runs:
+            res = maximize_volume(tri, seed=seed)
+            g = None if res.gradient_norm is None else res.gradient_norm.hex()
+            out.append((res.angles.tobytes(), res.volume.hex(), g, res.iterations, res.converged))
+        for t in copies:
+            rows, b = constraint_system(t)
+            x, value, g, it, converged = solver._newton(rows, b, independent_rows(t), np.full(len(rows), math.pi / 3), 1e-10, 200)
+            out.append((x.tobytes(), value.hex(), None if g is None else g.hex(), it, converged))
+        return out
+
+    bounded = results()
+    monkeypatch.setattr(solver, "_SLOPE_MARGIN", math.inf)
+    assert len(runs) == 285 and len(copies) == 3 and results() == bounded
+
+
 def test_converged_means_interior_on_the_plane(newton_runs):
     # The Newton loop gives the one verdict: a converged point is on the
     # layer table's equations to rounding, off the walls, and has a
     # gradient norm.
     for w, tri, res in newton_runs:
         if res.converged:
-            residual = _residual(*_layer_table(tri), res.angles[::2].ravel())
+            residual = _residual(*_layer_table(tri)[:2], res.angles[::2].ravel())
             assert not res.on_boundary and abs(residual).max() <= 1e-12, str(w)
             assert type(res.gradient_norm) is float and res.gradient_norm <= 1e-10, str(w)
 
@@ -909,7 +955,7 @@ def layer_words(words_ell8):
 
 def dense_layer_table(tri):
     """Dense A and b of _layer_table."""
-    rows, b = _layer_table(tri)
+    rows, b, _ = _layer_table(tri)
     A = np.zeros((len(b), len(rows)))
     np.add.at(A, (rows, np.arange(len(rows))[:, None]), 1.0)
     return A, b
@@ -993,10 +1039,11 @@ def test_layers_that_do_not_match_the_gluings_raise(words_ell8):
 
 
 def test_converged_point_off_the_gluing_equations_raises(monkeypatch):
-    # The table of RLRLR on RL^2RL (both 8 tetrahedra): the loop converges,
-    # and the check on the edge equations of the gluings catches the point.
+    # The equations of RLRLR with the edge labels of RL^2RL (both 8
+    # tetrahedra): the loop converges, and the check on the edge equations
+    # of the gluings catches the point.
     other = _layer_table(build_sakuma_weeks(parse_word("RLRLR")))
-    monkeypatch.setattr(solver, "_layer_table", lambda tri: other)
+    monkeypatch.setattr(solver, "_layer_table", lambda tri: (*other[:2], _layer_table(tri)[2]))
     with pytest.raises(VerificationError, match="misses an edge equation"):
         maximize_volume(build_sakuma_weeks(parse_word("RL^2RL")))
 
@@ -1056,7 +1103,7 @@ def test_schur_band_stays_narrow_on_long_words(ell, monkeypatch):
 
     monkeypatch.setattr(solver, "dpbtrf", factor)
     tri = build_sakuma_weeks(long_family_word(ell, random.Random(ell)))
-    rows, b = _layer_table(tri)
+    rows, b, _ = _layer_table(tri)
     assert _schur_solver(rows, np.arange(len(b)) < len(b) - 1)(np.full(len(rows), -1.0)) is not None
     assert len(widths) == 1 and widths[0] <= 12
 
@@ -1065,9 +1112,11 @@ def test_solver_work_per_iteration(monkeypatch):
     # Pinned LAPACK calls: one band factorisation for the projector and one
     # per Newton step; two band solves per (refined) Newton step and one per
     # gradient norm, computed on every iteration that starts on the plane.
-    # An unseeded census-size run starts off the plane, a seeded long one on it.
-    calls = {"factor": 0, "solve": 0}
-    real_factor, real_solve = solver.dpbtrf, solver.dpbtrs
+    # An unseeded census-size run starts off the plane, a seeded long one on
+    # it.  V is evaluated once, for the result: the slope bound accepts every
+    # line-search step of both runs.
+    calls = {"factor": 0, "solve": 0, "V": 0}
+    real_factor, real_solve, real_value = solver.dpbtrf, solver.dpbtrs, solver._lobachevsky_array
 
     def factor(band, lower):
         calls["factor"] += 1
@@ -1077,15 +1126,20 @@ def test_solver_work_per_iteration(monkeypatch):
         calls["solve"] += 1
         return real_solve(cholesky, rhs, lower=lower)
 
+    def value(theta):
+        calls["V"] += 1
+        return real_value(theta)
+
     monkeypatch.setattr(solver, "dpbtrf", factor)
     monkeypatch.setattr(solver, "dpbtrs", solve)
+    monkeypatch.setattr(solver, "_lobachevsky_array", value)
     w = long_family_word(155, random.Random(155))
     runs = [(build_sakuma_weeks(parse_word("RL^2RLR^3LRL^2R")), None), (build_sakuma_weeks(w), assign_angles(w))]
     for (tri, seed), (steps, norms) in zip(runs, [(5, 4), (5, 6)]):
-        calls.update(factor=0, solve=0)
+        calls.update(factor=0, solve=0, V=0)
         res = maximize_volume(tri, seed=seed)
         assert res.converged and res.iterations == steps + 1
-        assert calls == {"factor": 1 + steps, "solve": 2 * steps + norms}
+        assert calls == {"factor": 1 + steps, "solve": 2 * steps + norms, "V": 1}
 
 
 def test_many_cusps_split_by_word():

@@ -188,7 +188,9 @@ def _schur_solver(rows: np.ndarray, keep: np.ndarray):
 def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, tolerance: float, max_iters: int):
     """The damped Newton loop from x up V on the table (rows, b), whose rows
     in keep are independent: (x, V, |Pg|, iterations, converged): converged
-    on the plane, at min x >= _WALL and |Pg| <= tolerance; |Pg| None off it."""
+    on the plane with |Pg| <= tolerance, |Pg| None off it.  The fraction to
+    the boundary keeps every iterate positive, so the walls (_WALL) only
+    stop a loop off the plane."""
     factor = _schur_solver(rows, keep)
     projector = factor(np.full(len(rows), -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:
@@ -252,7 +254,7 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
     on_plane = abs(residual).max() <= _ON_PLANE
     if on_plane and gnorm is None:
         gnorm = gradient_norm(g)
-    converged = bool(on_plane and x.min() >= _WALL and gnorm <= tolerance)
+    converged = bool(on_plane and gnorm <= tolerance)
     return x, value(x) if fx is None else fx, gnorm, it, converged
 
 

@@ -16,6 +16,8 @@ Exit status: 0 on success, 1 on bad input, 2 on an internal verification
 failure, also where a printed record fails its check: an unverified angle
 structure, or an unconverged volume maximum (--max-iters too), whose
 record gives V at the last iterate and a null gradient norm off the plane.
+A maximum converges on the angle equations once the projected gradient
+norm is within the tolerance, however close to 0 its angles come.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ vertex with the same symbol: a face of two new tetrahedra is glued between
 them, and a face of one new tetrahedron lies on the ball's boundary and
 keeps the outside gluing of the old facet with the same symbols.  Removed
 tetrahedra leave holes and new ones are appended, so survivors keep their
-relative order when simplify compacts its result.  simplify moves one
-private copy (_Table) and walks again only the edge classes that meet the
-new tetrahedra, so a move costs the same at any size.  The 3-2 and 4-4
-moves read the tetrahedra around their edge off the walk that finds the
-edge classes.
+relative order when simplify compacts its result.  simplify copies the
+rows and the edge walk once into a private table (_Table), moves it, and
+walks again only the edge classes that meet the new tetrahedra, so a move
+costs the same at any size; with no move it returns its input.  The 3-2
+and 4-4 moves read the tetrahedra around their edge off a closed walk
+that finds the edge classes.
 """
 
 from __future__ import annotations
@@ -96,15 +97,11 @@ def _retriangulate(glue: list, old: dict[int, tuple], new: tuple[tuple, ...]) ->
     return journal
 
 
-def _fails(walk: tuple[list[int], str | None]) -> str | None:
-    """Why the class of a (states, why) of _walk_classes admits no move of its
-    degree n, or None: unless its n tetrahedra are distinct, and where its
-    walk meets a boundary face or does not come back to its start."""
-    states, why = walk
-    if len({x // 24 for x in states}) != len(states):
-        move = "3-2 move needs three" if len(states) == 3 else "4-4 move needs four"
-        return f"{move} distinct tetrahedra around the edge"
-    return why
+def _admits(walk: tuple[list[int], bool]) -> bool:
+    """Whether the class of a (states, closed) of _walk_classes admits the
+    move of its degree n: its walk closed, on n distinct tetrahedra."""
+    states, closed = walk
+    return closed and len({x // 24 for x in states}) == len(states)
 
 
 # _SYMBOLS[n - 3][k][s]: in state s = (a, b, f, g) of the walk around a
@@ -174,32 +171,31 @@ class SimplificationTrace:
 
 
 class _Table:
-    """simplify's working triangulation: gluing rows, None where a move
-    removed a tetrahedron; per cell 6t + e the number of its edge class;
-    per class number its (states, why) of _walk_classes; and in movable[n],
-    sorted as (smallest cell, number), the classes of degree n = 3, 4 that
-    admit their move.
+    """simplify's working triangulation, copied from the triangulation's
+    rows and edge walk: gluing rows, None where a move removed a
+    tetrahedron; per cell 6t + e the number of its edge class; per class
+    number its (states, closed) of _walk_classes; and in movable[n], sorted
+    as (smallest cell, number), the classes of degree n = 3, 4 that admit
+    their move.
 
-    Until the first move it reads the triangulation's own rows and edge
-    walk; own() copies them.  A move numbers the classes it walks on from
-    len(walks), and the numbers of those it drops fall out of use.  Holes
-    and appended tetrahedra order the cells as compaction numbers them, so
-    a class's index is the rank of its smallest cell among those of the
-    live classes, kept sorted in keys.
+    A move numbers the classes it walks on from len(walks), and the numbers
+    of those it drops fall out of use.  Holes and appended tetrahedra order
+    the cells as compaction numbers them, so a class's index is the rank of
+    its smallest cell among those of the live classes, kept sorted in keys.
     """
 
     def __init__(self, tri: Triangulation):
-        self.glue = tri._glue
-        self.label = _labels(tri, "edge")[0]
-        self.walks = _labels(tri, "walks")
-        self.keys: list[int] | None = None
+        self.glue = [list(row) for row in tri._glue]
+        self.label = _labels(tri, "edge")[0][:]
+        self.walks = _labels(tri, "walks")[:]
+        self.keys = [self.first(c) for c in range(len(self.walks))]
         self.movable: dict[int, list[tuple[int, int]]] = {3: [], 4: []}
         self.file(range(len(self.walks)))
 
     def file(self, classes) -> None:
         """Add each of these classes that admits its move to movable."""
         for c in classes:
-            if len(self.walks[c][0]) in self.movable and _fails(self.walks[c]) is None:
+            if len(self.walks[c][0]) in self.movable and _admits(self.walks[c]):
                 insort(self.movable[len(self.walks[c][0])], (self.first(c), c))
 
     def first(self, c: int) -> int:
@@ -209,22 +205,13 @@ class _Table:
 
     def rank(self, c: int) -> int:
         """The index of class c in the compacted triangulation."""
-        return c if self.keys is None else bisect_left(self.keys, self.first(c))
-
-    def own(self) -> None:
-        """Copy the triangulation's rows, labels and walks, unless done."""
-        if self.keys is None:
-            self.glue = [list(row) for row in self.glue]
-            self.label = self.label[:]
-            self.walks = self.walks[:]
-            self.keys = [self.first(c) for c in range(len(self.walks))]
+        return bisect_left(self.keys, self.first(c))
 
     def move(self, fan: list[tuple[int, tuple]], new: tuple[tuple, ...], keep=lambda walks: True) -> bool:
         """Retriangulate the ball around `fan` by `new`, and walk again each
         class with a cell in the new tetrahedra: every edge of the ball but
         the central one.  Unless keep(the walks of those classes), undo it
         from the journal of the entries it overwrote.  Whether it is kept."""
-        self.own()
         old = dict(fan)
         label, walks = self.label, self.walks
         dropped = {label[6 * t + e] for t in old for e in range(6)}
@@ -272,9 +259,9 @@ def _degrees_after_44(table: _Table, fan: list[tuple[int, tuple]], axis: int) ->
     return {x: len(table.walks[x][0]) + d for x, d in delta.items()}
 
 
-def _exposes_32(walks: list[tuple[list[int], str | None]]) -> bool:
+def _exposes_32(walks: list[tuple[list[int], bool]]) -> bool:
     """Whether one of these walks is of a class that admits a 3-2 move."""
-    return any(len(walk[0]) == 3 and _fails(walk) is None for walk in walks)
+    return any(len(walk[0]) == 3 and _admits(walk) for walk in walks)
 
 
 def simplify(tri: Triangulation) -> SimplificationTrace:

@@ -22,13 +22,15 @@ the previous layer and 12 the next, in odd ones the other way round).
 Vertex classes (cusps) are found by a search over the gluings
 (_closure); edge classes, the ends of each edge that become link
 vertices, and the fan of tetrahedra around each edge that the moves read,
-by one oriented walk around each edge (_walk_edges, by _walk_classes,
-which simplify reruns on the classes a move touches).  Each runs once per
-triangulation: a Triangulation keeps the classes found until glue, its only
-mutator, clears them, and hands them out read-only.  validate checks the
-involution and that every face is glued in one pass over the rows.  No
-search finds components: the isosig labelling reaches exactly the component of its
-start, so encode_isosig rejects disconnected input by itself.
+with whether its walk closed, by one oriented walk around each edge
+(_walk_edges, by _walk_classes, which simplify reruns on the classes a
+move touches).  Each runs once per triangulation: a Triangulation keeps
+the classes found until glue, its only mutator, clears them, and hands
+them out read-only; edge_classes builds its table from them on each call.
+validate checks the involution and that every face is glued in one pass
+over the rows.  No search finds components: the isosig labelling reaches
+exactly the component of its start, so encode_isosig rejects disconnected
+input by itself.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class Triangulation:
         ]
         # For builder output: 0-based layer index per tetrahedron.
         self.layer_of = None if layer_of is None else tuple(layer_of)
-        # Cell classes found so far (_labels, edge_classes); glue clears them.
+        # Cell classes found so far (_labels); glue clears them.
         self._classes: dict = {}
 
     def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
@@ -257,8 +259,8 @@ def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: l
     """Walk each class from its first cell x = 6t + e in `cells` that is
     not labelled, by _START[e][0], labelling it len(walks); none of its
     cells may be labelled.  Appends its link vertices 4t + v to ends, and
-    (states, why) to walks: the states 24t + s walked, one per cell and
-    x's first, and None if the walk came back to its start, else why not.
+    (states, closed) to walks: the states 24t + s walked, one per cell and
+    x's first, and whether the walk came back to its start.
 
     Each edge lies in two facets, so a class is a cycle, or a path that the
     walk finishes from its start the other way.  Stopping at the first cell
@@ -287,17 +289,16 @@ def _walk_classes(glue: list, label: list[int], cells, ends: list[int], walks: l
                 break
         a, b = EDGE_VERTS[e]
         ends += (4 * t0 + a,) if y == x and _TAIL[s] == b else (4 * t0 + a, 4 * t0 + b)
-        walks.append((walk, "edge has a boundary face; cannot walk around it" if start != _START[e][0]
-                      else None if s == start and t == t0 else "edge walk failed to close"))
+        walks.append((walk, start == _START[e][0] and s == start and t == t0))
 
 
 def _walk_edges(tri: Triangulation) -> tuple[tuple[list[int], int], list[int], list]:
     """((label, count), ends, walks): edge e of tetrahedron t in class
     label[6t + e], numbered by smallest member; 4t + v for each link vertex
-    at vertex v; per class, the (states, why) of _walk_classes."""
+    at vertex v; per class, the (states, closed) of _walk_classes."""
     label = [-1] * (6 * tri.tet_count)
     ends: list[int] = []
-    walks: list[tuple[list[int], str | None]] = []
+    walks: list[tuple[list[int], bool]] = []
     _walk_classes(tri._glue, label, range(len(label)), ends, walks)
     return (label, len(walks)), ends, walks
 
@@ -328,7 +329,7 @@ class EdgeClass:
 
 @dataclass(frozen=True)
 class EdgeClassTable:
-    """The edge classes of one triangulation, shared until its next glue, hence read-only."""
+    """The edge classes of one triangulation."""
 
     classes: tuple[EdgeClass, ...]
 
@@ -341,13 +342,11 @@ class EdgeClassTable:
 
 def edge_classes(tri: Triangulation) -> EdgeClassTable:
     """Edge classes: in-tetrahedron edges identified across glued faces."""
-    if "table" not in tri._classes:
-        label, count = _labels(tri, "edge")
-        members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for x, c in enumerate(label):
-            members[c].append(divmod(x, 6))
-        tri._classes["table"] = EdgeClassTable(tuple(EdgeClass(i, tuple(m)) for i, m in enumerate(members)))
-    return tri._classes["table"]
+    label, count = _labels(tri, "edge")
+    members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for x, c in enumerate(label):
+        members[c].append(divmod(x, 6))
+    return EdgeClassTable(tuple(EdgeClass(i, tuple(m)) for i, m in enumerate(members)))
 
 
 @dataclass

@@ -102,17 +102,19 @@ class MaximizeResult:
     volume: float               # V at the last iterate, on the angle equations or not
     gradient_norm: float | None  # |Pg|, the gradient projected onto the plane; None off the plane
     iterations: int
-    converged: bool             # on the plane, interior and |Pg| <= tolerance
+    converged: bool             # on the plane and |Pg| <= tolerance; every iterate is interior
 
     @property
     def on_boundary(self) -> bool:
-        """True when the last iterate sits against the positivity walls.
+        """True when an unconverged run ends against the positivity walls.
 
-        A report: the Newton loop's verdict already needs an interior point.
-        The supremum here is attained on the boundary of the closed polytope
+        A report: every iterate is interior, so a converged point is the
+        interior maximum, however small its angles (in a long twist region
+        they shrink roughly like k^-3).  An unconverged run that ends at a
+        wall points to a supremum on the boundary of the closed polytope
         (no interior critical point), so the value is no hyperbolic volume.
         """
-        return bool(self.angles.min() < _WALL or self.angles.max() > math.pi - _WALL)
+        return not self.converged and bool(self.angles.min() < _WALL or self.angles.max() > math.pi - _WALL)
 
 
 def maximize_volume(

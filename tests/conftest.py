@@ -8,7 +8,7 @@ import pytest
 
 from twobridge import _solver, moves
 from twobridge.angles import _UNITS
-from twobridge.triangulation import EDGE_VERTS, IDENTITY, Triangulation, _labels, invert
+from twobridge.triangulation import EDGE_VERTS, IDENTITY, ORDERED_S4, Triangulation, _labels, invert
 from twobridge.volume import MaximizeResult
 from twobridge.word import Word
 
@@ -136,10 +136,16 @@ def edge_fan(tri, edge_class, n):
     degree = len(walks[edge_class][0])
     if degree != n:
         raise ValueError(f"edge class {edge_class} has degree {degree}, need {n}")
-    why = moves._fails(walks[edge_class])
-    if why:
-        raise ValueError(why)
-    return moves._fan(walks[edge_class][0])
+    states, closed = walks[edge_class]
+    if len({x // 24 for x in states}) != degree:
+        move = "3-2 move needs three" if degree == 3 else "4-4 move needs four"
+        raise ValueError(f"{move} distinct tetrahedra around the edge")
+    if not closed:
+        # A walk that met an unglued facet holding the edge went round it the other way.
+        if any(tri.gluing(x // 24, f) is None for x in states for f in ORDERED_S4[x % 24][2:]):
+            raise ValueError("edge has a boundary face; cannot walk around it")
+        raise ValueError("edge walk failed to close")
+    return moves._fan(states)
 
 
 def pachner_32(tri, edge_class):

@@ -364,6 +364,17 @@ def test_unconverged_volume_record_is_printed_and_exits_2(capsys):
     assert abs(doc["maximized_volume"] - 8.1195) < 1e-4 and doc["gradient_norm"] is None
 
 
+@pytest.mark.parametrize("word", ["R^150L", "R^180L", "RL^300R"])
+def test_volume_converges_at_tiny_interior_angles(capsys, word):
+    # In a long twist region the maximum's angles shrink roughly like k^-3,
+    # below 1e-6 here, yet every iterate is interior and |Pg| reaches the
+    # tolerance: the point is the maximum, not a wall.
+    code, out, err = run_cli(["volume", word, "--json"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (0, "") and doc["converged"] is True and doc["on_boundary"] is False
+    assert doc["gradient_norm"] <= 1e-10
+
+
 def test_no_words_is_bad_input(capsys):
     code, out, err = run_cli(["build"], capsys)
     assert (code, out, err) == (1, "", "error: no words given\n")

@@ -440,16 +440,15 @@ def test_simplify_work_per_move_does_not_grow(monkeypatch):
     # On R (L^3 R^3)^k L, half the moves 4-4 and half 3-2, no move reads or
     # writes more gluing rows, or takes more walk steps, at k = 10 than at
     # k = 5: each move walks again only the classes around it.  The rows
-    # are counted from the copy that the first move makes.
-    own, move, walk = moves._Table.own, moves._Table.move, moves._walk_classes
+    # are counted from the copy that the table makes.
+    init, move, walk = moves._Table.__init__, moves._Table.move, moves._walk_classes
 
-    def counting_own(table):
-        own(table)
-        if not isinstance(table.glue, CountingRows):
-            table.glue = CountingRows(table.glue)
+    def counting_init(table, tri):
+        init(table, tri)
+        table.glue = CountingRows(table.glue)
 
     def count(table):
-        return len(steps) + (table.glue.count if isinstance(table.glue, CountingRows) else 0)
+        return len(steps) + table.glue.count
 
     def counting_move(table, *args):
         before = count(table)
@@ -462,7 +461,7 @@ def test_simplify_work_per_move_does_not_grow(monkeypatch):
         walk(glue, label, cells, ends, walks)
         steps.extend(x for states, _ in walks[before:] for x in states)
 
-    monkeypatch.setattr(moves._Table, "own", counting_own)
+    monkeypatch.setattr(moves._Table, "__init__", counting_init)
     monkeypatch.setattr(moves._Table, "move", counting_move)
     monkeypatch.setattr(moves, "_walk_classes", counting_walk)
     most = []
@@ -481,6 +480,22 @@ def test_simplify_reads_each_gluing_once_on_long_word():
     rows = tri._glue = [CountingRow(row) for row in tri._glue]
     assert simplify(tri).moves == []
     assert sum(row.reads for row in rows) == 6 * tri.tet_count == 1452
+
+
+@pytest.mark.parametrize("text", ["RL^3R", "RL^3R^3L^3R^3L^3R^3L", "RL^2R"])
+def test_simplify_leaves_its_input_untouched(text):
+    # simplify moves its own copy of the rows and of the edge walk: the
+    # input's rows, edge labels and cached walks read the same after the
+    # pass, and a pass with no move returns the input itself.
+    tri = build_sakuma_weeks(parse_word(text))
+    walks = moves._labels(tri, "walks")
+    glue, label = [list(row) for row in tri._glue], moves._labels(tri, "edge")[0][:]
+    before = [(states[:], closed) for states, closed in walks]
+    trace = simplify(tri)
+    assert len(trace.moves) == {"RL^3R": 2, "RL^3R^3L^3R^3L^3R^3L": 12, "RL^2R": 0}[text]
+    assert (trace.final is tri) == (not trace.moves)
+    assert tri._glue == glue and moves._labels(tri, "edge")[0] == label
+    assert moves._labels(tri, "walks") is walks and walks == before
 
 
 def test_only_the_ball_builders_read_gluings():

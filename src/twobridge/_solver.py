@@ -9,10 +9,12 @@ layer table of builder output, a Newton step eliminates one angle per
 layer and solves the banded Schur complement of the chain equations, the
 dependent one dropped, by LAPACK's band Cholesky.  At census sizes a numpy
 call costs more than its arithmetic, so an iteration makes few: one band
-factorisation, two band solves for the step and one for |Pg|.  V plus the
-barrier is concave on the plane, so the gradient at a trial point, which
-the next iteration reads anyway, mostly proves the step acceptable; V is
-evaluated only where it cannot, and once for the result.
+factorisation, two band solves for the step and one for |Pg|.  The
+curvature -cot x of an obtuse angle is read off the other two angles of
+its triple, cot of their sum, as the triple rows hold at every iterate;
+on builder output no factorisation then fails, and each step is a Newton
+step cut only by the fraction to the boundary.  V is evaluated once, for
+the result.
 """
 
 from __future__ import annotations
@@ -100,11 +102,6 @@ _BARRIER_FALL = 0.5
 # rounding level, whatever the tolerance on |Pg|.  The dropped equations
 # count too: where they contradict the rest, no point is on the plane.
 _ON_PLANE = 1e-12
-# F = V + mu * sum(log x) is concave on the plane (Rivin), so F(x_new) - F(x)
-# is at least the slope of F at x_new along the step.  A line-search step
-# whose slope is above this margin passes the test on V, F(x_new) > F(x) -
-# noise with noise >= 1e-12, so V is evaluated only for the others.
-_SLOPE_MARGIN = -0.5e-12
 # N: the angle step of a tetrahedron from its reduced variables (d1, d2).
 _REDUCE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 # N G^-1 N^T = adj(h) / det G: entry (i, i) is the sum of the other two h,
@@ -116,9 +113,11 @@ _BLOCK_OF = _PAIR_E // 2 * 3 + _PAIR_F // 2  # the entry 3(e // 2) + f // 2 of t
 
 
 def _pair_blocks(h: np.ndarray) -> np.ndarray:
-    """N G^-1 N^T of each tetrahedron, over its pairs, as (tets, 3, 3)."""
+    """N G^-1 N^T of each tetrahedron, over its pairs, as (tets, 3, 3); not
+    finite where det G is 0, a band that factor rejects."""
     h1, h2, h3 = h[0::3], h[1::3], h[2::3]
-    return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 3, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (h.reshape(-1, 3) @ _ADJ / (h1 * h2 + h1 * h3 + h2 * h3)[:, None]).reshape(-1, 3, 3)
 
 
 def _schur_solver(rows: np.ndarray, keep: np.ndarray):
@@ -195,9 +194,8 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
     projector = factor(np.full(len(rows), -1.0))  # h = -1: it projects onto the null space of A_kept
     if projector is None:
         raise VerificationError(f"angle equations have rank below the {keep.sum()} rows kept")
-
-    def value(v):
-        return float(_lobachevsky_array(v).sum())
+    i = np.arange(len(x))  # j, k: the other two angles of each angle's triple, a row of the first len(x) // 3
+    j, k = i - i % 3 + (i + 1) % 3, i - i % 3 + (i + 2) % 3
 
     def grad(v):
         return -np.log(np.abs(2.0 * np.sin(v)))
@@ -206,7 +204,6 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
         p = projector(v)
         return math.sqrt(p @ p)
 
-    fx = logs = None  # V and sum(log x) at x, computed only where the slope bound cannot decide
     g, gnorm = grad(x), None  # gnorm: |Pg| at x once computed
     residual = _residual(rows, b, x)
     mu = _BARRIER / _BARRIER_FALL
@@ -224,38 +221,22 @@ def _newton(rows: np.ndarray, b: np.ndarray, keep: np.ndarray, x: np.ndarray, to
             # On the walls, or off only on dropped rows, which no step corrects.
             break
         # Newton step on V + mu sum(log x); the second derivative of L is -cot.
-        ascent = g + mu / x
+        # Near pi, x holds its distance to pi only to an ulp of pi, too coarse
+        # for -cot x; but every step keeps the triple rows, so an obtuse
+        # angle's x - pi is minus the sum of the other two, exact to rounding.
+        folded = np.where(x > math.pi / 2, -(x.take(j) + x.take(k)), x)
         # Where S is not positive definite, the step with h = -1.
-        direction = (factor(-1.0 / np.tan(x) - mu / (x * x)) or projector)(ascent, residual)
+        direction = (factor(-1.0 / np.tan(folded) - mu / (x * x)) or projector)(g + mu / x, residual)
         shrinking = direction < 0
         alpha = min(1.0, _TO_BOUNDARY * float((x[shrinking] / -direction[shrinking]).min(initial=np.inf)))
-        f0 = None  # F at x, and its noise, once needed
-        for _ in range(60):
-            x_new, f_new, logs_new = x + alpha * direction, None, None
-            g_new = grad(x_new)
-            # Off the plane a step is progress on the residual, not on V; on
-            # it the slope bound decides first.
-            if not on_plane or (g_new + mu / x_new) @ (x_new - x) > _SLOPE_MARGIN:
-                break
-            if f0 is None:
-                if fx is None:
-                    fx, logs = value(x), float(np.log(x).sum())
-                f0 = fx + mu * logs
-                noise = 1e-12 * max(1.0, abs(f0))  # V is flat to rounding at the top
-            f_new, logs_new = value(x_new), float(np.log(x_new).sum())
-            if f_new + mu * logs_new > f0 - noise:
-                break
-            alpha *= 0.5
-        else:
-            break
-        x, fx, logs = x_new, f_new, logs_new
-        g, gnorm = g_new, None
+        x = x + alpha * direction
+        g, gnorm = grad(x), None
         residual = _residual(rows, b, x)
     on_plane = abs(residual).max() <= _ON_PLANE
     if on_plane and gnorm is None:
         gnorm = gradient_norm(g)
     converged = bool(on_plane and gnorm <= tolerance)
-    return x, value(x) if fx is None else fx, gnorm, it, converged
+    return x, float(_lobachevsky_array(x).sum()), gnorm, it, converged
 
 
 def maximize(tri: Triangulation, seed: AngleAssignment | None, tolerance: float, max_iters: int) -> MaximizeResult:

@@ -375,6 +375,17 @@ def test_volume_converges_at_tiny_interior_angles(capsys, word):
     assert doc["gradient_norm"] <= 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="every band factorisation now holds in long twist regions, but |Pg| stalls: "
+    "R^210L needs 228 iterations, past the default 200, and R^250L is still at 2.9e-7 "
+    "after 1000, so volume exits 2 on a geometric triangulation",
+)
+def test_volume_converges_on_r250l(capsys):
+    code, out, err = run_cli(["volume", "R^250L"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_no_words_is_bad_input(capsys):
     code, out, err = run_cli(["build"], capsys)
     assert (code, out, err) == (1, "", "error: no words given\n")
